@@ -30,13 +30,7 @@ def _check_degree(j: int) -> int:
 def hermite_normalized(j: int, x):
     """Evaluate the normalized probabilists' Hermite polynomial He_j.
 
-    Uses the three-term recurrence
-
-        He_0(x) = 1,  He_1(x) = x,
-        He_{j+1}(x) = (x * He_j(x) - sqrt(j) * He_{j-1}(x)) / sqrt(j+1),
-
-    which is numerically stable for every degree up to ``J_MAX``, unlike
-    the explicit factorial summation.
+    Row ``j`` of :func:`hermite_sequence`, reshaped to match ``x``.
 
     Parameters
     ----------
@@ -52,17 +46,20 @@ def hermite_normalized(j: int, x):
     """
     j = _check_degree(j)
     arr = np.asarray(x, dtype=float)
-    prev = np.ones_like(arr)
-    if j == 0:
-        return prev if arr.ndim else float(prev)
-    cur = arr.copy()
-    for k in range(1, j):
-        prev, cur = cur, (arr * cur - math.sqrt(k) * prev) / math.sqrt(k + 1)
-    return cur if arr.ndim else float(cur)
+    out = hermite_sequence(arr, j)[j].reshape(arr.shape)
+    return out if arr.ndim else float(out)
 
 
 def hermite_sequence(x, jmax: int) -> np.ndarray:
     """All normalized Hermite values He_0(x) .. He_jmax(x) in one sweep.
+
+    Uses the three-term recurrence
+
+        He_0(x) = 1,  He_1(x) = x,
+        He_{j+1}(x) = (x * He_j(x) - sqrt(j) * He_{j-1}(x)) / sqrt(j+1),
+
+    which is numerically stable for every degree up to ``J_MAX``, unlike
+    the explicit factorial summation.
 
     Parameters
     ----------

@@ -33,7 +33,7 @@ from .estimator import (
     power_gain_curve,
 )
 from .pubbias import CaliperError
-from .simulate import NOISES, PRIORS, TABLE_PRESETS, DgpSpec, run_coverage
+from .simulate import NOISES, PRIORS, TABLE_PRESETS, CoverageRow, DgpSpec, run_coverage
 from .spectrum import TuningConfig
 
 __all__ = ["main", "DatasetError", "read_tscore_file", "read_grouped_file",
@@ -72,6 +72,15 @@ def _is_number(cell: str) -> bool:
     return True
 
 
+def _finite_floats(cells: list[str], positions) -> list[float] | None:
+    """The cells at positions as finite floats, or None if any is not one."""
+    try:
+        vals = [float(cells[i]) for i in positions]
+    except ValueError:
+        return None
+    return vals if all(map(math.isfinite, vals)) else None
+
+
 def _bad_lines_message(bad: list[int], what: str) -> str:
     shown = ", ".join(str(b) for b in bad[:20])
     more = f" (and {len(bad) - 20} more)" if len(bad) > 20 else ""
@@ -86,6 +95,16 @@ def read_tscore_file(path: str) -> tuple[TScoreSample, bool]:
     files are read positionally: one column is t, two columns are
     (t, study_id).  The delimiter (comma or tab) is sniffed from the
     first line.  Returns the sample and whether study labels were found.
+    """
+    t, sids = _tscore_columns(path)
+    return TScoreSample.from_scores(t, sids), sids is not None
+
+
+def _tscore_columns(path: str) -> tuple[np.ndarray, np.ndarray | None]:
+    """The t and study_id (or None) columns of a t-score file.
+
+    Apart from read_tscore_file so the per-line lists are freed before the
+    sample factorises the labels: the two together set a higher memory peak.
     """
     lines = _data_lines(path)
     delim = _delimiter(lines[0][1])
@@ -111,26 +130,22 @@ def read_tscore_file(path: str) -> tuple[TScoreSample, bool]:
             "first line is neither a header containing a `t` column nor a "
             "numeric t value")
 
+    needed = t_idx if sid_idx is None else max(t_idx, sid_idx)
     t_vals, sids, bad = [], [], []
     for lineno, raw in rows:
         cells = [c.strip() for c in raw.split(delim)]
-        needed = t_idx if sid_idx is None else max(t_idx, sid_idx)
-        if len(cells) <= needed or not _is_number(cells[t_idx]) \
-                or not math.isfinite(float(cells[t_idx])):
+        vals = _finite_floats(cells, (t_idx,)) if len(cells) > needed else None
+        if vals is None:
             bad.append(lineno)
             continue
-        t_vals.append(float(cells[t_idx]))
+        t_vals.append(vals[0])
         if sid_idx is not None:
             sids.append(cells[sid_idx])
     if bad:
         raise DatasetError(_bad_lines_message(bad, "every row needs a finite numeric t"))
     if not t_vals:
         raise DatasetError(f"{path} contains no usable rows")
-
-    has_sid = sid_idx is not None
-    sample = TScoreSample.from_scores(np.array(t_vals),
-                                      np.array(sids) if has_sid else None)
-    return sample, has_sid
+    return np.array(t_vals), (np.array(sids) if sid_idx is not None else None)
 
 
 _GROUP_COLUMNS = ("group_id", "effect", "std_error", "weight")
@@ -141,7 +156,9 @@ def read_grouped_file(path: str) -> list[EffectGroup]:
 
     Required columns: group_id, effect, std_error, weight; optional
     lab_id.  Column order is free with a header; headerless files are
-    read positionally in the order above (lab_id fifth).
+    read positionally in the order above (lab_id fifth).  Rows whose
+    effect, std_error or weight is not a finite number are rejected with
+    their line numbers.
     """
     lines = _data_lines(path)
     delim = _delimiter(lines[0][1])
@@ -170,26 +187,25 @@ def read_grouped_file(path: str) -> list[EffectGroup]:
     order: list[str] = []
     buckets: dict[str, dict[str, list]] = {}
     bad = []
+    needed = max([*idx.values()] + ([lab_idx] if lab_idx is not None else []))
+    numeric = (idx["effect"], idx["std_error"], idx["weight"])
     for lineno, raw in rows:
         cells = [c.strip() for c in raw.split(delim)]
-        needed = max([*idx.values()] + ([lab_idx] if lab_idx is not None else []))
-        numeric_ok = len(cells) > needed and all(
-            _is_number(cells[idx[c]]) for c in ("effect", "std_error", "weight"))
-        if not numeric_ok:
+        vals = _finite_floats(cells, numeric) if len(cells) > needed else None
+        if vals is None:
             bad.append(lineno)
             continue
         gid = cells[idx["group_id"]]
         if gid not in buckets:
             order.append(gid)
             buckets[gid] = {"effect": [], "std_error": [], "weight": [], "lab": []}
-        buckets[gid]["effect"].append(float(cells[idx["effect"]]))
-        buckets[gid]["std_error"].append(float(cells[idx["std_error"]]))
-        buckets[gid]["weight"].append(float(cells[idx["weight"]]))
+        for col, val in zip(("effect", "std_error", "weight"), vals):
+            buckets[gid][col].append(val)
         if lab_idx is not None:
             buckets[gid]["lab"].append(cells[lab_idx])
     if bad:
         raise DatasetError(_bad_lines_message(
-            bad, "every row needs numeric effect, std_error and weight"))
+            bad, "every row needs finite numeric effect, std_error and weight"))
 
     groups = []
     for gid in order:
@@ -256,16 +272,8 @@ def render_conditional_text(report: dict) -> str:
 
 
 def render_simulate_text(rows: list[dict]) -> str:
-    header = ("n\tdgp\tunc_power\ttrue_delta\tmean_delta\tsd_delta"
-              "\tmean_se\tcoverage\tnoise\treps\tfailures\tseed")
-    out = [header]
-    for r in rows:
-        stats_part = "\t".join(
-            f"{r[k]:.6f}" for k in ("unc_power", "true_delta", "mean_delta",
-                                    "sd_delta", "mean_se", "coverage"))
-        out.append(f"{r['n']}\t{r['dgp']}\t{stats_part}\t{r['noise']}"
-                   f"\t{r['reps']}\t{r['failures']}\t{r['seed']}")
-    return "\n".join(out)
+    return "\n".join([CoverageRow.TSV_HEADER]
+                     + [CoverageRow(**r).to_tsv_row() for r in rows])
 
 
 def _csv_table(rows: list[dict], columns: list[str]) -> str:
@@ -303,16 +311,26 @@ def _manifest(args: argparse.Namespace, dataset: str | None) -> dict:
     return man
 
 
+def _null_non_finite(x):
+    """x with every non-finite float, at any depth, replaced by None."""
+    if isinstance(x, dict):
+        return {k: _null_non_finite(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_null_non_finite(v) for v in x]
+    return None if isinstance(x, float) and not math.isfinite(x) else x
+
+
 def _emit(args: argparse.Namespace, text: str, payload: dict) -> None:
     """Write the rendered output and, for file output, a manifest sidecar."""
     if args.out == "json":
-        body = json.dumps(payload, indent=2)
+        body = json.dumps(_null_non_finite(payload), indent=2, allow_nan=False)
     else:
         body = text
     if getattr(args, "output", None):
         Path(args.output).write_text(body + "\n")
         Path(args.output + ".manifest.json").write_text(
-            json.dumps(payload["manifest"], indent=2) + "\n")
+            json.dumps(_null_non_finite(payload["manifest"]), indent=2,
+                       allow_nan=False) + "\n")
     else:
         print(body)
 

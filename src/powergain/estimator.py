@@ -11,7 +11,7 @@ that holds the realized true effects fixed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -40,10 +40,6 @@ __all__ = [
     "conditional_delta",
 ]
 
-#: Chunk length for single-pass moment accumulation on large samples.
-_CHUNK = 1 << 17
-
-
 class EstimationError(Exception):
     """Raised when an estimate is undefined on the given sample."""
 
@@ -53,11 +49,15 @@ class TScoreSample:
     """Reported t-scores plus the study labels that define clusters.
 
     Estimates computed from a sample are invariant to flipping the signs
-    of the scores; study labels matter only for standard errors.
+    of the scores; study labels matter only for standard errors.  The
+    labels are factorised once, at construction, into integer cluster
+    codes (in sorted-label order) and cluster sizes.
     """
 
     t: np.ndarray
     study_id: np.ndarray
+    _cluster_codes: np.ndarray = field(init=False, repr=False, compare=False)
+    _cluster_sizes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         t = np.asarray(self.t, dtype=float).ravel()
@@ -69,8 +69,11 @@ class TScoreSample:
         if sid.size != t.size:
             raise ValueError(
                 f"study_id length {sid.size} does not match {t.size} t-scores")
+        _, codes, sizes = np.unique(sid, return_inverse=True, return_counts=True)
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "study_id", sid)
+        object.__setattr__(self, "_cluster_codes", codes)
+        object.__setattr__(self, "_cluster_sizes", sizes)
 
     @classmethod
     def from_scores(cls, t, study_id=None) -> "TScoreSample":
@@ -86,12 +89,11 @@ class TScoreSample:
 
     @property
     def n_clusters(self) -> int:
-        return int(np.unique(self.study_id).size)
+        return int(self._cluster_sizes.size)
 
     @property
     def max_cluster_size(self) -> int:
-        _, counts = np.unique(self.study_id, return_counts=True)
-        return int(counts.max())
+        return int(self._cluster_sizes.max())
 
 
 @dataclass(frozen=True)
@@ -115,24 +117,7 @@ class EstimateReport:
     flags: tuple[str, ...] = ()
 
     def to_dict(self) -> dict:
-        out = {
-            "delta": self.delta,
-            "se": self.se,
-            "ci_low": self.ci_low,
-            "ci_high": self.ci_high,
-            "theta": self.theta,
-            "J": self.J,
-            "epsilon": self.epsilon,
-            "n": self.n,
-            "n_clusters": self.n_clusters,
-            "max_cluster_size": self.max_cluster_size,
-            "status_quo_power": self.status_quo_power,
-            "c": self.c,
-            "cv": self.cv,
-            "alpha": self.alpha,
-            "flags": list(self.flags),
-        }
-        return out
+        return {**asdict(self), "flags": list(self.flags)}
 
 
 def _as_scores(sample) -> np.ndarray:
@@ -181,12 +166,50 @@ def delta_hat(sample: TScoreSample, b: _spectrum.SpectralBasis) -> float:
     return _weighted_kernel_mean(S, np.ones_like(S))
 
 
-def _pb_ingredients(t: np.ndarray, b: _spectrum.SpectralBasis, epsilon: float):
-    """theta estimate, tail masses, kernel values, and selection weights."""
-    theta, tail = _pubbias.estimate_theta(t, epsilon, b.cv)
+def _report(
+    sample: TScoreSample,
+    b: _spectrum.SpectralBasis,
+    epsilon: float | None,
+    pb: bool,
+    alpha: float,
+    clamp_ci: bool,
+) -> EstimateReport:
+    """The one estimation path: point estimate, cluster SE and interval on b.
+
+    With ``pb`` the kernel mean is reweighted by the caliper estimate
+    theta_hat and the standard error comes from the influence function;
+    without it every weight is 1 and the standard error is the cluster
+    sandwich of the kernel values.
+    """
+    t = sample.t
+    theta, tail = _pubbias.estimate_theta(t, epsilon, b.cv) if pb else (None, None)
     S = _spectrum.kernel_S(t, b)
-    omega = np.where(np.abs(t) >= b.cv, theta, 1.0)
-    return theta, tail, S, omega
+    omega = np.where(np.abs(t) >= b.cv, theta, 1.0) if pb else np.ones_like(S)
+    delta = _weighted_kernel_mean(S, omega)
+
+    flags: tuple[str, ...] = ()
+    if pb and tail.count_below == 0:
+        flags = ("theta-zero: no scores just below the cutoff; SE unavailable",)
+        se, ci_low, ci_high = float("nan"), float("nan"), float("nan")
+    else:
+        m = S
+        if pb:
+            q = _inference.q_hat(S, t, theta, tail.F_hat, b.cv)
+            m = _inference.influence(S, t, _inference.InfluenceIngredients(
+                theta_hat=theta, F_hat=tail.F_hat, B_plus=tail.B_plus,
+                B_minus=tail.B_minus, Q_hat=q, epsilon=epsilon, cutoff=b.cv))
+        v = _inference.variance_hat(m, sample._cluster_codes)
+        se = math.sqrt(v)
+        ci_low, ci_high = _inference.confidence_interval(delta, v, alpha)
+        if clamp_ci:
+            ci_low, ci_high = max(ci_low, 0.0), max(ci_high, 0.0)
+
+    return EstimateReport(
+        delta=delta, se=se, ci_low=ci_low, ci_high=ci_high, theta=theta,
+        J=b.J, epsilon=epsilon if pb else None, n=sample.n,
+        n_clusters=sample.n_clusters, max_cluster_size=sample.max_cluster_size,
+        status_quo_power=status_quo_power(sample, b.cv),
+        c=b.c, cv=b.cv, alpha=alpha, flags=flags)
 
 
 def delta_hat_pb(
@@ -211,32 +234,7 @@ def delta_hat_pb(
     function of the caliper ratio is undefined; the point estimate is
     still returned with NaN standard error and an explanatory flag.
     """
-    t = sample.t
-    theta, tail, S, omega = _pb_ingredients(t, b, epsilon)
-    delta = _weighted_kernel_mean(S, omega)
-
-    flags: list[str] = []
-    if tail.count_below == 0:
-        flags.append("theta-zero: no scores just below the cutoff; SE unavailable")
-        se, ci_low, ci_high = float("nan"), float("nan"), float("nan")
-    else:
-        q = _inference.q_hat(S, t, theta, tail.F_hat, b.cv)
-        ing = _inference.InfluenceIngredients(
-            theta_hat=theta, F_hat=tail.F_hat, B_plus=tail.B_plus,
-            B_minus=tail.B_minus, Q_hat=q, epsilon=epsilon, cutoff=b.cv)
-        m = _inference.influence(S, t, ing)
-        v = _inference.variance_hat(m, sample.study_id)
-        se = math.sqrt(v)
-        ci_low, ci_high = _inference.confidence_interval(delta, v, alpha)
-        if clamp_ci:
-            ci_low, ci_high = max(ci_low, 0.0), max(ci_high, 0.0)
-
-    return EstimateReport(
-        delta=delta, se=se, ci_low=ci_low, ci_high=ci_high, theta=theta,
-        J=b.J, epsilon=epsilon, n=sample.n, n_clusters=sample.n_clusters,
-        max_cluster_size=sample.max_cluster_size,
-        status_quo_power=status_quo_power(sample, b.cv),
-        c=b.c, cv=b.cv, alpha=alpha, flags=tuple(flags))
+    return _report(sample, b, epsilon, True, alpha, clamp_ci)
 
 
 def estimate(
@@ -255,23 +253,8 @@ def estimate(
     if cfg.n_effective is None:
         cfg = replace(cfg, n_effective=sample.n)
     J, epsilon = _spectrum.select_tuning(cfg)
-    b = _spectrum.build_basis(cfg, J)
-    if pb:
-        return delta_hat_pb(sample, b, epsilon, alpha=cfg.alpha, clamp_ci=clamp_ci)
-
-    S = _spectrum.kernel_S(sample.t, b)
-    delta = _weighted_kernel_mean(S, np.ones_like(S))
-    v = _inference.variance_hat(S, sample.study_id)
-    se = math.sqrt(v)
-    ci_low, ci_high = _inference.confidence_interval(delta, v, cfg.alpha)
-    if clamp_ci:
-        ci_low, ci_high = max(ci_low, 0.0), max(ci_high, 0.0)
-    return EstimateReport(
-        delta=delta, se=se, ci_low=ci_low, ci_high=ci_high, theta=None,
-        J=b.J, epsilon=None, n=sample.n, n_clusters=sample.n_clusters,
-        max_cluster_size=sample.max_cluster_size,
-        status_quo_power=status_quo_power(sample, cfg.cv),
-        c=cfg.c, cv=cfg.cv, alpha=cfg.alpha, flags=())
+    return _report(sample, _spectrum.build_basis(cfg, J), epsilon, pb,
+                   cfg.alpha, clamp_ci)
 
 
 def _weighted_basis_moments(
@@ -279,15 +262,11 @@ def _weighted_basis_moments(
 ) -> np.ndarray:
     """Weighted sample moments sum_i psi_j(t_i) phi(t_i) w_i / sum_i w_i.
 
-    Accumulated in fixed-size chunks so memory stays bounded on large
-    samples.
+    Accumulated block by block so memory stays bounded on large samples.
     """
-    sigma_t = math.sqrt(sigmaT2)
     num = np.zeros(J + 1)
-    for start in range(0, t.size, _CHUNK):
-        chunk = t[start:start + _CHUNK]
-        P = _basis.hermite_sequence(chunk / sigma_t, J) * _basis.gaussian_pdf(chunk, sigmaT2)
-        num += P @ omega[start:start + _CHUNK]
+    for start, P in _spectrum._hermite_gaussian_blocks(t, J, sigmaT2):
+        num += P @ omega[start:start + P.shape[1]]
     return num / float(omega.sum())
 
 
@@ -399,12 +378,12 @@ def power_gain_curve(
 ) -> list[CurvePoint]:
     """Estimate the power gain at every counterfactual scale in the grid.
 
-    J and epsilon come from the tuning rule once — they do not depend on c
-    — and theta is likewise estimated once, so each grid point differs
-    only through the contrast coefficients.  Every point is computed by
-    the same code path as the scalar estimators, so a one-point grid
-    reproduces the scalar call exactly.  The c = 1 point is exactly zero
-    with zero variance (every contrast coefficient vanishes).
+    J and epsilon come from the tuning rule once — they do not depend on
+    c.  Each grid point then builds its own basis and runs the same code
+    path as ``estimate``, so a one-point grid reproduces the scalar call
+    exactly; theta_hat is recomputed per point but, depending only on
+    epsilon and cv, is the same at every point.  The c = 1 point is
+    exactly zero with zero variance (every contrast coefficient vanishes).
     """
     grid = [float(c) for c in c_grid]
     if not grid:
@@ -417,24 +396,8 @@ def power_gain_curve(
 
     points = []
     for c in grid:
-        cfg_c = replace(cfg, c=c)
-        b = _spectrum.build_basis(cfg_c, J)
-        if pb:
-            rep = delta_hat_pb(sample, b, epsilon, alpha=cfg.alpha, clamp_ci=clamp_ci)
-        else:
-            S = _spectrum.kernel_S(sample.t, b)
-            delta = _weighted_kernel_mean(S, np.ones_like(S))
-            v = _inference.variance_hat(S, sample.study_id)
-            lo, hi = _inference.confidence_interval(delta, v, cfg.alpha)
-            if clamp_ci:
-                lo, hi = max(lo, 0.0), max(hi, 0.0)
-            rep = EstimateReport(
-                delta=delta, se=math.sqrt(v), ci_low=lo, ci_high=hi,
-                theta=None, J=J, epsilon=None, n=sample.n,
-                n_clusters=sample.n_clusters,
-                max_cluster_size=sample.max_cluster_size,
-                status_quo_power=status_quo_power(sample, cfg.cv),
-                c=c, cv=cfg.cv, alpha=cfg.alpha, flags=())
+        b = _spectrum.build_basis(replace(cfg, c=c), J)
+        rep = _report(sample, b, epsilon, pb, cfg.alpha, clamp_ci)
         points.append(CurvePoint(c2=c * c, delta=rep.delta, se=rep.se,
                                  ci_low=rep.ci_low, ci_high=rep.ci_high))
     return points
@@ -464,6 +427,8 @@ class EffectGroup:
             raise ValueError("effect group must be non-empty")
         if se.size != eff.size or w.size != eff.size:
             raise ValueError("effects, std_errors and weights must share one length")
+        if not np.isfinite([eff, se, w]).all():
+            raise ValueError("effects, std_errors and weights must be finite")
         if np.any(se <= 0):
             raise ValueError("every std_error must be strictly positive")
         if np.any(w < 0) or float(w.sum()) == 0.0:

@@ -16,6 +16,9 @@ import numpy as np
 
 from . import basis as _basis
 
+#: Scores per block of the spectral core; its memory is (J + 1) * _CHUNK floats.
+_CHUNK = 1 << 17
+
 
 @dataclass(frozen=True)
 class TuningConfig:
@@ -112,38 +115,41 @@ def build_basis(cfg: TuningConfig, J: int) -> SpectralBasis:
     """Assemble the SpectralBasis (eta, lambda, a for degrees 0..J)."""
     if J < 0 or J > _basis.J_MAX:
         raise ValueError(f"J must lie in [0, {_basis.J_MAX}], got {J}")
-    degrees = np.arange(J + 1)
-    s2, cinv2 = cfg.sigmaT2, cfg.c ** -2
-    eta = ((1.0 + s2 - cinv2) / (1.0 + s2)) ** (degrees / 2.0)
-    lam = (s2 / (s2 + 1.0 - cinv2)) ** (degrees / 2.0)
-    a = np.array([a_coefficient(int(j), cfg) for j in degrees])
+    eta, lam = np.array([singular_values(j, cfg) for j in range(J + 1)]).T
+    a = np.array([a_coefficient(j, cfg) for j in range(J + 1)])
     return SpectralBasis(J=int(J), eta=eta, lam=lam, a=a,
                          c=cfg.c, cv=cfg.cv, sigmaT2=cfg.sigmaT2)
+
+
+def _hermite_gaussian_blocks(t: np.ndarray, J: int, sigmaT2: float):
+    """Yield ``(start, P)`` over consecutive blocks of the flat score array t.
+
+    ``P[j, i] = He_j(t_{start+i} / sigma_T) * gaussian_pdf(t_{start+i}, sigma_T^2)``
+    for degrees 0..J.  This is the one matrix every spectral estimator
+    contracts against: S(t) = a @ P, weighted basis moments = P @ w.
+    """
+    sigma_t = math.sqrt(sigmaT2)
+    for start in range(0, t.size, _CHUNK):
+        chunk = t[start:start + _CHUNK]
+        P = _basis.hermite_sequence(chunk / sigma_t, J)
+        P *= _basis.gaussian_pdf(chunk, sigmaT2)
+        yield start, P
 
 
 def kernel_S(t, b: SpectralBasis):
     """Evaluate S(t) = sum_{j<=J} a_j * psi_j(t) * gaussian_pdf(t, sigma_T^2).
 
-    The Hermite recurrence is accumulated in place with two rolling rows,
-    so memory stays O(len(t)) no matter how large J is.  The result is an
-    even function of t; it is identically zero when the basis was built
-    for c = 1.
+    Evaluated block by block, so memory stays O(len(t)) no matter how
+    large J is.  The result is an even function of t; it is identically
+    zero when the basis was built for c = 1.
     """
     arr = np.atleast_1d(np.asarray(t, dtype=float))
-    x = arr.ravel() / math.sqrt(b.sigmaT2)
-    acc = np.full(x.size, b.a[0])
-    if b.J >= 1:
-        prev = np.ones_like(x)
-        cur = x.copy()
-        if b.a[1] != 0.0:
-            acc += b.a[1] * cur
-        for j in range(1, b.J):
-            prev, cur = cur, (x * cur - math.sqrt(j) * prev) / math.sqrt(j + 1)
-            if b.a[j + 1] != 0.0:
-                acc += b.a[j + 1] * cur
-    out = acc * _basis.gaussian_pdf(arr.ravel(), b.sigmaT2)
+    flat = arr.ravel()
+    out = np.empty(flat.size)
+    for start, P in _hermite_gaussian_blocks(flat, b.J, b.sigmaT2):
+        out[start:start + P.shape[1]] = b.a @ P
     out = out.reshape(arr.shape)
-    return out if np.ndim(t) else float(out[()] if out.shape == () else out[0])
+    return out if np.ndim(t) else float(out[0])
 
 
 def select_tuning(cfg: TuningConfig) -> tuple[int, float]:

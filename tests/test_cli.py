@@ -2,6 +2,7 @@
 import csv
 import io
 import json
+import math
 
 import numpy as np
 import pytest
@@ -111,6 +112,18 @@ class TestReadGroupedFile:
         with pytest.raises(DatasetError, match="4 or 5 columns"):
             read_grouped_file(str(p))
 
+    def test_non_finite_rows_reported_with_line_numbers(self, tmp_path, capsys):
+        p = tmp_path / "g.csv"
+        p.write_text("group_id,effect,std_error,weight\n"
+                     "g1,2.5,0.8,1.0\n"
+                     "g1,nan,0.9,1.0\n"
+                     "g2,0.4,inf,1.0\n"
+                     "g2,0.4,1.1,-inf\n")
+        with pytest.raises(DatasetError, match=r"line\(s\): 3, 4, 5"):
+            read_grouped_file(str(p))
+        assert main(["conditional", str(p)]) == 3
+        assert capsys.readouterr().out == ""
+
     def test_first_appearance_order(self, tmp_path):
         p = tmp_path / "g.csv"
         p.write_text("group_id,effect,std_error,weight\n"
@@ -191,6 +204,30 @@ class TestEstimateCommand:
         p.write_text("hello,world\nfoo,bar\n")
         assert main(["estimate", str(p)]) == 3
         assert "error:" in capsys.readouterr().err
+
+
+class TestStrictJson:
+    def test_unavailable_se_is_null(self, tmp_path):
+        # No score lies just below the cutoff, so theta-hat = 0 and the
+        # standard error is unavailable.
+        rng = np.random.default_rng(42)
+        t = np.concatenate([rng.uniform(0.0, 1.0, 300), rng.uniform(2.0, 2.6, 200)])
+        p = tmp_path / "d.csv"
+        p.write_text("t\n" + "".join(f"{x:.6f}\n" for x in t))
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        for command, key in (("estimate", "report"), ("curve", "points")):
+            out = tmp_path / f"{command}.json"
+            assert main([command, str(p), "--out", "json", "--output", str(out)]) == 0
+            payload = json.loads(out.read_text(), parse_constant=reject)
+            json.loads((tmp_path / f"{command}.json.manifest.json").read_text(),
+                       parse_constant=reject)
+            rows = payload[key] if command == "curve" else [payload[key]]
+            for row in rows:
+                assert row["se"] is None and row["ci_low"] is None
+                assert row["ci_high"] is None and math.isfinite(row["delta"])
 
 
 class TestCurveCommand:

@@ -9,6 +9,10 @@ from powergain.estimator import EffectGroup, EstimationError, TScoreSample
 
 SQRT2 = math.sqrt(2.0)
 
+# Repeated string study labels: 37 clusters of 10-11 scores over 400 scores,
+# zero-padded so they sort in the same order as the integers i % 37.
+STRING_LABELS = np.array([f"s{i % 37:02d}" for i in range(400)])
+
 
 def make_config(**kw):
     kw.setdefault("c", SQRT2)
@@ -28,6 +32,20 @@ class TestTScoreSample:
         s = TScoreSample.from_scores([0.1, 0.2, 0.3, 0.4],
                                      study_id=["a", "a", "a", "b"])
         assert s.n_clusters == 2 and s.max_cluster_size == 3
+
+    def test_labels_factorised_once(self, monkeypatch):
+        calls = []
+        real_unique = np.unique
+
+        def counting_unique(*args, **kwargs):
+            calls.append(1)
+            return real_unique(*args, **kwargs)
+
+        monkeypatch.setattr(np, "unique", counting_unique)
+        s = TScoreSample.from_scores([0.1, 0.2, 0.3], study_id=["b", "a", "b"])
+        for _ in range(3):
+            assert s.n_clusters == 2 and s.max_cluster_size == 2
+        assert len(calls) == 1
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -132,13 +150,27 @@ class TestEstimateOrchestrator:
     def test_matches_manual_pipeline(self):
         rng = np.random.default_rng(42)
         t = rng.normal(0.4, 1.3, 400)
-        s = TScoreSample.from_scores(t)
-        cfg = make_config()
-        rep = estimator.estimate(s, cfg)
-        J, eps = spectrum.select_tuning(make_config(n_effective=400))
-        manual = estimator.delta_hat_pb(s, spectrum.build_basis(cfg, J), eps)
-        assert rep.delta == manual.delta and rep.se == manual.se
-        assert rep.J == J and rep.epsilon == eps
+        for study_id in (None, STRING_LABELS):
+            s = TScoreSample.from_scores(t, study_id)
+            cfg = make_config()
+            rep = estimator.estimate(s, cfg)
+            J, eps = spectrum.select_tuning(make_config(n_effective=400))
+            manual = estimator.delta_hat_pb(s, spectrum.build_basis(cfg, J), eps)
+            assert rep.delta == manual.delta and rep.se == manual.se
+            assert rep.J == J and rep.epsilon == eps
+
+    def test_string_and_integer_labels_agree(self):
+        rng = np.random.default_rng(42)
+        t = rng.normal(0.4, 1.3, 400)
+        codes = np.array([i % 37 for i in range(400)])
+        for pb in (True, False):
+            by_name = estimator.estimate(TScoreSample.from_scores(t, STRING_LABELS),
+                                         make_config(), pb=pb)
+            by_code = estimator.estimate(TScoreSample.from_scores(t, codes),
+                                         make_config(), pb=pb)
+            assert by_name.n_clusters == by_code.n_clusters == 37
+            assert by_name.max_cluster_size == by_code.max_cluster_size == 11
+            assert by_name.se == by_code.se
 
     def test_respects_preset_effective_size(self):
         rng = np.random.default_rng(42)
@@ -243,12 +275,13 @@ class TestPowerGainCurve:
     def test_single_point_grid_matches_scalar_call(self):
         rng = np.random.default_rng(42)
         t = rng.normal(0.2, 1.5, 400)
-        s = TScoreSample.from_scores(t)
-        cfg = make_config()
-        pts = estimator.power_gain_curve(s, cfg, [SQRT2])
-        J, eps = spectrum.select_tuning(make_config(n_effective=400))
-        rep = estimator.delta_hat_pb(s, spectrum.build_basis(cfg, J), eps)
-        assert pts[0].delta == rep.delta and pts[0].se == rep.se
+        for study_id in (None, STRING_LABELS):
+            s = TScoreSample.from_scores(t, study_id)
+            cfg = make_config()
+            pts = estimator.power_gain_curve(s, cfg, [SQRT2])
+            J, eps = spectrum.select_tuning(make_config(n_effective=400))
+            rep = estimator.delta_hat_pb(s, spectrum.build_basis(cfg, J), eps)
+            assert pts[0].delta == rep.delta and pts[0].se == rep.se
 
     def test_tuning_fixed_across_grid(self):
         rng = np.random.default_rng(42)
@@ -356,3 +389,12 @@ class TestConditionalDelta:
         with pytest.raises(ValueError):
             EffectGroup(effects=np.array([1.0]), std_errors=np.array([1.0]),
                         weights=np.array([0.0]))
+
+    @pytest.mark.parametrize("column", ["effects", "std_errors", "weights"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_effect_group_rejects_non_finite(self, column, bad):
+        cols = {"effects": np.array([1.0, 2.0]), "std_errors": np.array([1.0, 1.0]),
+                "weights": np.array([1.0, 1.0])}
+        cols[column][1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            EffectGroup(**cols)
