@@ -72,7 +72,6 @@ from .simulate import (
     draw_population,
     oracle_delta,
     oracle_power,
-    oracle_power_mc,
     run_coverage,
 )
 
@@ -132,7 +131,6 @@ __all__ = [
     "draw_population",
     "oracle_delta",
     "oracle_power",
-    "oracle_power_mc",
     "run_coverage",
     "__version__",
 ]

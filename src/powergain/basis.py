@@ -139,7 +139,7 @@ def conditional_power(h, cv: float = 1.96):
     float or ndarray
         Probability in [0, 1].
     """
-    if cv <= 0:
+    if not cv > 0:
         raise ValueError(f"critical value must be positive, got {cv}")
     arr = np.asarray(h, dtype=float)
     out = 1.0 - (special.ndtr(cv - arr) - special.ndtr(-cv - arr))

@@ -381,9 +381,9 @@ def _parse_grid(raw: str) -> list[float]:
         raise ValueError(f"--grid must be comma-separated numbers, got {raw!r}") from exc
     if not vals:
         raise ValueError("--grid is empty")
-    if any(v < 1.0 for v in vals):
+    if not all(v >= 1.0 for v in vals):
         raise ValueError("every --grid value is a sample-size multiplier c^2 "
-                         "and must be >= 1")
+                         f"and must be >= 1, got {raw!r}")
     grid = sorted(set(vals) | {1.0})
     return grid
 

@@ -51,11 +51,12 @@ class TScoreSample:
     Estimates computed from a sample are invariant to flipping the signs
     of the scores; study labels matter only for standard errors.  The
     labels are factorised once, at construction, into integer cluster
-    codes (in sorted-label order) and cluster sizes.
+    codes (in sorted-label order) and cluster sizes.  ``study_id=None``
+    means singleton clusters: labels and codes ``arange(n)``, unit sizes.
     """
 
     t: np.ndarray
-    study_id: np.ndarray
+    study_id: np.ndarray | None
     _cluster_codes: np.ndarray = field(init=False, repr=False, compare=False)
     _cluster_sizes: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -65,11 +66,15 @@ class TScoreSample:
             raise ValueError("sample must contain at least one t-score")
         if not np.all(np.isfinite(t)):
             raise ValueError("every t-score must be finite")
-        sid = np.asarray(self.study_id).ravel()
-        if sid.size != t.size:
-            raise ValueError(
-                f"study_id length {sid.size} does not match {t.size} t-scores")
-        _, codes, sizes = np.unique(sid, return_inverse=True, return_counts=True)
+        if self.study_id is None:
+            sid = codes = np.arange(t.size)
+            sizes = np.ones(t.size, dtype=np.intp)
+        else:
+            sid = np.asarray(self.study_id).ravel()
+            if sid.size != t.size:
+                raise ValueError(
+                    f"study_id length {sid.size} does not match {t.size} t-scores")
+            _, codes, sizes = np.unique(sid, return_inverse=True, return_counts=True)
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "study_id", sid)
         object.__setattr__(self, "_cluster_codes", codes)
@@ -78,10 +83,7 @@ class TScoreSample:
     @classmethod
     def from_scores(cls, t, study_id=None) -> "TScoreSample":
         """Build a sample; missing study labels mean singleton clusters."""
-        t = np.asarray(t, dtype=float).ravel()
-        if study_id is None:
-            study_id = np.arange(t.size)
-        return cls(t=t, study_id=np.asarray(study_id))
+        return cls(t=t, study_id=study_id)
 
     @property
     def n(self) -> int:
@@ -388,7 +390,7 @@ def power_gain_curve(
     grid = [float(c) for c in c_grid]
     if not grid:
         raise ValueError("c_grid must contain at least one scale")
-    if any(c < 1.0 for c in grid):
+    if not all(c >= 1.0 for c in grid):
         raise ValueError("every counterfactual scale in the grid must be >= 1")
     if cfg.n_effective is None:
         cfg = replace(cfg, n_effective=sample.n)
@@ -489,7 +491,7 @@ def conditional_delta(
     """
     if se_mode not in ("iid", "worstcase"):
         raise ValueError(f"se_mode must be 'iid' or 'worstcase', got {se_mode!r}")
-    if c < 1.0:
+    if not c >= 1.0:
         raise ValueError(f"counterfactual scale c must be >= 1, got {c}")
     if not groups:
         raise ValueError("need at least one effect group")

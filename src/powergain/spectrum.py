@@ -40,16 +40,17 @@ class TuningConfig:
     n_effective: int | None = None
 
     def __post_init__(self) -> None:
-        if self.c < 1.0:
+        if not self.c >= 1.0:
             raise ValueError(f"counterfactual scale c must be >= 1, got {self.c}")
-        if self.cv <= 0:
+        if not self.cv > 0:
             raise ValueError(f"critical value must be positive, got {self.cv}")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
-        if self.sigmaT2 <= 0:
+        if not self.sigmaT2 > 0:
             raise ValueError(f"sigmaT2 must be positive, got {self.sigmaT2}")
-        if self.C <= 0 or self.D <= 0:
-            raise ValueError("tuning constants C and D must be positive")
+        if not (self.C > 0 and self.D > 0):
+            raise ValueError(
+                f"tuning constants C and D must be positive, got C={self.C}, D={self.D}")
         if self.n_effective is not None and self.n_effective < 2:
             raise ValueError(f"n_effective must be at least 2, got {self.n_effective}")
 

@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
 
+from mc_reference import MC_DRAWS, mc_powers
 from powergain import basis, simulate
 from powergain.basis import conditional_power, gaussian_pdf, hermite_sequence
 from powergain.cli import main, read_tscore_file
@@ -85,21 +86,19 @@ def test_robust_noise_tables_bias_and_coverage():
             row = run_coverage(spec, 500, REPS, cfg, seed=2000 + 100 * i + k)
             _check_cell(row, t_mean, t_cover, f"{noise} n=500 {prior}", problems)
 
-    # The simulation-draw oracle agrees with exact quadrature within Monte
-    # Carlo error on the heavy-tailed noise family it substitutes for.
-    mc_tol = 3.0 * math.sqrt(0.25 / 10_000_000)
+    # A 1e7-draw Monte Carlo reference agrees with exact quadrature within
+    # Monte Carlo error on the heavy-tailed noise family.
+    mc_tol = 3.0 * math.sqrt(0.25 / MC_DRAWS)
     for prior in simulate.PRIORS:
         spec = DgpSpec(prior=prior, noise="t30")
-        mc = simulate._mc_powers(spec, (1.0, spec.c))
+        mc = mc_powers(spec, (1.0, spec.c))
         for scale, est_mc in zip((1.0, spec.c), mc):
             exact = simulate.oracle_power(spec, scale)
             assert abs(est_mc - exact) < mc_tol, (prior, scale)
 
     # The skewed-noise truth for the strongest prior rounds to the
     # published 0.31.
-    big = DgpSpec(prior="large", noise="lognormal")
-    p1, pc = simulate._mc_powers(big, (1.0, big.c))
-    assert round(pc - p1, 2) == 0.31
+    assert round(simulate.oracle_delta(DgpSpec(prior="large", noise="lognormal")), 2) == 0.31
     assert not problems, "\n".join(problems)
 
 

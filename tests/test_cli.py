@@ -304,6 +304,26 @@ class TestConditionalCommand:
 
 
 class TestParser:
+    @pytest.mark.parametrize("flags", [
+        ("estimate", "--c2", "nan"),
+        ("estimate", "--cv", "nan"),
+        ("estimate", "--const-C", "nan"),
+        ("curve", "--grid", "nan"),
+        ("curve", "--grid", "2,nan"),
+        ("conditional", "--c2", "nan"),
+        ("conditional", "--cv", "nan"),
+    ])
+    def test_nan_flag_is_exit_two(self, tmp_path, capsys, flags):
+        if flags[0] == "conditional":
+            data = tmp_path / "g.csv"
+            data.write_text("group_id,effect,std_error,weight\nstudy,2.8016,1.0,1.0\n")
+        else:
+            data = write_balanced(tmp_path / "d.csv")
+        assert main([flags[0], str(data), *flags[1:]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "nan" in captured.err
+
     def test_invalid_choice_is_exit_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["simulate", "--table", "9"])

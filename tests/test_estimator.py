@@ -47,6 +47,17 @@ class TestTScoreSample:
             assert s.n_clusters == 2 and s.max_cluster_size == 2
         assert len(calls) == 1
 
+        # Unlabelled scores are singleton clusters, known without sorting.
+        t = np.random.default_rng(8).normal(1.0, 1.5, 300)
+        unlabelled = TScoreSample.from_scores(t)
+        assert len(calls) == 1
+        assert unlabelled.n_clusters == 300 and unlabelled.max_cluster_size == 1
+        labelled = TScoreSample.from_scores(t, study_id=np.arange(300))
+        assert len(calls) == 2
+        cfg = make_config()
+        assert estimator.estimate(unlabelled, cfg).se == \
+            estimator.estimate(labelled, cfg).se
+
     def test_validation(self):
         with pytest.raises(ValueError):
             TScoreSample.from_scores([])

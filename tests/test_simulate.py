@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from mc_reference import MC_DRAWS, mc_powers
 from powergain import simulate, spectrum
 from powergain.simulate import DgpSpec
 
@@ -51,6 +52,9 @@ class TestDgpSpec:
             DgpSpec(c=0.9)
         with pytest.raises(ValueError):
             DgpSpec(prior="fitted", fitted_masses=(0.5, 0.4))
+        for field in ("theta0", "cv", "c"):
+            with pytest.raises(ValueError, match=field):
+                DgpSpec(**{field: math.nan})
 
     def test_default_fitted_masses_sum_to_one(self):
         np.testing.assert_allclose(sum(simulate.FITTED_MASSES), 1.0, rtol=1e-12)
@@ -137,6 +141,8 @@ class TestOraclePower:
     def test_scale_below_one_rejected(self):
         with pytest.raises(ValueError):
             simulate.oracle_power(DgpSpec(), 0.5)
+        with pytest.raises(ValueError):
+            simulate.oracle_power(DgpSpec(), math.nan)
 
     def test_monotone_in_scale(self):
         spec = DgpSpec(prior="bimodal")
@@ -169,19 +175,13 @@ class TestOracleDelta:
 
 class TestMonteCarloOracle:
     def test_agrees_with_quadrature_within_mc_error(self):
-        # Shared 1e7-draw cache; 3 sigma of a Bernoulli mean at p ~ 0.5.
-        tol = 3.0 * math.sqrt(0.25 / 10_000_000)
+        # 1e7-draw reference; 3 sigma of a Bernoulli mean at p ~ 0.5.
+        tol = 3.0 * math.sqrt(0.25 / MC_DRAWS)
         for prior in ("truenull", "bimodal", "fitted"):
             spec = DgpSpec(prior=prior, noise="normal")
-            mc = simulate.oracle_power_mc(spec, 1.0)
+            mc = mc_powers(spec, (1.0,))[0]
             exact = simulate.oracle_power(spec, 1.0)
             assert abs(mc - exact) < tol, prior
-
-    def test_deterministic_across_calls(self):
-        spec = DgpSpec(prior="bimodal", noise="normal")
-        a = simulate.oracle_power_mc(spec, 1.0)
-        b = simulate.oracle_power_mc(spec, 1.0)
-        assert a == b
 
     def test_lognormal_noise_shifts_the_null_power(self):
         # The standardized mean of 185 lognormals is slightly platykurtic
@@ -191,6 +191,55 @@ class TestMonteCarloOracle:
         spec = DgpSpec(prior="truenull", noise="lognormal")
         np.testing.assert_allclose(simulate.oracle_power(spec, 1.0), 0.0479,
                                    atol=3e-4)
+
+
+class TestLognormalMeanLaw:
+    @staticmethod
+    def cell_masses(cdf):
+        # The law is piecewise uniform on a lattice of step h / (185 sd)
+        # ~ 1.4e-4; differencing the CDF on a finer grid gives its moments
+        # to within step^2 / 12 in the variance.
+        x = np.linspace(-10.5, 40.0, 1_000_001)
+        return 0.5 * (x[1:] + x[:-1]), np.diff(cdf(x))
+
+    def test_moments(self):
+        mid, mass = self.cell_masses(simulate._lognormal_mean_cdf())
+        assert abs(mass.sum() - 1.0) < 1e-9
+        mean = float(mid @ mass)
+        var = float((mid - mean) ** 2 @ mass)
+        skew = float((mid - mean) ** 3 @ mass) / var ** 1.5
+        exact_skew = (math.e + 2.0) * math.sqrt(math.e - 1.0) / math.sqrt(185.0)
+        assert abs(mean) < 1e-6
+        assert abs(var - 1.0) < 1e-5
+        assert abs(skew - exact_skew) < 1e-4
+
+    def test_agrees_with_simulation_draws(self):
+        rng = np.random.default_rng(185)
+        z = np.concatenate([simulate._draw_noise("lognormal", rng, 20_000)
+                            for _ in range(10)])
+        cdf = simulate._lognormal_mean_cdf()
+        for x in (-2.5, -1.96, -1.0, 0.0, 1.0, 1.96, 2.5):
+            p = float(cdf(x))
+            sigma = math.sqrt(p * (1.0 - p) / z.size)
+            assert abs(float(np.mean(z <= x)) - p) < 3.0 * sigma, x
+
+    def test_lattice_is_converged(self, monkeypatch):
+        spec = DgpSpec(prior="bimodal", noise="lognormal")
+        coarse = [simulate.oracle_power(spec, s) for s in (1.0, spec.c)]
+        monkeypatch.setattr(simulate, "_LOGNORMAL_STEP", simulate._LOGNORMAL_STEP / 2)
+        simulate._lognormal_mean_cdf.cache_clear()
+        try:
+            fine = [simulate.oracle_power(spec, s) for s in (1.0, spec.c)]
+        finally:
+            monkeypatch.undo()
+            simulate._lognormal_mean_cdf.cache_clear()
+        np.testing.assert_allclose(fine, coarse, rtol=0, atol=1e-6)
+
+    def test_gain_and_power_share_one_law(self):
+        for prior in ("bimodal", "large"):
+            spec = DgpSpec(prior=prior, noise="lognormal")
+            assert simulate.oracle_delta(spec) == (
+                simulate.oracle_power(spec, spec.c) - simulate.oracle_power(spec, 1.0))
 
 
 class TestRunCoverage:

@@ -33,6 +33,9 @@ class TestTuningConfig:
             default_config(C=0.0)
         with pytest.raises(ValueError):
             default_config(n_effective=1)
+        for field in ("c", "cv", "sigmaT2", "C", "D"):
+            with pytest.raises(ValueError):
+                default_config(**{field: math.nan})
 
 
 class TestSingularValues:
