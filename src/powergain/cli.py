@@ -16,6 +16,7 @@ import hashlib
 import io
 import json
 import math
+import re
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -47,38 +48,53 @@ class DatasetError(Exception):
 
 # ---------------------------------------------------------------------------
 # dataset ingestion
+#
+# The layout and the delimiter come from the first non-blank line.  The
+# columns are then parsed in bulk by NumPy's C reader; a line scan runs only
+# when that parse rejects the file, to name the bad lines.
 
-def _data_lines(path: str) -> list[tuple[int, str]]:
-    """Non-blank lines with their 1-based line numbers."""
+_NON_BLANK = re.compile(r"\S")
+#: A whitespace-only line that follows a newline.
+_WHITESPACE_LINE = re.compile(r"\n[^\S\n]+$", re.MULTILINE)
+
+
+def _read_head(path: str) -> tuple[str, int, str, list[str], bool]:
+    """The file's text and its first non-blank line.
+
+    The text is decoded as UTF-8 without a leading byte-order mark.
+    Returns it with the first non-blank line's 1-based physical line
+    number, the delimiter sniffed from that line, its trimmed cells, and
+    whether a non-blank line follows it.
+    """
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise DatasetError(f"cannot read {path}: {exc}") from exc
-    lines = [(i + 1, ln.strip()) for i, ln in enumerate(text.splitlines()) if ln.strip()]
-    if not lines:
+    found = _NON_BLANK.search(text)
+    if found is None:
         raise DatasetError(f"{path} contains no data")
-    return lines
+    start = text.rfind("\n", 0, found.start()) + 1
+    end = text.find("\n", start)
+    line = text[start:] if end < 0 else text[start:end]
+    delim = "\t" if "\t" in line else ","
+    more = end >= 0 and _NON_BLANK.search(text, end) is not None
+    return (text, text.count("\n", 0, start) + 1, delim,
+            [c.strip() for c in line.split(delim)], more)
 
 
-def _delimiter(first_line: str) -> str:
-    return "\t" if "\t" in first_line else ","
+def _number(cell: str) -> float | None:
+    """The cell as NumPy's reader parses a float, or None if it does not.
 
-
-def _is_number(cell: str) -> bool:
+    Python's float() also takes underscores and non-ASCII digits; NumPy's
+    reader takes neither.
+    """
+    cell = cell.strip()
+    if not cell.isascii() or "_" in cell:
+        return None
     try:
-        float(cell)
-    except ValueError:
-        return False
-    return True
-
-
-def _finite_floats(cells: list[str], positions) -> list[float] | None:
-    """The cells at positions as finite floats, or None if any is not one."""
-    try:
-        vals = [float(cells[i]) for i in positions]
+        return float(cell)
     except ValueError:
         return None
-    return vals if all(map(math.isfinite, vals)) else None
 
 
 def _bad_lines_message(bad: list[int], what: str) -> str:
@@ -87,65 +103,84 @@ def _bad_lines_message(bad: list[int], what: str) -> str:
     return f"could not parse {len(bad)} line(s): {shown}{more} — {what}"
 
 
+def _bad_lines(text: str, skip: int, delim: str, numeric: tuple[int, ...],
+               needed: int) -> list[int]:
+    """Physical numbers of the non-blank lines below the first skip lines
+    that lack cell `needed` or a finite number in a numeric column."""
+    bad = []
+    for lineno, line in enumerate(text.split("\n")[skip:], start=skip + 1):
+        if not line.strip():
+            continue
+        cells = line.split(delim)
+        if len(cells) <= needed or not all(
+                v is not None and math.isfinite(v)
+                for v in (_number(cells[i]) for i in numeric)):
+            bad.append(lineno)
+    return bad
+
+
+def _columns(path: str, text: str, skip: int, delim: str, numeric: tuple[int, ...],
+             labels: tuple[int, ...], what: str) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """The rows below the first skip physical lines, parsed in bulk.
+
+    One pass of NumPy's reader returns the numeric columns as float arrays
+    and the label columns as trimmed str arrays.  A file that the reader
+    rejects, or that has a non-finite number, is reported with the
+    physical numbers of its bad lines and yields no data.
+    """
+    # NumPy's reader takes a whitespace-only line for a row; blank it.
+    text, blanked = _WHITESPACE_LINE.subn("\n", text)
+    names = [f"c{j}" for j in range(len(numeric) + len(labels))]
+    dtype = list(zip(names, [float] * len(numeric) + [object] * len(labels)))
+    try:
+        rows = np.loadtxt(io.StringIO(text) if blanked else path, dtype=dtype,
+                          delimiter=delim, comments=None, skiprows=skip,
+                          usecols=numeric + labels, ndmin=1, encoding="utf-8-sig")
+    except ValueError:
+        rows = None
+    nums, labs = names[:len(numeric)], names[len(numeric):]
+    if rows is None or not all(np.isfinite(rows[c]).all() for c in nums):
+        bad = _bad_lines(text, skip, delim, numeric, max(numeric + labels))
+        raise DatasetError(_bad_lines_message(bad, what))
+    return [rows[c] for c in nums], [np.char.strip(rows[c].astype(str)) for c in labs]
+
+
 def read_tscore_file(path: str) -> tuple[TScoreSample, bool]:
     """Parse a delimited file of t-scores.
 
     Column layout: a required `t` column and an optional `study_id`
     column, located by a header row when one is present.  Headerless
     files are read positionally: one column is t, two columns are
-    (t, study_id).  The delimiter (comma or tab) is sniffed from the
-    first line.  Returns the sample and whether study labels were found.
+    (t, study_id).  The layout and the delimiter (comma or tab) come from
+    the first non-blank line.  Every row needs a finite t; otherwise the
+    bad rows are reported by physical line number.  Returns the sample and
+    whether study labels were found.
     """
-    t, sids = _tscore_columns(path)
-    return TScoreSample.from_scores(t, sids), sids is not None
-
-
-def _tscore_columns(path: str) -> tuple[np.ndarray, np.ndarray | None]:
-    """The t and study_id (or None) columns of a t-score file.
-
-    Apart from read_tscore_file so the per-line lists are freed before the
-    sample factorises the labels: the two together set a higher memory peak.
-    """
-    lines = _data_lines(path)
-    delim = _delimiter(lines[0][1])
-    first = [c.strip() for c in lines[0][1].split(delim)]
+    text, lineno, delim, first, more = _read_head(path)
     lowered = [c.lower() for c in first]
-
     if "t" in lowered:
+        if not more:
+            raise DatasetError(f"{path} has a header but no data rows")
         t_idx = lowered.index("t")
         sid_idx = lowered.index("study_id") if "study_id" in lowered else None
-        rows = lines[1:]
-        if not rows:
-            raise DatasetError(f"{path} has a header but no data rows")
-    elif _is_number(first[0]):
+        skip = lineno
+    elif _number(first[0]) is not None:
         if len(first) > 2:
             raise DatasetError(
                 f"headerless file has {len(first)} columns; expected t or "
                 "t,study_id — add a header row naming a column `t`")
         t_idx = 0
         sid_idx = 1 if len(first) == 2 else None
-        rows = lines
+        skip = lineno - 1
     else:
         raise DatasetError(
             "first line is neither a header containing a `t` column nor a "
             "numeric t value")
 
-    needed = t_idx if sid_idx is None else max(t_idx, sid_idx)
-    t_vals, sids, bad = [], [], []
-    for lineno, raw in rows:
-        cells = [c.strip() for c in raw.split(delim)]
-        vals = _finite_floats(cells, (t_idx,)) if len(cells) > needed else None
-        if vals is None:
-            bad.append(lineno)
-            continue
-        t_vals.append(vals[0])
-        if sid_idx is not None:
-            sids.append(cells[sid_idx])
-    if bad:
-        raise DatasetError(_bad_lines_message(bad, "every row needs a finite numeric t"))
-    if not t_vals:
-        raise DatasetError(f"{path} contains no usable rows")
-    return np.array(t_vals), (np.array(sids) if sid_idx is not None else None)
+    (t,), sids = _columns(path, text, skip, delim, (t_idx,),
+                          () if sid_idx is None else (sid_idx,),
+                          "every row needs a finite numeric t")
+    return TScoreSample.from_scores(t, sids[0] if sids else None), bool(sids)
 
 
 _GROUP_COLUMNS = ("group_id", "effect", "std_error", "weight")
@@ -158,21 +193,20 @@ def read_grouped_file(path: str) -> list[EffectGroup]:
     lab_id.  Column order is free with a header; headerless files are
     read positionally in the order above (lab_id fifth).  Rows whose
     effect, std_error or weight is not a finite number are rejected with
-    their line numbers.
+    their line numbers.  Groups come in order of first appearance, their
+    members in file order.
     """
-    lines = _data_lines(path)
-    delim = _delimiter(lines[0][1])
-    first = [c.strip().lower() for c in lines[0][1].split(delim)]
-
+    text, lineno, delim, first, more = _read_head(path)
+    first = [c.lower() for c in first]
     if any(c in _GROUP_COLUMNS or c == "lab_id" for c in first):
         missing = [c for c in _GROUP_COLUMNS if c not in first]
         if missing:
             raise DatasetError(f"missing required column(s): {', '.join(missing)}")
+        if not more:
+            raise DatasetError(f"{path} has a header but no data rows")
         idx = {c: first.index(c) for c in _GROUP_COLUMNS}
         lab_idx = first.index("lab_id") if "lab_id" in first else None
-        rows = lines[1:]
-        if not rows:
-            raise DatasetError(f"{path} has a header but no data rows")
+        skip = lineno
     else:
         ncol = len(first)
         if ncol not in (4, 5):
@@ -182,40 +216,24 @@ def read_grouped_file(path: str) -> list[EffectGroup]:
                 f"got {ncol}")
         idx = dict(zip(_GROUP_COLUMNS, range(4)))
         lab_idx = 4 if ncol == 5 else None
-        rows = lines
+        skip = lineno - 1
 
-    order: list[str] = []
-    buckets: dict[str, dict[str, list]] = {}
-    bad = []
-    needed = max([*idx.values()] + ([lab_idx] if lab_idx is not None else []))
-    numeric = (idx["effect"], idx["std_error"], idx["weight"])
-    for lineno, raw in rows:
-        cells = [c.strip() for c in raw.split(delim)]
-        vals = _finite_floats(cells, numeric) if len(cells) > needed else None
-        if vals is None:
-            bad.append(lineno)
-            continue
-        gid = cells[idx["group_id"]]
-        if gid not in buckets:
-            order.append(gid)
-            buckets[gid] = {"effect": [], "std_error": [], "weight": [], "lab": []}
-        for col, val in zip(("effect", "std_error", "weight"), vals):
-            buckets[gid][col].append(val)
-        if lab_idx is not None:
-            buckets[gid]["lab"].append(cells[lab_idx])
-    if bad:
-        raise DatasetError(_bad_lines_message(
-            bad, "every row needs finite numeric effect, std_error and weight"))
-
-    groups = []
-    for gid in order:
-        b = buckets[gid]
-        groups.append(EffectGroup(
-            effects=np.array(b["effect"]),
-            std_errors=np.array(b["std_error"]),
-            weights=np.array(b["weight"]),
-            labels=np.array(b["lab"]) if lab_idx is not None else None))
-    return groups
+    nums, (gid, *lab) = _columns(
+        path, text, skip, delim, (idx["effect"], idx["std_error"], idx["weight"]),
+        (idx["group_id"],) + (() if lab_idx is None else (lab_idx,)),
+        "every row needs finite numeric effect, std_error and weight")
+    _, first_row, inverse, counts = np.unique(
+        gid, return_index=True, return_inverse=True, return_counts=True)
+    # Rows sorted by the first row of their group: groups in order of
+    # appearance, members in file order (the sort is stable).
+    rows = np.argsort(first_row[inverse], kind="stable")
+    ends = np.cumsum(counts[np.argsort(first_row)]).tolist()
+    effects, std_errors, weights = (col[rows] for col in nums)
+    labels = lab[0][rows] if lab else None
+    return [EffectGroup(effects=effects[a:b], std_errors=std_errors[a:b],
+                        weights=weights[a:b],
+                        labels=None if labels is None else labels[a:b])
+            for a, b in zip([0] + ends[:-1], ends)]
 
 
 # ---------------------------------------------------------------------------
@@ -489,7 +507,8 @@ def _add_common_estimation_flags(p: argparse.ArgumentParser) -> None:
 
 def _add_dataset_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("dataset", help="delimited text file (comma or tab, sniffed from "
-                                   "the first line) with column t and optional study_id")
+                                   "the first non-blank line) with column t and "
+                                   "optional study_id")
     p.add_argument("--scale-by", choices=("tscores", "studies"), default="tscores",
                    dest="scale_by",
                    help="drive the tuning rule by the t-score count (default) or "

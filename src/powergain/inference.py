@@ -109,10 +109,15 @@ def variance_hat(values, study_id) -> float:
     if n == 0:
         raise ValueError("variance of an empty sample is undefined")
     centered = vals - vals.mean()
-    labels, inverse = np.unique(np.asarray(study_id), return_inverse=True)
-    if labels.size == 1:
-        return 0.0  # the centered full-sample sum is identically zero
-    block_sums = np.bincount(inverse, weights=centered)
+    codes = np.asarray(study_id)
+    # Non-negative integer labels below n, such as TScoreSample's cluster
+    # codes, index the blocks as they are: an absent label is an empty
+    # block, which adds exactly 0.  Other labels are factorised first.
+    if not (codes.dtype.kind in "iu" and codes.min() >= 0 and codes.max() < n):
+        codes = np.unique(codes, return_inverse=True)[1]
+    if codes.min() == codes.max():
+        return 0.0  # one cluster: the centered full-sample sum is identically zero
+    block_sums = np.bincount(codes, weights=centered)
     v = float(np.dot(block_sums, block_sums)) / (n * n)
     return max(v, 0.0)
 

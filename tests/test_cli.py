@@ -80,6 +80,17 @@ class TestReadTScoreFile:
         with pytest.raises(DatasetError, match="no data"):
             read_tscore_file(str(p))
 
+    @pytest.mark.parametrize("body", ["t,study_id\n1.5,a\n-2,b\n", "1.5,a\n-2,b\n"],
+                             ids=["header", "headerless"])
+    def test_byte_order_mark(self, tmp_path, body):
+        # Spreadsheets save "CSV UTF-8" with a leading U+FEFF.
+        p = tmp_path / "d.csv"
+        p.write_bytes(b"\xef\xbb\xbf" + body.encode())
+        sample, has_sid = read_tscore_file(str(p))
+        assert has_sid
+        np.testing.assert_array_equal(sample.t, [1.5, -2.0])
+        assert sample.study_id.tolist() == ["a", "b"]
+
 
 class TestReadGroupedFile:
     def test_header_any_order_with_labs(self, tmp_path):
@@ -132,6 +143,114 @@ class TestReadGroupedFile:
                      "zeta,0.9,1.0,2.0\n")
         groups = read_grouped_file(str(p))
         assert groups[0].effects.size == 2 and groups[1].effects.size == 1
+
+    @pytest.mark.parametrize("header", ["group_id,effect,std_error,weight\n", ""],
+                             ids=["header", "headerless"])
+    def test_byte_order_mark(self, tmp_path, header):
+        p = tmp_path / "g.csv"
+        p.write_bytes(b"\xef\xbb\xbf" + (header + "g1,2.5,0.8,1\ng1,2.1,0.9,2\n").encode())
+        (group,) = read_grouped_file(str(p))
+        np.testing.assert_array_equal(group.effects, [2.5, 2.1])
+        np.testing.assert_array_equal(group.std_errors, [0.8, 0.9])
+
+
+# t-score files: (text, t, study labels or None).
+TSCORE_LAYOUTS = {
+    "crlf": ("t,study_id\r\n1.5,a\r\n-2,b\r\n", [1.5, -2.0], ["a", "b"]),
+    "lone cr": ("1.5,a\r-2,b\r", [1.5, -2.0], ["a", "b"]),
+    "tab": ("t\tstudy_id\n1.5\ta b\n-2\tc\n", [1.5, -2.0], ["a b", "c"]),
+    "padded cells": (" T , study_id \n 1.5 ,  a\n-2 ,b \n", [1.5, -2.0], ["a", "b"]),
+    "blank and whitespace-only lines": (
+        "\n \t\n\nt,study_id\n\n1.5,a\n  \n\t\n-2,b\n\u00a0\n", [1.5, -2.0], ["a", "b"]),
+    "extra trailing columns": ("t,study_id,note\n1.5,a,x\n-2,b,y,z\n",
+                               [1.5, -2.0], ["a", "b"]),
+    "hash inside a label": ("t,study_id\n1.5,#1\n-2,b#2\n", [1.5, -2.0], ["#1", "b#2"]),
+    "one data row": ("t,study_id\n1.5,a\n", [1.5], ["a"]),
+    "one headerless score": ("2.5", [2.5], None),
+    # A tab always separates cells, also at the start or end of a line.
+    "tab, empty first cell": ("pval\tt\tstudy_id\n\t1.5\ta\n0.2\t-2\t\n",
+                              [1.5, -2.0], ["a", ""]),
+}
+
+# grouped files: (text, [(effects, std_errors, weights, labels or None), ...]).
+GROUPED_LAYOUTS = {
+    "crlf, padded, blank lines": (
+        "\r\n group_id , effect,std_error,weight,lab_id\r\n \r\n"
+        "g2 , 0.5,1,2, L1\r\n\r\ng1,0.25,0.5,1,L2\r\ng2,0.75,1,3,L#3\r\n",
+        [([0.5, 0.75], [1.0, 1.0], [2.0, 3.0], ["L1", "L#3"]),
+         ([0.25], [0.5], [1.0], ["L2"])]),
+    "tab, extra columns": (
+        "weight\teffect\tstd_error\tgroup_id\tnote\n1\t0.1\t0.2\tb\tx\n"
+        "2\t0.3\t0.4\ta\ty\tz\n3\t0.5\t0.6\tb\n",
+        [([0.1, 0.5], [0.2, 0.6], [1.0, 3.0], None), ([0.3], [0.4], [2.0], None)]),
+    "one headerless row": ("g,1.5,0.5,2\n", [([1.5], [0.5], [2.0], None)]),
+}
+
+
+def no_line_scan(*args):
+    raise AssertionError("a well-formed file reached the line scan")
+
+
+class TestReaderLayouts:
+    @pytest.mark.parametrize("name", list(TSCORE_LAYOUTS))
+    def test_tscore_file(self, tmp_path, monkeypatch, name):
+        monkeypatch.setattr(cli, "_bad_lines", no_line_scan)
+        text, t, sids = TSCORE_LAYOUTS[name]
+        p = tmp_path / "d.csv"
+        p.write_bytes(text.encode())
+        sample, has_sid = read_tscore_file(str(p))
+        np.testing.assert_array_equal(sample.t, t)
+        assert has_sid == (sids is not None)
+        if sids is not None:
+            assert sample.study_id.tolist() == sids
+
+    @pytest.mark.parametrize("name", list(GROUPED_LAYOUTS))
+    def test_grouped_file(self, tmp_path, monkeypatch, name):
+        monkeypatch.setattr(cli, "_bad_lines", no_line_scan)
+        text, expected = GROUPED_LAYOUTS[name]
+        p = tmp_path / "g.csv"
+        p.write_bytes(text.encode())
+        groups = read_grouped_file(str(p))
+        assert len(groups) == len(expected)
+        for g, (eff, se, w, labs) in zip(groups, expected):
+            np.testing.assert_array_equal(g.effects, eff)
+            np.testing.assert_array_equal(g.std_errors, se)
+            np.testing.assert_array_equal(g.weights, w)
+            assert (None if g.labels is None else g.labels.tolist()) == labs
+
+    @pytest.mark.parametrize("reader, text, message", [
+        # Blank lines count: the numbers are physical line numbers.
+        (read_tscore_file, "\n\nt\n1.5\n\noops\n2.0\n \n-inf\n",
+         "could not parse 2 line(s): 6, 9 — every row needs a finite numeric t"),
+        (read_tscore_file, "t,study_id\n1.5,a\n2.0\n-1,b\n",
+         "could not parse 1 line(s): 3 — every row needs a finite numeric t"),
+        (read_grouped_file,
+         "group_id,effect,std_error,weight\n" + "g,1,1\n" * 25 + "g,1,1,1\n",
+         "could not parse 25 line(s): " + ", ".join(str(k) for k in range(2, 22))
+         + " (and 5 more) — every row needs finite numeric effect, std_error and weight"),
+    ])
+    def test_bad_rows(self, tmp_path, reader, text, message):
+        p = tmp_path / "d.csv"
+        p.write_text(text)
+        with pytest.raises(DatasetError) as exc:
+            reader(str(p))
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("cell, ok", [
+        ("+.5", True), ("1e-2", True), ("2.", True), ("\u00a01.5 ", True),
+        ("nan", False), ("-Infinity", False), ("1e400", False), ("", False),
+        ("abc", False), ("1.5.2", False), ('"1.5"', False), ("0x1", False),
+        # Python's float() takes these; NumPy's reader does not.
+        ("1_000", False), ("\u0661", False),
+    ])
+    def test_number_syntax(self, tmp_path, cell, ok):
+        p = tmp_path / "d.csv"
+        p.write_bytes(f"t,study_id\n1.5,a\n{cell},b\n".encode())
+        if ok:
+            assert read_tscore_file(str(p))[0].n == 2
+        else:
+            with pytest.raises(DatasetError, match=r"could not parse 1 line\(s\): 3 —"):
+                read_tscore_file(str(p))
 
 
 class TestEstimateCommand:

@@ -57,6 +57,8 @@ class TestTScoreSample:
         cfg = make_config()
         assert estimator.estimate(unlabelled, cfg).se == \
             estimator.estimate(labelled, cfg).se
+        # The estimate reads the stored codes and factorises nothing.
+        assert len(calls) == 2
 
     def test_validation(self):
         with pytest.raises(ValueError):
