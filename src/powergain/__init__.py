@@ -41,6 +41,7 @@ from .estimator import (
     EffectGroup,
     EstimateReport,
     EstimationError,
+    GroupedEffects,
     PriorReconstruction,
     TScoreSample,
     conditional_delta,
@@ -104,6 +105,7 @@ __all__ = [
     "EffectGroup",
     "EstimateReport",
     "EstimationError",
+    "GroupedEffects",
     "PriorReconstruction",
     "TScoreSample",
     "conditional_delta",

@@ -26,8 +26,8 @@ import scipy
 
 from . import __version__
 from .estimator import (
-    EffectGroup,
     EstimationError,
+    GroupedEffects,
     TScoreSample,
     conditional_delta,
     estimate,
@@ -56,12 +56,27 @@ class DatasetError(Exception):
 _NON_BLANK = re.compile(r"\S")
 #: A whitespace-only line that follows a newline.
 _WHITESPACE_LINE = re.compile(r"\n[^\S\n]+$", re.MULTILINE)
+#: A line break in the raw bytes of a file.
+_LINE_BREAK = re.compile(rb"\r\n?|\n")
+
+
+def _undecodable(path: str) -> str:
+    """Where the file at path first breaks UTF-8, by physical line."""
+    data = Path(path).read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = len(_LINE_BREAK.findall(data, 0, exc.start)) + 1
+        return (f"{path} is not valid UTF-8: line {line} has the undecodable "
+                f"byte 0x{data[exc.start]:02x}")
+    return f"{path} is not valid UTF-8"
 
 
 def _read_head(path: str) -> tuple[str, int, str, list[str], bool]:
     """The file's text and its first non-blank line.
 
-    The text is decoded as UTF-8 without a leading byte-order mark.
+    The text is decoded as UTF-8 without a leading byte-order mark; a
+    file that is not UTF-8 is a dataset error naming the line at fault.
     Returns it with the first non-blank line's 1-based physical line
     number, the delimiter sniffed from that line, its trimmed cells, and
     whether a non-blank line follows it.
@@ -70,6 +85,8 @@ def _read_head(path: str) -> tuple[str, int, str, list[str], bool]:
         text = Path(path).read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise DatasetError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DatasetError(_undecodable(path)) from exc
     found = _NON_BLANK.search(text)
     if found is None:
         raise DatasetError(f"{path} contains no data")
@@ -186,15 +203,16 @@ def read_tscore_file(path: str) -> tuple[TScoreSample, bool]:
 _GROUP_COLUMNS = ("group_id", "effect", "std_error", "weight")
 
 
-def read_grouped_file(path: str) -> list[EffectGroup]:
+def read_grouped_file(path: str) -> GroupedEffects:
     """Parse grouped effect data for the conditional estimator.
 
     Required columns: group_id, effect, std_error, weight; optional
     lab_id.  Column order is free with a header; headerless files are
     read positionally in the order above (lab_id fifth).  Rows whose
     effect, std_error or weight is not a finite number are rejected with
-    their line numbers.  Groups come in order of first appearance, their
-    members in file order.
+    their line numbers.  Returns the member columns as one
+    ``GroupedEffects``: groups in order of first appearance, members in
+    file order, with no per-group object built.
     """
     text, lineno, delim, first, more = _read_head(path)
     first = [c.lower() for c in first]
@@ -227,13 +245,10 @@ def read_grouped_file(path: str) -> list[EffectGroup]:
     # Rows sorted by the first row of their group: groups in order of
     # appearance, members in file order (the sort is stable).
     rows = np.argsort(first_row[inverse], kind="stable")
-    ends = np.cumsum(counts[np.argsort(first_row)]).tolist()
     effects, std_errors, weights = (col[rows] for col in nums)
-    labels = lab[0][rows] if lab else None
-    return [EffectGroup(effects=effects[a:b], std_errors=std_errors[a:b],
-                        weights=weights[a:b],
-                        labels=None if labels is None else labels[a:b])
-            for a, b in zip([0] + ends[:-1], ends)]
+    return GroupedEffects(effects=effects, std_errors=std_errors, weights=weights,
+                          sizes=counts[np.argsort(first_row)],
+                          labels=lab[0][rows] if lab else None)
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ __all__ = [
     "PriorReconstruction",
     "CurvePoint",
     "EffectGroup",
+    "GroupedEffects",
     "ConditionalReport",
     "status_quo_power",
     "naive_rescaled_share",
@@ -367,8 +368,7 @@ class CurvePoint:
     ci_high: float
 
     def to_dict(self) -> dict:
-        return {"c2": self.c2, "delta": self.delta, "se": self.se,
-                "ci_low": self.ci_low, "ci_high": self.ci_high}
+        return asdict(self)
 
 
 def power_gain_curve(
@@ -405,6 +405,44 @@ def power_gain_curve(
     return points
 
 
+def _member_columns(effects, std_errors, weights, labels, sizes=None):
+    """Member columns as flat arrays, checked once for every group.
+
+    ``sizes`` gives the members per consecutive group (``None``: one
+    group).  Shared by ``EffectGroup`` and ``GroupedEffects``, so both
+    raise the same ``ValueError``s; of the std_error and weight checks, the
+    one failing in the earliest group is raised, as building the groups one
+    by one would.  Returns (effects, std_errors, weights, labels, sizes).
+    """
+    eff = np.asarray(effects, dtype=float).ravel()
+    se = np.asarray(std_errors, dtype=float).ravel()
+    w = np.asarray(weights, dtype=float).ravel()
+    sizes = np.asarray(eff.size if sizes is None else sizes, dtype=np.intp).ravel()
+    if eff.size == 0 or np.any(sizes <= 0):
+        raise ValueError("effect group must be non-empty")
+    if se.size != eff.size or w.size != eff.size:
+        raise ValueError("effects, std_errors and weights must share one length")
+    if sizes.sum() != eff.size:
+        raise ValueError(f"group sizes sum to {sizes.sum()}, not to the "
+                         f"{eff.size} members")
+    if not (np.isfinite(eff).all() and np.isfinite(se).all() and np.isfinite(w).all()):
+        raise ValueError("effects, std_errors and weights must be finite")
+    starts = np.cumsum(sizes) - sizes
+    bad_se = np.logical_or.reduceat(se <= 0, starts)
+    bad_w = np.logical_or.reduceat(w < 0, starts) | (np.add.reduceat(w, starts) == 0.0)
+    bad = bad_se | bad_w
+    if bad.any():
+        if bad_se[np.argmax(bad)]:
+            raise ValueError("every std_error must be strictly positive")
+        raise ValueError("weights must be non-negative and not all zero")
+    lab = None
+    if labels is not None:
+        lab = np.asarray(labels).ravel()
+        if lab.size != eff.size:
+            raise ValueError("labels must match the number of effects")
+    return eff, se, w, lab, sizes
+
+
 @dataclass(frozen=True)
 class EffectGroup:
     """Replicated effect estimates that share one true effect.
@@ -422,27 +460,64 @@ class EffectGroup:
     labels: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        eff = np.asarray(self.effects, dtype=float).ravel()
-        se = np.asarray(self.std_errors, dtype=float).ravel()
-        w = np.asarray(self.weights, dtype=float).ravel()
-        if eff.size == 0:
-            raise ValueError("effect group must be non-empty")
-        if se.size != eff.size or w.size != eff.size:
-            raise ValueError("effects, std_errors and weights must share one length")
-        if not np.isfinite([eff, se, w]).all():
-            raise ValueError("effects, std_errors and weights must be finite")
-        if np.any(se <= 0):
-            raise ValueError("every std_error must be strictly positive")
-        if np.any(w < 0) or float(w.sum()) == 0.0:
-            raise ValueError("weights must be non-negative and not all zero")
-        object.__setattr__(self, "effects", eff)
-        object.__setattr__(self, "std_errors", se)
-        object.__setattr__(self, "weights", w)
-        if self.labels is not None:
-            lab = np.asarray(self.labels).ravel()
-            if lab.size != eff.size:
-                raise ValueError("labels must match the number of effects")
-            object.__setattr__(self, "labels", lab)
+        eff, se, w, lab, _ = _member_columns(
+            self.effects, self.std_errors, self.weights, self.labels)
+        for name, col in (("effects", eff), ("std_errors", se), ("weights", w),
+                          ("labels", lab)):
+            object.__setattr__(self, name, col)
+
+
+@dataclass(frozen=True, eq=False)
+class GroupedEffects:
+    """Every effect group of a replication design, stored as member columns.
+
+    ``effects``, ``std_errors`` and ``weights`` (and ``labels``, if given)
+    hold the members group after group, in member order within a group;
+    ``sizes[k]`` is the member count of group k.  Validation is the same
+    as ``EffectGroup``'s, done once for all groups.  ``len()``, indexing
+    and iteration give the groups as ``EffectGroup`` slices.  ``==`` is
+    identity: the array fields have no single truth value.
+    """
+
+    effects: np.ndarray
+    std_errors: np.ndarray
+    weights: np.ndarray
+    sizes: np.ndarray
+    labels: np.ndarray | None = None
+    _ends: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        eff, se, w, lab, sizes = _member_columns(
+            self.effects, self.std_errors, self.weights, self.labels, self.sizes)
+        for name, col in (("effects", eff), ("std_errors", se), ("weights", w),
+                          ("labels", lab), ("sizes", sizes), ("_ends", np.cumsum(sizes))):
+            object.__setattr__(self, name, col)
+
+    @classmethod
+    def from_groups(cls, groups: Sequence[EffectGroup]) -> "GroupedEffects":
+        """Concatenate groups; labels are kept only if every group has them."""
+        if not len(groups):
+            raise ValueError("need at least one effect group")
+        labels = None
+        if all(g.labels is not None for g in groups):
+            labels = np.concatenate([g.labels for g in groups])
+        return cls(effects=np.concatenate([g.effects for g in groups]),
+                   std_errors=np.concatenate([g.std_errors for g in groups]),
+                   weights=np.concatenate([g.weights for g in groups]),
+                   sizes=[g.effects.size for g in groups], labels=labels)
+
+    def __len__(self) -> int:
+        return int(self.sizes.size)
+
+    def __getitem__(self, k: int) -> EffectGroup:
+        k = range(len(self))[k]  # counts negative k from the end; IndexError if out of range
+        a, b = self._ends[k] - self.sizes[k], self._ends[k]
+        return EffectGroup(effects=self.effects[a:b], std_errors=self.std_errors[a:b],
+                           weights=self.weights[a:b],
+                           labels=None if self.labels is None else self.labels[a:b])
+
+    def __iter__(self):
+        return (self[k] for k in range(len(self)))
 
 
 @dataclass(frozen=True)
@@ -458,9 +533,7 @@ class ConditionalReport:
     cv: float
 
     def to_dict(self) -> dict:
-        return {"delta": self.delta, "se": self.se, "n_groups": self.n_groups,
-                "n_members": self.n_members, "se_mode": self.se_mode,
-                "c": self.c, "cv": self.cv}
+        return asdict(self)
 
 
 def _power_slope(x, cv: float):
@@ -469,7 +542,7 @@ def _power_slope(x, cv: float):
 
 
 def conditional_delta(
-    groups: Sequence[EffectGroup],
+    groups: GroupedEffects | Sequence[EffectGroup],
     c: float,
     cv: float = 1.96,
     se_mode: str = "iid",
@@ -488,44 +561,40 @@ def conditional_delta(
     group; ``se_mode="worstcase"`` instead assumes effects measured in the
     same lab (identified by member ``labels``) are perfectly correlated
     across groups, which is the conservative clustering.
+
+    ``groups`` is a ``GroupedEffects`` or a sequence of ``EffectGroup``s,
+    which is concatenated into one first.  Either way every group is
+    estimated in one vectorised pass over the member columns.
     """
     if se_mode not in ("iid", "worstcase"):
         raise ValueError(f"se_mode must be 'iid' or 'worstcase', got {se_mode!r}")
     if not c >= 1.0:
         raise ValueError(f"counterfactual scale c must be >= 1, got {c}")
-    if not groups:
-        raise ValueError("need at least one effect group")
+    data = groups if isinstance(groups, GroupedEffects) else GroupedEffects.from_groups(groups)
 
-    n_members = sum(g.effects.size for g in groups)
-    delta_sum = 0.0
-    gradients = []  # d(delta)/d(b_bar_g)
-    variances = []  # Var(b_bar_g) under independent members
-    for g in groups:
-        wnorm = g.weights / g.weights.sum()
-        b_bar = float(np.dot(wnorm, g.effects))
-        ratios = b_bar / g.std_errors
-        gains = _basis.conditional_power(c * ratios, cv) - _basis.conditional_power(ratios, cv)
-        delta_sum += float(np.sum(gains))
-        slope = (c * _power_slope(c * ratios, cv) - _power_slope(ratios, cv)) / g.std_errors
-        gradients.append(float(np.sum(slope)) / n_members)
-        variances.append(float(np.sum((wnorm * g.std_errors) ** 2)))
-    delta = delta_sum / n_members
+    se = data.std_errors
+    n_groups, n_members = len(data), se.size
+    g = np.repeat(np.arange(n_groups), data.sizes)
+    wnorm = data.weights / np.bincount(g, data.weights, n_groups)[g]
+    b_bar = np.bincount(g, wnorm * data.effects, n_groups)
+    ratios = b_bar[g] / se
+    gains = _basis.conditional_power(c * ratios, cv) - _basis.conditional_power(ratios, cv)
+    delta = float(np.sum(gains)) / n_members
+    slope = (c * _power_slope(c * ratios, cv) - _power_slope(ratios, cv)) / se
+    gradients = np.bincount(g, slope, n_groups) / n_members  # d(delta)/d(b_bar)
 
     if se_mode == "iid":
-        var = sum(gr * gr * v for gr, v in zip(gradients, variances))
+        # Var(b_bar) per group under independent members.
+        var = float(np.dot(gradients ** 2, np.bincount(g, (wnorm * se) ** 2, n_groups)))
     else:
-        if any(g.labels is None for g in groups):
+        if data.labels is None:
             raise EstimationError(
                 "worst-case standard error needs member labels (lab identifiers) "
                 "on every group")
-        per_lab: dict = {}
-        for g, gr in zip(groups, gradients):
-            wnorm = g.weights / g.weights.sum()
-            contrib = gr * wnorm * g.std_errors
-            for lab, val in zip(g.labels, contrib):
-                per_lab[lab] = per_lab.get(lab, 0.0) + float(val)
-        var = sum(v * v for v in per_lab.values())
+        _, lab = np.unique(data.labels, return_inverse=True)
+        per_lab = np.bincount(lab, gradients[g] * wnorm * se)
+        var = float(np.dot(per_lab, per_lab))
 
     return ConditionalReport(
-        delta=delta, se=math.sqrt(var), n_groups=len(groups),
+        delta=delta, se=math.sqrt(var), n_groups=n_groups,
         n_members=n_members, se_mode=se_mode, c=float(c), cv=float(cv))

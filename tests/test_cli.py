@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from powergain import cli
+from powergain import cli, estimator
 from powergain.cli import (
     DatasetError,
     main,
@@ -152,6 +152,32 @@ class TestReadGroupedFile:
         (group,) = read_grouped_file(str(p))
         np.testing.assert_array_equal(group.effects, [2.5, 2.1])
         np.testing.assert_array_equal(group.std_errors, [0.8, 0.9])
+
+    def test_builds_no_effect_group(self, tmp_path, monkeypatch):
+        def refuse(self):
+            raise AssertionError("read_grouped_file built an EffectGroup")
+        monkeypatch.setattr(estimator.EffectGroup, "__post_init__", refuse)
+        p = tmp_path / "g.csv"
+        p.write_text("group_id,effect,std_error,weight,lab_id\n"
+                     + "".join(f"g{k % 7},{k / 10},1,2,L{k % 3}\n" for k in range(30)))
+        groups = read_grouped_file(str(p))
+        assert len(groups) == 7
+
+
+@pytest.mark.parametrize("reader, command, data", [
+    (read_tscore_file, "estimate", b"t\n1.5\n\xff\n"),
+    (read_grouped_file, "conditional",
+     b"group_id,effect,std_error,weight\r\ng1,1,1,1\r\ng\xe9,1,1,1\r\n"),
+], ids=["tscore", "grouped"])
+def test_undecodable_byte_is_dataset_error(tmp_path, capsys, reader, command, data):
+    p = tmp_path / "d.csv"
+    p.write_bytes(data)
+    with pytest.raises(DatasetError, match=r"line 3\b"):
+        reader(str(p))
+    assert main([command, str(p)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert str(p) in captured.err and "line 3 " in captured.err
 
 
 # t-score files: (text, t, study labels or None).
@@ -414,6 +440,17 @@ class TestConditionalCommand:
         np.testing.assert_allclose(report["delta"], 0.178, atol=1e-3)
         assert main(["conditional", str(p)]) == 0
         assert "0.177" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("row, message", [
+        ("g2,1,0,1", "every std_error must be strictly positive"),
+        ("g2,1,1,-1", "weights must be non-negative and not all zero"),
+        ("g2,1,1,0", "weights must be non-negative and not all zero"),
+    ], ids=["std_error zero", "negative weight", "all-zero group"])
+    def test_invalid_members_exit_two(self, tmp_path, capsys, row, message):
+        p = tmp_path / "g.csv"
+        p.write_text(f"group_id,effect,std_error,weight\ng1,1,1,1\n{row}\ng3,1,1,1\n")
+        assert main(["conditional", str(p)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_worstcase_needs_lab_ids(self, tmp_path, capsys):
         p = tmp_path / "g.csv"

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from powergain import basis, estimator, spectrum
+from powergain.cli import read_grouped_file
 from powergain.estimator import EffectGroup, EstimationError, TScoreSample
 
 SQRT2 = math.sqrt(2.0)
@@ -411,3 +412,98 @@ class TestConditionalDelta:
         cols[column][1] = bad
         with pytest.raises(ValueError, match="finite"):
             EffectGroup(**cols)
+
+    def test_conditional_power_called_twice(self, monkeypatch):
+        # Every group is estimated in one pass: one power call at c * b/s
+        # and one at b/s, however many groups there are.
+        calls = []
+        power = basis.conditional_power
+        monkeypatch.setattr(basis, "conditional_power",
+                            lambda h, cv=1.96: calls.append(np.size(h)) or power(h, cv))
+        groups = [EffectGroup(effects=np.array([0.5 + k, 1.0 + k]),
+                              std_errors=np.array([1.0, 0.5]),
+                              weights=np.array([1.0, 2.0]),
+                              labels=np.array(["L1", f"L{k}"]))
+                  for k in range(4)]
+        for mode in ("iid", "worstcase"):
+            calls.clear()
+            estimator.conditional_delta(groups, c=SQRT2, se_mode=mode)
+            assert calls == [8, 8]
+
+    # group_id, effect, std_error, weight, lab_id.  Labs are shared across
+    # groups, one lab appears twice in a group, and the lab ids are in no
+    # sorted order.  b-bar = 0.6 (g1) and 3.4 (g2) give gradients of
+    # opposite sign, so lab sums can cancel.
+    HAND_ROWS = [("g2", 3.5, 1.0, 2.0, "Lc"), ("g1", 0.4, 0.8, 1.0, "La"),
+                 ("g3", 1.6, 0.6, 3.0, "Lb"), ("g1", 0.7, 1.2, 2.0, "Lc"),
+                 ("g2", 3.2, 0.9, 1.0, "La"), ("g3", 1.1, 0.7, 1.0, "Lb"),
+                 ("g2", 3.4, 1.1, 1.0, "Lb"), ("g1", 0.5, 1.0, 0.0, "Lc")]
+
+    def hand_groups(self):
+        """Members of each group, in order of first appearance."""
+        members = {}
+        for gid, *member in self.HAND_ROWS:
+            members.setdefault(gid, []).append(member)
+        return list(members.values())
+
+    def write_hand_file(self, tmp_path):
+        p = tmp_path / "g.csv"
+        p.write_text("group_id,effect,std_error,weight,lab_id\n"
+                     + "".join(",".join(map(str, r)) + "\n" for r in self.HAND_ROWS))
+        return str(p)
+
+    def test_worstcase_se_matches_hand_sum(self, tmp_path):
+        c, cv = SQRT2, 1.96
+
+        def slope(x):  # d/dx Pr(|x + Z| > cv)
+            return (math.exp(-(cv - x) ** 2 / 2) - math.exp(-(cv + x) ** 2 / 2)) \
+                / math.sqrt(2 * math.pi)
+
+        n = len(self.HAND_ROWS)
+        per_lab = {}
+        for rows in self.hand_groups():
+            wsum = sum(w for _, _, w, _ in rows)
+            b_bar = sum(w * e for e, _, w, _ in rows) / wsum
+            grad = sum((c * slope(c * b_bar / s) - slope(b_bar / s)) / s
+                       for _, s, _, _ in rows) / n
+            for _, s, w, lab in rows:
+                per_lab[lab] = per_lab.get(lab, 0.0) + grad * w / wsum * s
+        expected = math.sqrt(sum(v * v for v in per_lab.values()))
+
+        rep = estimator.conditional_delta(read_grouped_file(self.write_hand_file(tmp_path)),
+                                          c=c, cv=cv, se_mode="worstcase")
+        np.testing.assert_allclose(rep.se, expected, rtol=1e-12)
+        assert (rep.n_groups, rep.n_members) == (3, 8)
+
+    def test_file_and_group_list_agree(self, tmp_path):
+        groups = [EffectGroup(*(np.array(col) for col in zip(*rows)))
+                  for rows in self.hand_groups()]
+        columns = read_grouped_file(self.write_hand_file(tmp_path))
+        for mode in ("iid", "worstcase"):
+            assert (estimator.conditional_delta(columns, c=SQRT2, se_mode=mode)
+                    == estimator.conditional_delta(groups, c=SQRT2, se_mode=mode))
+
+    @pytest.mark.parametrize("column, values, message", [
+        ("std_errors", [1.0, 0.0, 1.0], "every std_error must be strictly positive"),
+        ("weights", [1.0, -1.0, 1.0], "weights must be non-negative and not all zero"),
+        ("weights", [1.0, 0.0, 0.0], "weights must be non-negative and not all zero"),
+        ("effects", [1.0, 2.0, float("nan")], "must be finite"),
+    ])
+    def test_grouped_effects_checks_match_effect_group(self, column, values, message):
+        # Groups [0] and [1, 2]: the fault lies in the second group.
+        cols = {"effects": [1.0, 2.0, 3.0], "std_errors": [1.0, 1.0, 1.0],
+                "weights": [1.0, 1.0, 1.0]}
+        cols[column] = values
+        with pytest.raises(ValueError, match=message):
+            EffectGroup(**{k: np.array(v[1:]) for k, v in cols.items()})
+        with pytest.raises(ValueError, match=message):
+            estimator.GroupedEffects(**cols, sizes=[1, 2])
+
+    def test_grouped_effects_first_fault_and_sizes(self):
+        # Group 0 has all-zero weights, group 1 a zero std_error.
+        with pytest.raises(ValueError, match="weights"):
+            estimator.GroupedEffects(effects=[1.0, 2.0], std_errors=[1.0, 0.0],
+                                     weights=[0.0, 1.0], sizes=[1, 1])
+        with pytest.raises(ValueError, match="group sizes sum to 3"):
+            estimator.GroupedEffects(effects=[1.0, 2.0], std_errors=[1.0, 1.0],
+                                     weights=[1.0, 1.0], sizes=[1, 2])
