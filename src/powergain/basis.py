@@ -8,6 +8,7 @@ integrals of scaled basis polynomials over symmetric intervals.
 """
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -146,6 +147,18 @@ def conditional_power(h, cv: float = 1.96):
     return out if arr.ndim else float(out)
 
 
+@functools.cache
+def _gauss_legendre(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights, read-only and computed once per count.
+
+    Every basis build integrates each even degree twice, so ``leggauss``
+    would otherwise dominate ``build_basis`` at moderate sample sizes.
+    """
+    nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
 def integrate_basis(j: int, half_width: float, scale: float = 1.0) -> float:
     """Integrate He_j(t / scale) over the symmetric interval [-hw, +hw].
 
@@ -174,8 +187,7 @@ def integrate_basis(j: int, half_width: float, scale: float = 1.0) -> float:
         raise ValueError(f"scale must be positive, got {scale}")
     if j % 2 == 1:
         return 0.0
-    n_nodes = (j + 2 + 1) // 2  # ceil((j + 2) / 2)
-    nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
+    nodes, weights = _gauss_legendre((j + 2 + 1) // 2)  # ceil((j + 2) / 2) nodes
     t = nodes * half_width
     vals = hermite_sequence(t / scale, j)[j]
     return half_width * float(np.dot(weights, vals))

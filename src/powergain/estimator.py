@@ -30,10 +30,12 @@ __all__ = [
     "EffectGroup",
     "GroupedEffects",
     "ConditionalReport",
+    "RowEstimates",
     "status_quo_power",
     "naive_rescaled_share",
     "delta_hat",
     "delta_hat_pb",
+    "delta_hat_pb_rows",
     "estimate",
     "reconstruct_prior",
     "reconstruct_densities",
@@ -45,7 +47,7 @@ class EstimationError(Exception):
     """Raised when an estimate is undefined on the given sample."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TScoreSample:
     """Reported t-scores plus the study labels that define clusters.
 
@@ -54,12 +56,13 @@ class TScoreSample:
     labels are factorised once, at construction, into integer cluster
     codes (in sorted-label order) and cluster sizes.  ``study_id=None``
     means singleton clusters: labels and codes ``arange(n)``, unit sizes.
+    ``==`` is identity: the array fields have no single truth value.
     """
 
     t: np.ndarray
     study_id: np.ndarray | None
-    _cluster_codes: np.ndarray = field(init=False, repr=False, compare=False)
-    _cluster_sizes: np.ndarray = field(init=False, repr=False, compare=False)
+    _cluster_codes: np.ndarray = field(init=False, repr=False)
+    _cluster_sizes: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         t = np.asarray(self.t, dtype=float).ravel()
@@ -132,7 +135,7 @@ def status_quo_power(sample, cv: float = 1.96) -> float:
     t = _as_scores(sample)
     if t.size == 0:
         raise ValueError("status-quo power of an empty sample is undefined")
-    return float(np.mean(np.abs(t) > cv))
+    return float(np.mean(_pubbias.significant(t, cv)))
 
 
 def naive_rescaled_share(sample, c: float, cv: float = 1.96) -> float:
@@ -144,16 +147,94 @@ def naive_rescaled_share(sample, c: float, cv: float = 1.96) -> float:
     true effect is zero).  Provided as a diagnostic foil for ``delta_hat``.
     """
     t = _as_scores(sample)
-    return float(np.mean(np.abs(c * t) > cv))
+    return float(np.mean(_pubbias.significant(c * t, cv)))
 
 
-def _weighted_kernel_mean(S: np.ndarray, omega: np.ndarray) -> float:
-    wsum = float(omega.sum())
-    if wsum <= 0:
-        raise EstimationError(
-            "estimator undefined: selection weights sum to zero "
-            "(theta = 0 with every score significant)")
-    return float(np.dot(S, omega) / wsum)
+#: Row statuses of the estimation core: why a row has no interval.
+ROW_OK, ROW_EMPTY_UPPER_BIN, ROW_ZERO_WEIGHTS, ROW_NO_SE = 0, 1, 2, 3
+
+_ZERO_WEIGHTS = ("estimator undefined: selection weights sum to zero "
+                 "(theta = 0 with every score significant)")
+
+
+@dataclass(frozen=True, eq=False)
+class RowEstimates:
+    """Estimates of R samples of n scores each, one entry per row.
+
+    ``status`` says why a row has no interval: ``ROW_EMPTY_UPPER_BIN``
+    (the caliper ratio is undefined) and ``ROW_ZERO_WEIGHTS`` (theta_hat
+    = 0 with every score significant) leave every field NaN;
+    ``ROW_NO_SE`` (no score just below the cutoff, so theta_hat = 0) keeps
+    delta and leaves the SE and the interval NaN.  ``theta`` is None
+    without the publication-bias correction.
+    """
+
+    delta: np.ndarray
+    se: np.ndarray
+    ci_low: np.ndarray
+    ci_high: np.ndarray
+    theta: np.ndarray | None
+    status: np.ndarray
+
+
+def _kernel_means(S: np.ndarray, omega: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row: sum_i S_i omega_i / sum_i omega_i and the weight sum."""
+    wsum = omega.sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.einsum("ij,ij->i", S, omega) / wsum, wsum
+
+
+def _estimate_rows(t, S, codes, cv, epsilon, alpha, caliper=None) -> RowEstimates:
+    """The one estimation core: R samples of n scores in one row-wise pass.
+
+    ``t`` and its kernel values ``S`` have shape (R, n), and every row
+    shares the n cluster ``codes``.  With an ``epsilon`` the kernel mean
+    of each row is reweighted by its caliper estimate theta_hat and the
+    SE comes from the influence function; with ``epsilon=None`` every
+    weight is 1 and the SE is the cluster sandwich of the kernel values.
+    ``caliper`` is ``pubbias.caliper_tail(t, epsilon, cv)`` if the caller
+    already has it.
+    """
+    R = t.shape[0]
+    status = np.full(R, ROW_OK, dtype=np.int8)
+    theta = None
+    if epsilon is None:
+        omega = np.ones_like(S)
+    else:
+        theta, tail = caliper if caliper is not None else _pubbias.caliper_tail(t, epsilon, cv)
+        omega = np.where(_pubbias.significant(t, cv), theta[:, None], 1.0)
+    delta, wsum = _kernel_means(S, omega)
+    if epsilon is not None:
+        empty_upper, zero_weights = tail.count_above == 0, ~(wsum > 0)
+        status[tail.count_below == 0] = ROW_NO_SE
+        status[zero_weights] = ROW_ZERO_WEIGHTS
+        status[empty_upper] = ROW_EMPTY_UPPER_BIN
+        delta[empty_upper | zero_weights] = np.nan
+
+    se, ci_low, ci_high = (np.full(R, np.nan) for _ in range(3))
+    ok = status == ROW_OK
+    if ok.any():
+        rows = slice(None) if ok.all() else ok
+        t_ok, m = t[rows], S[rows]
+        if epsilon is not None:
+            th, F = theta[rows, None], tail.F_hat[rows, None]
+            q = _inference.q_hat(m, t_ok, th, F, cv)
+            m = _inference.influence(m, t_ok, _inference.InfluenceIngredients(
+                theta_hat=th, F_hat=F, B_plus=tail.B_plus[rows, None],
+                B_minus=tail.B_minus[rows, None], Q_hat=q, epsilon=epsilon, cutoff=cv))
+        v = _inference.variance_hat(m, codes)
+        se[rows] = np.sqrt(v)
+        ci_low[rows], ci_high[rows] = _inference.confidence_interval(delta[rows], v, alpha)
+    return RowEstimates(delta=delta, se=se, ci_low=ci_low, ci_high=ci_high,
+                        theta=theta, status=status)
+
+
+def _checked_caliper(t: np.ndarray, epsilon: float, cv: float):
+    """``caliper_tail`` of one sample as a row; raises if its upper bin is empty."""
+    theta, tail = _pubbias.caliper_tail(t[None], epsilon, cv)
+    if tail.count_above[0] == 0:
+        raise _pubbias.CaliperError.empty_upper_bin(epsilon, cv)
+    return theta, tail
 
 
 def delta_hat(sample: TScoreSample, b: _spectrum.SpectralBasis) -> float:
@@ -164,9 +245,8 @@ def delta_hat(sample: TScoreSample, b: _spectrum.SpectralBasis) -> float:
     them against the contrast coefficients ``a_j``.  Identically zero when
     the basis was built for c = 1.
     """
-    t = _as_scores(sample)
-    S = _spectrum.kernel_S(t, b)
-    return _weighted_kernel_mean(S, np.ones_like(S))
+    S = _spectrum.kernel_S(_as_scores(sample), b)[None]
+    return float(_kernel_means(S, np.ones_like(S))[0][0])
 
 
 def _report(
@@ -176,39 +256,37 @@ def _report(
     pb: bool,
     alpha: float,
     clamp_ci: bool,
+    S: np.ndarray | None = None,
+    caliper=None,
 ) -> EstimateReport:
-    """The one estimation path: point estimate, cluster SE and interval on b.
+    """Point estimate, cluster SE and interval of one sample on b.
 
-    With ``pb`` the kernel mean is reweighted by the caliper estimate
-    theta_hat and the standard error comes from the influence function;
-    without it every weight is 1 and the standard error is the cluster
-    sandwich of the kernel values.
+    Runs the row core on the sample as one row.  With ``pb`` the kernel
+    mean is reweighted by the caliper estimate theta_hat and the standard
+    error comes from the influence function; without it every weight is 1
+    and the standard error is the cluster sandwich of the kernel values.
+    ``S`` and ``caliper`` may be passed in when the caller has them.
     """
     t = sample.t
-    theta, tail = _pubbias.estimate_theta(t, epsilon, b.cv) if pb else (None, None)
-    S = _spectrum.kernel_S(t, b)
-    omega = np.where(np.abs(t) >= b.cv, theta, 1.0) if pb else np.ones_like(S)
-    delta = _weighted_kernel_mean(S, omega)
-
+    if pb and caliper is None:
+        caliper = _checked_caliper(t, epsilon, b.cv)
+    if S is None:
+        S = _spectrum.kernel_S(t, b)
+    rows = _estimate_rows(t[None], S[None], sample._cluster_codes, b.cv,
+                          epsilon if pb else None, alpha, caliper)
+    status = rows.status[0]
+    if status == ROW_ZERO_WEIGHTS:
+        raise EstimationError(_ZERO_WEIGHTS)
     flags: tuple[str, ...] = ()
-    if pb and tail.count_below == 0:
+    if status == ROW_NO_SE:
         flags = ("theta-zero: no scores just below the cutoff; SE unavailable",)
-        se, ci_low, ci_high = float("nan"), float("nan"), float("nan")
-    else:
-        m = S
-        if pb:
-            q = _inference.q_hat(S, t, theta, tail.F_hat, b.cv)
-            m = _inference.influence(S, t, _inference.InfluenceIngredients(
-                theta_hat=theta, F_hat=tail.F_hat, B_plus=tail.B_plus,
-                B_minus=tail.B_minus, Q_hat=q, epsilon=epsilon, cutoff=b.cv))
-        v = _inference.variance_hat(m, sample._cluster_codes)
-        se = math.sqrt(v)
-        ci_low, ci_high = _inference.confidence_interval(delta, v, alpha)
-        if clamp_ci:
-            ci_low, ci_high = max(ci_low, 0.0), max(ci_high, 0.0)
+    ci_low, ci_high = float(rows.ci_low[0]), float(rows.ci_high[0])
+    if clamp_ci:
+        ci_low, ci_high = max(ci_low, 0.0), max(ci_high, 0.0)
 
     return EstimateReport(
-        delta=delta, se=se, ci_low=ci_low, ci_high=ci_high, theta=theta,
+        delta=float(rows.delta[0]), se=float(rows.se[0]), ci_low=ci_low, ci_high=ci_high,
+        theta=float(rows.theta[0]) if pb else None,
         J=b.J, epsilon=epsilon if pb else None, n=sample.n,
         n_clusters=sample.n_clusters, max_cluster_size=sample.max_cluster_size,
         status_quo_power=status_quo_power(sample, b.cv),
@@ -229,7 +307,7 @@ def delta_hat_pb(
     theta_hat = 0):
 
         delta = sum_i S(t_i) omega_i / sum_i omega_i,
-        omega_i = theta_hat if |t_i| >= cv else 1.
+        omega_i = theta_hat if |t_i| > cv else 1.
 
     The report carries theta_hat, the tuning actually used, the influence
     -based standard error, and the normal confidence interval.  When no
@@ -238,6 +316,22 @@ def delta_hat_pb(
     still returned with NaN standard error and an explanatory flag.
     """
     return _report(sample, b, epsilon, True, alpha, clamp_ci)
+
+
+def delta_hat_pb_rows(
+    t, b: _spectrum.SpectralBasis, epsilon: float, alpha: float = 0.05
+) -> RowEstimates:
+    """``delta_hat_pb`` of every row of t: R samples of n scores, singleton clusters.
+
+    One ``kernel_S`` over all R * n scores, then the row core that
+    ``delta_hat_pb`` runs on a single row.  Nothing is raised for a row
+    that fails; its ``status`` says why (see ``RowEstimates``).
+    """
+    t = np.asarray(t, dtype=float)
+    if t.ndim != 2 or t.size == 0:
+        raise ValueError(f"need a non-empty (R, n) array of scores, got shape {t.shape}")
+    return _estimate_rows(t, _spectrum.kernel_S(t, b), np.arange(t.shape[1]),
+                          b.cv, epsilon, alpha)
 
 
 def estimate(
@@ -325,7 +419,7 @@ def reconstruct_prior(
     if theta_hat < 0:
         raise ValueError(f"theta_hat must be non-negative, got {theta_hat}")
     t = sample.t
-    omega = np.where(np.abs(t) >= b.cv, theta_hat, 1.0)
+    omega = np.where(_pubbias.significant(t, b.cv), theta_hat, 1.0)
     if float(omega.sum()) <= 0:
         raise EstimationError(
             "prior reconstruction undefined: selection weights sum to zero")
@@ -381,10 +475,10 @@ def power_gain_curve(
     """Estimate the power gain at every counterfactual scale in the grid.
 
     J and epsilon come from the tuning rule once — they do not depend on
-    c.  Each grid point then builds its own basis and runs the same code
-    path as ``estimate``, so a one-point grid reproduces the scalar call
-    exactly; theta_hat is recomputed per point but, depending only on
-    epsilon and cv, is the same at every point.  The c = 1 point is
+    c — and so do theta_hat and the caliper tail.  Each Hermite block is
+    built once and contracted with every grid point's coefficients, and
+    each point then runs the same row core as ``estimate``, so a
+    one-point grid reproduces the scalar call exactly.  The c = 1 point is
     exactly zero with zero variance (every contrast coefficient vanishes).
     """
     grid = [float(c) for c in c_grid]
@@ -395,11 +489,13 @@ def power_gain_curve(
     if cfg.n_effective is None:
         cfg = replace(cfg, n_effective=sample.n)
     J, epsilon = _spectrum.select_tuning(cfg)
+    caliper = _checked_caliper(sample.t, epsilon, cfg.cv) if pb else None
+    bases = [_spectrum.build_basis(replace(cfg, c=c), J) for c in grid]
+    kernels = _spectrum.kernel_S_grid(sample.t, bases)
 
     points = []
-    for c in grid:
-        b = _spectrum.build_basis(replace(cfg, c=c), J)
-        rep = _report(sample, b, epsilon, pb, cfg.alpha, clamp_ci)
+    for c, b, S in zip(grid, bases, kernels):
+        rep = _report(sample, b, epsilon, pb, cfg.alpha, clamp_ci, S, caliper)
         points.append(CurvePoint(c2=c * c, delta=rep.delta, se=rep.se,
                                  ci_low=rep.ci_low, ci_high=rep.ci_high))
     return points
@@ -443,7 +539,7 @@ def _member_columns(effects, std_errors, weights, labels, sizes=None):
     return eff, se, w, lab, sizes
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EffectGroup:
     """Replicated effect estimates that share one true effect.
 
@@ -451,7 +547,8 @@ class EffectGroup:
     ``std_errors`` their (true) standard errors, ``weights`` the averaging
     weights (typically sample sizes).  ``labels`` optionally identify the
     lab/site of each member; they are required only for the worst-case
-    correlated standard error.
+    correlated standard error.  ``==`` is identity, as for
+    ``GroupedEffects``.
     """
 
     effects: np.ndarray

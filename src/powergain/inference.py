@@ -8,6 +8,10 @@ where W re-normalizes the selection weight, X captures the estimation
 noise of theta, and Q is the sensitivity of the estimand to theta.  The
 variance estimator sums centered influence values within study clusters
 (block-diagonal dependence) and squares the block sums.
+
+Every helper also takes R samples of equal size at once: scores of shape
+(R, n), with each per-sample quantity (theta, F, B+, B-, Q) a column of
+shape (R, 1).  Reductions then give one value per row.
 """
 from __future__ import annotations
 
@@ -18,6 +22,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import basis as _basis
+from .pubbias import significant
 
 if TYPE_CHECKING:  # pragma: no cover - import only for annotations
     from .estimator import EstimateReport
@@ -39,18 +44,18 @@ class InfluenceIngredients:
 def selection_weight(t, theta: float, p: float, cutoff: float):
     """Normalized caliper weight W(t; theta, p).
 
-    Algebraically (1 + (theta^-1 - 1) 1{|t| < cutoff}) / (1 + (theta^-1 - 1) p),
+    Algebraically (1 + (theta^-1 - 1) 1{|t| <= cutoff}) / (1 + (theta^-1 - 1) p),
     evaluated in the theta-multiplied form
 
-        (theta + (1 - theta) 1{|t| < cutoff}) / (theta + (1 - theta) p)
+        (theta + (1 - theta) 1{|t| <= cutoff}) / (theta + (1 - theta) p)
 
     which stays finite as theta -> 0.  Identically 1 when theta = 1.
     """
     denom = theta + (1.0 - theta) * p
-    if denom <= 0:
+    if np.any(denom <= 0):
         raise ValueError("selection weight undefined: theta and CDF at cutoff both zero")
     arr = np.asarray(t, dtype=float)
-    num = theta + (1.0 - theta) * (np.abs(arr) < cutoff)
+    num = theta + (1.0 - theta) * ~significant(arr, cutoff)
     out = num / denom
     return out if arr.ndim else float(out)
 
@@ -63,27 +68,30 @@ def theta_influence(t, b_plus: float, b_minus: float, epsilon: float, cutoff: fl
     Its sample mean is exactly zero when B+ and B- are the sample bin
     masses of the same data.
     """
-    if b_minus <= 0:
+    if np.any(b_minus <= 0):
         raise ValueError("theta influence undefined: lower caliper bin is empty")
     arr = np.abs(np.asarray(t, dtype=float))
-    upper = (arr > cutoff) & (arr <= cutoff + epsilon)
-    lower = (arr > cutoff - epsilon) & (arr <= cutoff)
+    sig = significant(arr, cutoff)
+    upper = sig & (arr <= cutoff + epsilon)
+    lower = (arr > cutoff - epsilon) & ~sig
     out = upper / b_minus - (b_plus / b_minus**2) * lower
     return out if np.ndim(t) else float(out)
 
 
-def q_hat(S: np.ndarray, t, theta: float, F_hat: float, cutoff: float) -> float:
+def q_hat(S: np.ndarray, t, theta: float, F_hat: float, cutoff: float):
     """Sensitivity Q of the estimand to the inverse reporting ratio.
 
-    Sample analogue of E[S(T) (1{|T| < cutoff} - F) / (1 + F (theta^-1 - 1))^2],
+    Sample analogue of E[S(T) (1{|T| <= cutoff} - F) / (1 + F (theta^-1 - 1))^2],
     computed in the theta^2-multiplied form that stays finite at theta = 0.
+    A float for one sample; a column (R, 1) for R rows.
     """
-    arr = np.abs(np.asarray(t, dtype=float))
+    arr = np.asarray(t, dtype=float)
     denom = theta + F_hat * (1.0 - theta)
-    if denom <= 0:
+    if np.any(denom <= 0):
         raise ValueError("Q undefined: theta and CDF at cutoff both zero")
-    centered = (arr < cutoff) - F_hat
-    return theta**2 * float(np.mean(np.asarray(S) * centered)) / denom**2
+    centered = ~significant(arr, cutoff) - F_hat
+    q = theta**2 * np.mean(np.asarray(S) * centered, axis=-1, keepdims=True) / denom**2
+    return q if arr.ndim > 1 else float(q[0])
 
 
 def influence(S: np.ndarray, t, ing: InfluenceIngredients) -> np.ndarray:
@@ -93,7 +101,7 @@ def influence(S: np.ndarray, t, ing: InfluenceIngredients) -> np.ndarray:
     return np.asarray(S) * W + ing.Q_hat * X
 
 
-def variance_hat(values, study_id) -> float:
+def variance_hat(values, study_id):
     """Cluster-robust variance of a sample mean of influence values.
 
     V = (1/n^2) * sum over clusters of (sum of centered values in cluster)^2.
@@ -103,32 +111,43 @@ def variance_hat(values, study_id) -> float:
     negative.  Singleton clusters reduce it to the iid sandwich form; one
     all-encompassing cluster gives exactly zero (the centered full-sample
     sum vanishes), which is why full-sample clustering is degenerate.
+
+    ``values`` of shape (R, n) are R samples sharing the n cluster labels;
+    the result is then one variance per row, from one ``bincount`` whose
+    codes are offset row by row.
     """
     vals = np.asarray(values, dtype=float)
-    n = vals.size
-    if n == 0:
+    n = vals.shape[-1]
+    if vals.size == 0:
         raise ValueError("variance of an empty sample is undefined")
-    centered = vals - vals.mean()
+    rows = vals.reshape(-1, n)
+    centered = rows - rows.mean(axis=1, keepdims=True)
     codes = np.asarray(study_id)
     # Non-negative integer labels below n, such as TScoreSample's cluster
     # codes, index the blocks as they are: an absent label is an empty
     # block, which adds exactly 0.  Other labels are factorised first.
     if not (codes.dtype.kind in "iu" and codes.min() >= 0 and codes.max() < n):
         codes = np.unique(codes, return_inverse=True)[1]
-    if codes.min() == codes.max():
-        return 0.0  # one cluster: the centered full-sample sum is identically zero
-    block_sums = np.bincount(codes, weights=centered)
-    v = float(np.dot(block_sums, block_sums)) / (n * n)
-    return max(v, 0.0)
+    lo, hi = int(codes.min()), int(codes.max())
+    if lo == hi:
+        # One cluster: the centered full-sample sum is identically zero.
+        v = np.zeros(rows.shape[0])
+    else:
+        width = hi + 1
+        offset = codes + width * np.arange(rows.shape[0])[:, None]
+        block_sums = np.bincount(offset.ravel(), weights=centered.ravel(),
+                                 minlength=rows.size // n * width).reshape(-1, width)
+        v = np.maximum(np.einsum("ij,ij->i", block_sums, block_sums) / (n * n), 0.0)
+    return v if vals.ndim > 1 else float(v[0])
 
 
 def confidence_interval(delta_hat: float, v_hat: float, alpha: float = 0.05) -> tuple[float, float]:
-    """Normal interval delta_hat +/- z_{1-alpha/2} * sqrt(v_hat)."""
-    if v_hat < 0:
+    """Normal interval delta_hat +/- z_{1-alpha/2} * sqrt(v_hat), elementwise."""
+    if np.any(np.asarray(v_hat) < 0):
         raise ValueError(f"variance must be non-negative, got {v_hat}")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    half = _basis.normal_quantile(1.0 - alpha / 2.0) * math.sqrt(v_hat)
+    half = _basis.normal_quantile(1.0 - alpha / 2.0) * np.sqrt(v_hat)
     return delta_hat - half, delta_hat + half
 
 

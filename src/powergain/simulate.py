@@ -2,7 +2,8 @@
 
 Everything needed to benchmark the estimator end to end: a small family of
 true-effect distributions, three noise families (exact normal, Student-t
-with 30 degrees of freedom, and the standardized mean of 185 lognormals),
+with 30 degrees of freedom, and the standardized mean of 185 lognormals,
+drawn by inverse CDF from its exact law),
 publication-bias thinning, quadrature oracles for the true power and true
 gain (against the exact law of each noise family), and a driver that
 repeatedly draws a meta-sample, estimates, and tallies bias and
@@ -18,8 +19,8 @@ import numpy as np
 from scipy import integrate, stats
 
 from . import basis as _basis
-from .estimator import EstimationError, TScoreSample, delta_hat_pb
-from .pubbias import CaliperError
+from .estimator import TScoreSample, delta_hat_pb_rows
+from .pubbias import significant
 from . import spectrum as _spectrum
 
 __all__ = [
@@ -124,18 +125,18 @@ def _draw_noise(noise: str, rng: np.random.Generator, m: int) -> np.ndarray:
         return rng.standard_normal(m)
     if noise == "t30":
         return rng.standard_t(30, m)
-    pools = rng.lognormal(0.0, 1.0, size=(m, _LOGNORMAL_POOL))
-    return (pools.mean(axis=1) - _LOGNORMAL_MEAN) / _LOGNORMAL_SD
+    edges, cdf = _lognormal_mean_cdf()
+    return np.interp(rng.random(m), cdf, edges)  # inverse CDF of the exact law
 
 
 def draw_population(spec: DgpSpec, n: int, seed) -> TScoreSample:
     """Draw n published t-scores from the DGP with singleton clusters.
 
     Scores are generated as true effect plus noise and then thinned:
-    significant scores always survive, insignificant ones survive with
-    probability theta0.  Draws continue until n scores are retained, so n
-    counts published scores.  ``seed`` may be anything accepted by
-    ``numpy.random.default_rng``, including a Generator.
+    significant scores (|t| > cv) always survive, insignificant ones
+    survive with probability theta0.  Draws continue until n scores are
+    retained, so n counts published scores.  ``seed`` may be anything
+    accepted by ``numpy.random.default_rng``, including a Generator.
     """
     if n < 1:
         raise ValueError(f"need n >= 1 retained scores, got {n}")
@@ -145,7 +146,7 @@ def draw_population(spec: DgpSpec, n: int, seed) -> TScoreSample:
     while have < n:
         m = 2 * (n - have) + 32
         t = _draw_prior(spec, rng, m) + _draw_noise(spec.noise, rng, m)
-        keep = (np.abs(t) >= spec.cv) | (rng.random(m) < spec.theta0)
+        keep = significant(t, spec.cv) | (rng.random(m) < spec.theta0)
         kept.append(t[keep])
         have += int(keep.sum())
     return TScoreSample.from_scores(np.concatenate(kept)[:n])
@@ -160,9 +161,13 @@ def _lognormal_mean_cdf():
     power of its real FFT, and the pool sum is then standardized.  Each
     lattice mass is spread evenly over its cell, so the CDF is linear
     between cell edges; rounding to the lattice adds h^2 / 12 per draw,
-    a relative variance error of 3e-7.  Built on first use (two arrays of
-    500,000 floats) and kept for the life of the process; the returned
-    function is the only handle on the table.
+    a relative variance error of 3e-7.
+
+    Returns ``(edges, cdf)``, the CDF at the cell edges.  Every lattice
+    mass is positive, so the CDF strictly increases and ``np.interp``
+    reads it both ways: x -> CDF for the oracle, u -> x for the
+    inverse-CDF draws.  Built on first use (two arrays of 500,000 floats)
+    and kept for the life of the process.
     """
     h = _LOGNORMAL_STEP
     cells = int(round(_LOGNORMAL_TOP / h))
@@ -171,12 +176,7 @@ def _lognormal_mean_cdf():
     pmf = np.diff(stats.lognorm.cdf(bounds, 1.0))
     pool = np.fft.irfft(np.fft.rfft(pmf) ** _LOGNORMAL_POOL, cells)
     edges = (bounds[1:] / _LOGNORMAL_POOL - _LOGNORMAL_MEAN) / _LOGNORMAL_SD
-    cdf = np.cumsum(pool)
-
-    def lognormal_mean_cdf(x):
-        return np.interp(x, edges, cdf)
-
-    return lognormal_mean_cdf
+    return edges, np.cumsum(pool)
 
 
 def _power_given_effect(h, noise: str, cv: float):
@@ -186,8 +186,8 @@ def _power_given_effect(h, noise: str, cv: float):
         return _basis.conditional_power(h, cv)
     if noise == "t30":
         return stats.t.sf(cv - h, 30) + stats.t.cdf(-cv - h, 30)
-    cdf = _lognormal_mean_cdf()
-    return 1.0 - cdf(cv - h) + cdf(-cv - h)
+    edges, cdf = _lognormal_mean_cdf()
+    return 1.0 - np.interp(cv - h, edges, cdf) + np.interp(-cv - h, edges, cdf)
 
 
 def oracle_power(spec: DgpSpec, scale: float) -> float:
@@ -295,10 +295,14 @@ def run_coverage(spec: DgpSpec, n: int, reps: int,
     correction, and checks whether the nominal 95% interval contains the
     oracle gain.  Tuning is selected once from n (the retained count is
     exactly n by construction).  Replications whose caliper bin is empty,
-    or where no score lands just below the cutoff (point estimate fine
-    but no standard error), are tallied as failures.  Deterministic
-    given (spec, n, reps, cfg, seed); substreams make the replication
-    loop order-independent.
+    whose selection weights sum to zero, or where no score lands just
+    below the cutoff (point estimate fine but no standard error), are
+    tallied as failures.  Deterministic given (spec, n, reps, cfg, seed);
+    substreams make the replication loop order-independent.
+
+    The draws are stacked into blocks of ``max(1, _CHUNK // n)``
+    replications, and each block is estimated by one
+    ``delta_hat_pb_rows`` call, the row core behind ``delta_hat_pb``.
     """
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
@@ -311,20 +315,19 @@ def run_coverage(spec: DgpSpec, n: int, reps: int,
     truth = oracle_delta(spec)
     unc = oracle_power(spec, 1.0)
 
-    deltas, ses, covered, failures = [], [], 0, 0
-    for stream in np.random.SeedSequence(seed).spawn(reps):
-        sample = draw_population(spec, n, stream)
-        try:
-            rep = delta_hat_pb(sample, b, epsilon, alpha=cfg.alpha)
-        except (CaliperError, EstimationError):
-            failures += 1
-            continue
-        if not math.isfinite(rep.se):
-            failures += 1
-            continue
-        deltas.append(rep.delta)
-        ses.append(rep.se)
-        covered += int(rep.ci_low <= truth <= rep.ci_high)
+    streams = np.random.SeedSequence(seed).spawn(reps)
+    block = max(1, _spectrum._CHUNK // n)
+    deltas, ses, covered = [], [], 0
+    for start in range(0, reps, block):
+        t = np.stack([draw_population(spec, n, s).t for s in streams[start:start + block]])
+        rows = delta_hat_pb_rows(t, b, epsilon, alpha=cfg.alpha)
+        good = np.isfinite(rows.se)
+        deltas.append(rows.delta[good])
+        ses.append(rows.se[good])
+        covered += int(np.count_nonzero((rows.ci_low[good] <= truth)
+                                        & (truth <= rows.ci_high[good])))
+    deltas, ses = np.concatenate(deltas), np.concatenate(ses)
+    failures = reps - deltas.size
 
     k = len(deltas)
     if k == 0:

@@ -17,7 +17,8 @@ import numpy as np
 from . import basis as _basis
 
 #: Scores per block of the spectral core; its memory is (J + 1) * _CHUNK floats.
-_CHUNK = 1 << 17
+#: Also the score budget of one batch of simulated replications.
+_CHUNK = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -145,12 +146,25 @@ def kernel_S(t, b: SpectralBasis):
     zero when the basis was built for c = 1.
     """
     arr = np.atleast_1d(np.asarray(t, dtype=float))
-    flat = arr.ravel()
-    out = np.empty(flat.size)
-    for start, P in _hermite_gaussian_blocks(flat, b.J, b.sigmaT2):
-        out[start:start + P.shape[1]] = b.a @ P
-    out = out.reshape(arr.shape)
+    out = kernel_S_grid(arr.ravel(), [b])[0].reshape(arr.shape)
     return out if np.ndim(t) else float(out[0])
+
+
+def kernel_S_grid(t: np.ndarray, bases) -> np.ndarray:
+    """S(t) for every basis in ``bases`` (which share J and sigma_T^2), one row each.
+
+    Each Hermite block P is built once and contracted with every basis's
+    ``a`` by its own product ``a @ P``, the one ``kernel_S`` runs, so each
+    row equals ``kernel_S(t, b)`` exactly.  ``t`` is flat.
+    """
+    J, sigmaT2 = bases[0].J, bases[0].sigmaT2
+    if any(b.J != J or b.sigmaT2 != sigmaT2 for b in bases):
+        raise ValueError("bases of one kernel grid must share J and sigmaT2")
+    out = np.empty((len(bases), t.size))
+    for start, P in _hermite_gaussian_blocks(t, J, sigmaT2):
+        for row, b in zip(out, bases):
+            row[start:start + P.shape[1]] = b.a @ P
+    return out
 
 
 def select_tuning(cfg: TuningConfig) -> tuple[int, float]:

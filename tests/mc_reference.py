@@ -5,6 +5,10 @@ seed is derived from a SHA-256 digest of every ingredient that affects
 the value, so a given (spec, scales, draws) always reproduces the same
 reference numbers.  Used for normal and t(30) noise, whose draws come in
 chunks of 2**20.
+
+``lognormal_pool_means`` draws the third noise family the long way, as
+the standardized mean of 185 lognormals: an independent reference for
+the exact law that the package draws from by inverse CDF.
 """
 import hashlib
 import json
@@ -14,6 +18,12 @@ import numpy as np
 from powergain import simulate
 
 MC_DRAWS = 10_000_000
+
+
+def lognormal_pool_means(rng: np.random.Generator, m: int) -> np.ndarray:
+    """m standardized means of 185 LN(0, 1) draws each."""
+    pools = rng.lognormal(0.0, 1.0, size=(m, simulate._LOGNORMAL_POOL))
+    return (pools.mean(axis=1) - simulate._LOGNORMAL_MEAN) / simulate._LOGNORMAL_SD
 
 
 def mc_powers(spec: simulate.DgpSpec, scales: tuple, draws: int = MC_DRAWS) -> list:

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from powergain import basis, estimator, spectrum
+from powergain import basis, estimator, inference, pubbias, simulate, spectrum
 from powergain.cli import read_grouped_file
 from powergain.estimator import EffectGroup, EstimationError, TScoreSample
 
@@ -60,6 +60,17 @@ class TestTScoreSample:
             estimator.estimate(labelled, cfg).se
         # The estimate reads the stored codes and factorises nothing.
         assert len(calls) == 2
+
+    def test_equality_is_identity(self):
+        a = TScoreSample.from_scores([1.0, 2.0])
+        b = TScoreSample.from_scores([1.0, 2.0])
+        assert a == a and not (a == b) and a != b
+        g = EffectGroup(effects=np.array([1.0, 2.0]), std_errors=np.array([1.0, 1.0]),
+                        weights=np.array([1.0, 1.0]))
+        h = EffectGroup(effects=np.array([1.0, 2.0]), std_errors=np.array([1.0, 1.0]),
+                        weights=np.array([1.0, 1.0]))
+        assert g == g and not (g == h) and g != h
+        assert len({a, b, g, h}) == 4
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -158,6 +169,118 @@ class TestDeltaHatPb:
         s = TScoreSample.from_scores(t)
         rep = estimator.delta_hat_pb(s, make_basis(), epsilon=0.5, clamp_ci=True)
         assert rep.ci_low >= 0.0 and rep.ci_high >= 0.0
+
+
+def _thinned_bimodal(rng, n):
+    """n published scores: bimodal effects plus N(0, 1) noise, thinned at 0.9."""
+    spec = simulate.DgpSpec(prior="bimodal")
+    return simulate.draw_population(spec, n, rng).t
+
+
+class TestRowCore:
+    def test_rows_match_scalar_delta_hat_pb(self):
+        rng = np.random.default_rng(61)
+        cfg = make_config(n_effective=300)
+        J, eps = spectrum.select_tuning(cfg)
+        b = spectrum.build_basis(cfg, J)
+        t = np.stack([_thinned_bimodal(rng, 300) for _ in range(9)])
+        rows = estimator.delta_hat_pb_rows(t, b, eps)
+        assert (rows.status == estimator.ROW_OK).all()
+        for k in range(t.shape[0]):
+            rep = estimator.delta_hat_pb(TScoreSample.from_scores(t[k]), b, eps)
+            got = [rows.delta[k], rows.se[k], rows.ci_low[k], rows.ci_high[k], rows.theta[k]]
+            want = [rep.delta, rep.se, rep.ci_low, rep.ci_high, rep.theta]
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    def test_statuses_match_scalar_errors(self):
+        # epsilon 0.3: lower bin (1.66, 1.96], upper bin (1.96, 2.26].
+        t = np.array([[0.5, 1.0, 0.1],    # upper bin empty
+                      [2.0, 2.2, 3.0],    # theta 0 and every score significant
+                      [0.5, 2.0, 0.1],    # theta 0: no SE
+                      [1.8, 2.0, 0.3]])   # theta 1
+        b = make_basis(J=6)
+        rows = estimator.delta_hat_pb_rows(t, b, 0.3)
+        assert rows.status.tolist() == [estimator.ROW_EMPTY_UPPER_BIN,
+                                        estimator.ROW_ZERO_WEIGHTS,
+                                        estimator.ROW_NO_SE, estimator.ROW_OK]
+        with pytest.raises(pubbias.CaliperError):
+            estimator.delta_hat_pb(TScoreSample.from_scores(t[0]), b, 0.3)
+        with pytest.raises(EstimationError):
+            estimator.delta_hat_pb(TScoreSample.from_scores(t[1]), b, 0.3)
+        assert np.isnan(rows.delta[:2]).all() and np.isnan(rows.se[:3]).all()
+        for k in (2, 3):
+            rep = estimator.delta_hat_pb(TScoreSample.from_scores(t[k]), b, 0.3)
+            assert rows.delta[k] == rep.delta and rows.theta[k] == rep.theta
+            assert math.isnan(rep.se) == (k == 2)
+        assert rows.se[3] == rep.se
+
+    def test_rejects_flat_input(self):
+        with pytest.raises(ValueError, match="R, n"):
+            estimator.delta_hat_pb_rows(np.ones(4), make_basis(J=4), 0.3)
+
+    def test_one_cluster_code_vector_for_all_rows(self):
+        # Two rows with the same 37 clusters: one offset bincount gives
+        # each row its own cluster-robust variance.
+        rng = np.random.default_rng(4)
+        m = rng.normal(size=(2, 400))
+        codes = np.array([i % 37 for i in range(400)])
+        v = inference.variance_hat(m, codes)
+        assert v.shape == (2,)
+        np.testing.assert_allclose(v, [inference.variance_hat(row, codes) for row in m],
+                                   rtol=1e-12)
+        np.testing.assert_allclose(v, [inference.variance_hat(row, STRING_LABELS)
+                                       for row in m], rtol=1e-12)
+
+
+class TestSignificanceAtTheCutoff:
+    """|t| = cv is insignificant in every module: |t| > cv is the one predicate."""
+
+    CV = 1.96
+
+    def test_predicate_and_shares(self):
+        tie = np.array([self.CV, -self.CV])
+        assert not pubbias.significant(tie, self.CV).any()
+        assert estimator.status_quo_power(tie, self.CV) == 0.0
+        assert pubbias.empirical_cdf_abs(tie, self.CV) == 1.0
+        assert (pubbias.weight(tie, pubbias.CaliperModel(theta=0.4)) == 0.4).all()
+
+    def test_caliper_and_influence_terms(self):
+        # The tie sits in the lower bin, with 0.3 and 2.1 around it.
+        t = np.array([self.CV, 0.3, 2.1])
+        theta, tail = pubbias.estimate_theta(t, 0.5, self.CV)
+        assert (tail.count_below, tail.count_above, tail.F_hat) == (1, 1, 2 / 3)
+        insignificant = inference.selection_weight(0.3, theta, tail.F_hat, self.CV)
+        assert inference.selection_weight(self.CV, theta, tail.F_hat, self.CV) == insignificant
+        x = inference.theta_influence(t, tail.B_plus, tail.B_minus, 0.5, self.CV)
+        assert x[0] == -tail.B_plus / tail.B_minus ** 2 and x[2] == 1 / tail.B_minus
+        S = np.array([1.0, 0.0, 0.0])
+        # The tie's centred term is 1 - F, as for an insignificant score.
+        assert inference.q_hat(S, t, 1.0, tail.F_hat, self.CV) == pytest.approx(
+            (1.0 - tail.F_hat) / 3.0, rel=1e-15)
+
+    def test_estimators_weight_the_tie_by_one(self):
+        # Lower bin {1.96, 1.8}, upper bin {2.1}: theta_hat = 2, and only
+        # 2.1 carries it.
+        b = make_basis(J=8)
+        s = TScoreSample.from_scores([self.CV, 1.8, 2.1, 0.4])
+        omega = np.array([1.0, 1.0, 2.0, 1.0])
+        rep = estimator.delta_hat_pb(s, b, epsilon=0.5)
+        assert rep.theta == 2.0
+        S = spectrum.kernel_S(s.t, b)
+        np.testing.assert_allclose(rep.delta, S @ omega / omega.sum(), rtol=1e-14)
+        prior = estimator.reconstruct_prior(s, b, theta_hat=rep.theta)
+        np.testing.assert_allclose(
+            prior.moments(), estimator._weighted_basis_moments(s.t, omega, b.J, b.sigmaT2),
+            rtol=1e-12)
+
+    def test_thinning_drops_ties(self, monkeypatch):
+        # Every insignificant draw survives with probability 1e-12, so a tie
+        # that counted as significant would be kept and one that does not is not.
+        draws = np.tile([self.CV, 2.5], 64)
+        monkeypatch.setattr(simulate, "_draw_prior", lambda spec, rng, m: np.zeros(m))
+        monkeypatch.setattr(simulate, "_draw_noise", lambda noise, rng, m: draws[:m])
+        s = simulate.draw_population(simulate.DgpSpec(theta0=1e-12), 20, 3)
+        assert (s.t == 2.5).all()
 
 
 class TestEstimateOrchestrator:

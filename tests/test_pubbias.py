@@ -36,10 +36,11 @@ class TestWeight:
         np.testing.assert_allclose(
             pubbias.weight(np.array([2.0, -3.5]), model), [1.0, 1.0])
 
-    def test_boundary_counts_as_significant(self):
+    def test_boundary_counts_as_insignificant(self):
+        # |t| = cv is not significant (|t| > cv is), so it gets theta.
         model = pubbias.CaliperModel(theta=0.4, cutoff=1.96)
-        assert pubbias.weight(1.96, model) == 1.0
-        assert pubbias.weight(-1.96, model) == 1.0
+        assert pubbias.weight(1.96, model) == 0.4
+        assert pubbias.weight(-1.96, model) == 0.4
 
 
 class TestEmpiricalCdfAbs:

@@ -1,11 +1,14 @@
 """Tests for the data generators, truth oracles, and coverage driver."""
 import math
+from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from mc_reference import MC_DRAWS, mc_powers
-from powergain import simulate, spectrum
+from mc_reference import MC_DRAWS, lognormal_pool_means, mc_powers
+from powergain import estimator, simulate, spectrum
+from powergain.pubbias import CaliperError
 from powergain.simulate import DgpSpec
 
 SQRT2 = math.sqrt(2.0)
@@ -195,15 +198,20 @@ class TestMonteCarloOracle:
 
 class TestLognormalMeanLaw:
     @staticmethod
-    def cell_masses(cdf):
+    def cell_masses(edges, cdf):
         # The law is piecewise uniform on a lattice of step h / (185 sd)
         # ~ 1.4e-4; differencing the CDF on a finer grid gives its moments
         # to within step^2 / 12 in the variance.
         x = np.linspace(-10.5, 40.0, 1_000_001)
-        return 0.5 * (x[1:] + x[:-1]), np.diff(cdf(x))
+        return 0.5 * (x[1:] + x[:-1]), np.diff(np.interp(x, edges, cdf))
+
+    def test_cdf_strictly_increases(self):
+        # The inverse-CDF draws interpolate u -> x, which needs this.
+        edges, cdf = simulate._lognormal_mean_cdf()
+        assert (np.diff(edges) > 0).all() and (np.diff(cdf) > 0).all()
 
     def test_moments(self):
-        mid, mass = self.cell_masses(simulate._lognormal_mean_cdf())
+        mid, mass = self.cell_masses(*simulate._lognormal_mean_cdf())
         assert abs(mass.sum() - 1.0) < 1e-9
         mean = float(mid @ mass)
         var = float((mid - mean) ** 2 @ mass)
@@ -214,12 +222,13 @@ class TestLognormalMeanLaw:
         assert abs(skew - exact_skew) < 1e-4
 
     def test_agrees_with_simulation_draws(self):
+        # The reference draws pool 185 lognormals each, independently of
+        # the table that the package draws from by inverse CDF.
         rng = np.random.default_rng(185)
-        z = np.concatenate([simulate._draw_noise("lognormal", rng, 20_000)
-                            for _ in range(10)])
-        cdf = simulate._lognormal_mean_cdf()
+        z = np.concatenate([lognormal_pool_means(rng, 20_000) for _ in range(10)])
+        edges, cdf = simulate._lognormal_mean_cdf()
         for x in (-2.5, -1.96, -1.0, 0.0, 1.0, 1.96, 2.5):
-            p = float(cdf(x))
+            p = float(np.interp(x, edges, cdf))
             sigma = math.sqrt(p * (1.0 - p) / z.size)
             assert abs(float(np.mean(z <= x)) - p) < 3.0 * sigma, x
 
@@ -293,6 +302,64 @@ class TestRunCoverage:
         assert biases[50] > biases[500] - 0.01
         assert biases[500] > biases[5000] - 0.01
         assert biases[50] > biases[5000]
+
+
+def scalar_coverage(spec, n, reps, cfg, seed):
+    """The replication loop with one ``delta_hat_pb`` call per replication.
+
+    Returns (failures by kind, coverage, mean delta, sd delta, mean SE).
+    """
+    cfg = replace(cfg, n_effective=n)
+    J, eps = spectrum.select_tuning(cfg)
+    b = spectrum.build_basis(cfg, J)
+    truth = simulate.oracle_delta(spec)
+    kinds, deltas, ses, covered = Counter(), [], [], 0
+    for stream in np.random.SeedSequence(seed).spawn(reps):
+        sample = simulate.draw_population(spec, n, stream)
+        try:
+            rep = estimator.delta_hat_pb(sample, b, eps, alpha=cfg.alpha)
+        except CaliperError:
+            kinds["empty upper bin"] += 1
+            continue
+        except estimator.EstimationError:
+            kinds["zero weights"] += 1
+            continue
+        if not math.isfinite(rep.se):
+            kinds["no se"] += 1
+            continue
+        deltas.append(rep.delta)
+        ses.append(rep.se)
+        covered += int(rep.ci_low <= truth <= rep.ci_high)
+    return (kinds, covered / len(deltas), float(np.mean(deltas)),
+            float(np.std(deltas, ddof=1)), float(np.mean(ses)))
+
+
+class TestBatchedReplications:
+    @pytest.mark.parametrize("prior, n, reps, seed, blocks", [
+        ("cauchy", 30, 60, 5, [60]),           # both failure kinds, one block
+        ("bimodal", 500, 37, 8, [16, 16, 5]),  # reps not a multiple of the block
+        ("bimodal", 9000, 3, 2, [1, 1, 1]),    # n > _CHUNK: one replication a block
+    ])
+    def test_matches_scalar_loop(self, monkeypatch, prior, n, reps, seed, blocks):
+        spec = DgpSpec(prior=prior)
+        cfg = spectrum.TuningConfig(c=SQRT2)
+        shapes = []
+        batch = simulate.delta_hat_pb_rows
+
+        def recording(t, *args, **kwargs):
+            shapes.append(t.shape)
+            return batch(t, *args, **kwargs)
+
+        monkeypatch.setattr(simulate, "delta_hat_pb_rows", recording)
+        row = simulate.run_coverage(spec, n, reps, cfg, seed)
+        assert shapes == [(k, n) for k in blocks]
+        kinds, coverage, mean_d, sd_d, mean_se = scalar_coverage(spec, n, reps, cfg, seed)
+        if n == 30:
+            assert kinds["empty upper bin"] > 0 and kinds["no se"] > 0
+        assert row.failures == sum(kinds.values())
+        assert row.coverage == coverage
+        np.testing.assert_allclose([row.mean_delta, row.sd_delta, row.mean_se],
+                                   [mean_d, sd_d, mean_se], rtol=1e-12, atol=0)
 
 
 class TestTablePresets:
