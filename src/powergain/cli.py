@@ -33,6 +33,7 @@ from .estimator import (
     estimate,
     power_gain_curve,
 )
+from .inference import _factorise
 from .pubbias import CaliperError
 from .simulate import NOISES, PRIORS, TABLE_PRESETS, CoverageRow, DgpSpec, run_coverage
 from .spectrum import TuningConfig
@@ -240,8 +241,7 @@ def read_grouped_file(path: str) -> GroupedEffects:
         path, text, skip, delim, (idx["effect"], idx["std_error"], idx["weight"]),
         (idx["group_id"],) + (() if lab_idx is None else (lab_idx,)),
         "every row needs finite numeric effect, std_error and weight")
-    _, first_row, inverse, counts = np.unique(
-        gid, return_index=True, return_inverse=True, return_counts=True)
+    _, first_row, inverse, counts = _factorise(gid, return_index=True)
     # Rows sorted by the first row of their group: groups in order of
     # appearance, members in file order (the sort is stable).
     rows = np.argsort(first_row[inverse], kind="stable")
@@ -414,8 +414,8 @@ def _parse_grid(raw: str) -> list[float]:
         raise ValueError(f"--grid must be comma-separated numbers, got {raw!r}") from exc
     if not vals:
         raise ValueError("--grid is empty")
-    if not all(v >= 1.0 for v in vals):
-        raise ValueError("every --grid value is a sample-size multiplier c^2 "
+    if not all(1.0 <= v < math.inf for v in vals):
+        raise ValueError("every --grid value is a finite sample-size multiplier c^2 "
                          f"and must be >= 1, got {raw!r}")
     grid = sorted(set(vals) | {1.0})
     return grid

@@ -78,7 +78,7 @@ class TScoreSample:
             if sid.size != t.size:
                 raise ValueError(
                     f"study_id length {sid.size} does not match {t.size} t-scores")
-            _, codes, sizes = np.unique(sid, return_inverse=True, return_counts=True)
+            _, codes, sizes = _inference._factorise(sid)
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "study_id", sid)
         object.__setattr__(self, "_cluster_codes", codes)
@@ -484,8 +484,8 @@ def power_gain_curve(
     grid = [float(c) for c in c_grid]
     if not grid:
         raise ValueError("c_grid must contain at least one scale")
-    if not all(c >= 1.0 for c in grid):
-        raise ValueError("every counterfactual scale in the grid must be >= 1")
+    if not all(1.0 <= c < math.inf for c in grid):
+        raise ValueError("every counterfactual scale in the grid must be finite and >= 1")
     if cfg.n_effective is None:
         cfg = replace(cfg, n_effective=sample.n)
     J, epsilon = _spectrum.select_tuning(cfg)
@@ -665,8 +665,10 @@ def conditional_delta(
     """
     if se_mode not in ("iid", "worstcase"):
         raise ValueError(f"se_mode must be 'iid' or 'worstcase', got {se_mode!r}")
-    if not c >= 1.0:
-        raise ValueError(f"counterfactual scale c must be >= 1, got {c}")
+    if not 1.0 <= c < math.inf:
+        raise ValueError(f"counterfactual scale c must be finite and >= 1, got {c}")
+    if not 0 < cv < math.inf:
+        raise ValueError(f"critical value must be finite and positive, got {cv}")
     data = groups if isinstance(groups, GroupedEffects) else GroupedEffects.from_groups(groups)
 
     se = data.std_errors
@@ -688,7 +690,7 @@ def conditional_delta(
             raise EstimationError(
                 "worst-case standard error needs member labels (lab identifiers) "
                 "on every group")
-        _, lab = np.unique(data.labels, return_inverse=True)
+        lab = _inference._factorise(data.labels)[1]
         per_lab = np.bincount(lab, gradients[g] * wnorm * se)
         var = float(np.dot(per_lab, per_lab))
 

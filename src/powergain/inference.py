@@ -101,6 +101,40 @@ def influence(S: np.ndarray, t, ing: InfluenceIngredients) -> np.ndarray:
     return np.asarray(S) * W + ing.Q_hat * X
 
 
+def _factorise(labels, return_index: bool = False) -> tuple[np.ndarray, ...]:
+    """Factorise labels: ``np.unique(labels, return_index=return_index,
+    return_inverse=True, return_counts=True)`` on the flattened labels.
+
+    That is (uniques[, first_index], codes, counts), with codes in
+    sorted-label order.  A str array of width k whose code points have at
+    most b bits, with k * b <= 64, is sorted on integer keys instead of
+    strings: each label packed big-endian into one uint64, b bits per code
+    point.  The zero padding of shorter labels sorts them first, so the
+    key order is NumPy's string order and every output is the same.  That
+    covers ASCII digit ids of up to 10 characters, other ASCII ids of up
+    to 9 and Latin-1 ids of up to 8.  Every other array (wider labels,
+    integers, objects) goes to ``np.unique`` as it is.
+    """
+    arr = np.asarray(labels).ravel()
+    if arr.dtype.kind == "U" and arr.size:
+        width = arr.dtype.itemsize // 4
+        native = arr.dtype.newbyteorder("=")
+        points = arr.astype(native, copy=False).view(np.uint32).reshape(arr.size, width)
+        bits = int(points.max()).bit_length()
+        if width * bits <= 64:
+            keys = np.zeros(arr.size, dtype=np.uint64)
+            for j in range(width):
+                keys <<= np.uint64(bits)
+                keys |= points[:, j]
+            keys, *rest = np.unique(keys, return_index=return_index,
+                                    return_inverse=True, return_counts=True)
+            shifts = np.uint64(bits) * np.arange(width - 1, -1, -1, dtype=np.uint64)
+            unpacked = (keys[:, None] >> shifts) & np.uint64((1 << bits) - 1)
+            uniques = unpacked.astype(np.uint32).view(native).ravel().astype(arr.dtype)
+            return (uniques, *rest)
+    return np.unique(arr, return_index=return_index, return_inverse=True, return_counts=True)
+
+
 def variance_hat(values, study_id):
     """Cluster-robust variance of a sample mean of influence values.
 
@@ -127,7 +161,7 @@ def variance_hat(values, study_id):
     # codes, index the blocks as they are: an absent label is an empty
     # block, which adds exactly 0.  Other labels are factorised first.
     if not (codes.dtype.kind in "iu" and codes.min() >= 0 and codes.max() < n):
-        codes = np.unique(codes, return_inverse=True)[1]
+        codes = _factorise(codes)[1]
     lo, hi = int(codes.min()), int(codes.max())
     if lo == hi:
         # One cluster: the centered full-sample sum is identically zero.

@@ -92,10 +92,10 @@ class DgpSpec:
                 f"unknown noise {self.noise!r}; valid options: {', '.join(NOISES)}")
         if not 0.0 < self.theta0 <= 1.0:
             raise ValueError(f"theta0 must be in (0, 1], got {self.theta0}")
-        if not self.cv > 0:
-            raise ValueError(f"cv must be positive, got {self.cv}")
-        if not self.c >= 1.0:
-            raise ValueError(f"counterfactual scale c must be >= 1, got {self.c}")
+        if not 0 < self.cv < math.inf:
+            raise ValueError(f"cv must be finite and positive, got {self.cv}")
+        if not 1.0 <= self.c < math.inf:
+            raise ValueError(f"counterfactual scale c must be finite and >= 1, got {self.c}")
         masses = tuple(float(m) for m in self.fitted_masses)
         if any(m < 0 for m in masses) or abs(sum(masses) - 1.0) > 1e-9:
             raise ValueError("fitted_masses must be non-negative and sum to 1")

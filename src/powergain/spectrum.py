@@ -41,17 +41,18 @@ class TuningConfig:
     n_effective: int | None = None
 
     def __post_init__(self) -> None:
-        if not self.c >= 1.0:
-            raise ValueError(f"counterfactual scale c must be >= 1, got {self.c}")
-        if not self.cv > 0:
-            raise ValueError(f"critical value must be positive, got {self.cv}")
+        # Chained comparisons are False for NaN, so NaN fails each check.
+        if not 1.0 <= self.c < math.inf:
+            raise ValueError(f"counterfactual scale c must be finite and >= 1, got {self.c}")
+        if not 0 < self.cv < math.inf:
+            raise ValueError(f"critical value must be finite and positive, got {self.cv}")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
-        if not self.sigmaT2 > 0:
-            raise ValueError(f"sigmaT2 must be positive, got {self.sigmaT2}")
-        if not (self.C > 0 and self.D > 0):
-            raise ValueError(
-                f"tuning constants C and D must be positive, got C={self.C}, D={self.D}")
+        if not 0 < self.sigmaT2 < math.inf:
+            raise ValueError(f"sigmaT2 must be finite and positive, got {self.sigmaT2}")
+        if not (0 < self.C < math.inf and 0 < self.D < math.inf):
+            raise ValueError("tuning constants C and D must be finite and positive, "
+                             f"got C={self.C}, D={self.D}")
         if self.n_effective is not None and self.n_effective < 2:
             raise ValueError(f"n_effective must be at least 2, got {self.n_effective}")
 

@@ -144,6 +144,31 @@ class TestReadGroupedFile:
         groups = read_grouped_file(str(p))
         assert groups[0].effects.size == 2 and groups[1].effects.size == 1
 
+    def test_group_order_with_short_and_long_ids(self, tmp_path, monkeypatch):
+        # Mixed-length ids, sorted on 64-bit integer keys when short and as
+        # strings when 10 characters longer: either way groups come in order
+        # of first appearance, with members in file order.
+        short = ["10", "9", "", "09", "é", "ÿa", "9", "10", "09", "é"]
+        sorted_dtypes = []
+        real_unique = np.unique
+
+        def recording_unique(ar, **kwargs):
+            sorted_dtypes.append(np.asarray(ar).dtype.kind)
+            return real_unique(ar, **kwargs)
+
+        monkeypatch.setattr(np, "unique", recording_unique)
+        for cells in (short, [g + "x" * 10 for g in short]):
+            p = tmp_path / "g.csv"
+            p.write_text("group_id,effect,std_error,weight\n" + "".join(
+                f"{g},{k},1,1\n" for k, g in enumerate(cells)))
+            groups = read_grouped_file(str(p))
+            order = list(dict.fromkeys(cells))
+            assert len(groups) == len(order)
+            for group, g in zip(groups, order):
+                np.testing.assert_array_equal(
+                    group.effects, [k for k, c in enumerate(cells) if c == g])
+        assert sorted_dtypes == ["u", "U"]
+
     @pytest.mark.parametrize("header", ["group_id,effect,std_error,weight\n", ""],
                              ids=["header", "headerless"])
     def test_byte_order_mark(self, tmp_path, header):
@@ -459,6 +484,21 @@ class TestConditionalCommand:
         assert "lab" in capsys.readouterr().err.lower()
 
 
+#: One non-finite value per tuning flag, and a phrase of its error message.
+INFINITE_FLAGS = [
+    (("estimate", "--c2", "inf"), "counterfactual scale c must be finite"),
+    (("estimate", "--cv", "inf"), "critical value must be finite"),
+    (("estimate", "--sigma-t2", "inf"), "sigmaT2 must be finite"),
+    (("estimate", "--const-C", "inf"), "C and D must be finite"),
+    (("estimate", "--const-D", "inf"), "C and D must be finite"),
+    (("curve", "--grid", "2,inf"), "finite sample-size multiplier"),
+    (("conditional", "--c2", "inf"), "counterfactual scale c must be finite"),
+    (("conditional", "--cv", "inf"), "critical value must be finite"),
+    (("simulate", "--c2", "inf"), "counterfactual scale c must be finite"),
+    (("simulate", "--cv", "inf"), "cv must be finite"),
+]
+
+
 class TestParser:
     @pytest.mark.parametrize("flags", [
         ("estimate", "--c2", "nan"),
@@ -479,6 +519,23 @@ class TestParser:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "nan" in captured.err
+
+    @pytest.mark.parametrize("flags, message", INFINITE_FLAGS,
+                             ids=[" ".join(f) for f, _ in INFINITE_FLAGS])
+    def test_infinite_flag_is_exit_two(self, tmp_path, capsys, flags, message):
+        if flags[0] == "conditional":
+            data = tmp_path / "g.csv"
+            data.write_text("group_id,effect,std_error,weight\nstudy,2.8016,1.0,1.0\n")
+            argv = [flags[0], str(data), *flags[1:]]
+        elif flags[0] == "simulate":
+            argv = [*flags, "--dgp", "truenull", "--n", "50", "--reps", "2"]
+        else:
+            argv = [flags[0], write_balanced(tmp_path / "d.csv"), *flags[1:]]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and message in captured.err
+        assert "inf" in captured.err
 
     def test_invalid_choice_is_exit_two(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -61,6 +61,20 @@ class TestTScoreSample:
         # The estimate reads the stored codes and factorises nothing.
         assert len(calls) == 2
 
+    def test_string_labels_give_the_se_of_unique_codes(self):
+        # 10^5 scores over mixed-length string labels, whose sorted order is
+        # not the numeric one: the SE equals, bit for bit, the SE on the
+        # codes that np.unique gives for the raw strings.
+        rng = np.random.default_rng(11)
+        t = rng.normal(1.0, 1.5, 10**5)
+        labels = np.array([f"s{k}" for k in rng.integers(0, 20000, t.size)])
+        labelled = TScoreSample.from_scores(t, study_id=labels)
+        coded = TScoreSample.from_scores(
+            t, study_id=np.unique(labels, return_inverse=True)[1])
+        np.testing.assert_array_equal(labelled._cluster_codes, coded._cluster_codes)
+        cfg = make_config()
+        assert estimator.estimate(labelled, cfg).se == estimator.estimate(coded, cfg).se
+
     def test_equality_is_identity(self):
         a = TScoreSample.from_scores([1.0, 2.0])
         b = TScoreSample.from_scores([1.0, 2.0])

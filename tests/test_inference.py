@@ -167,6 +167,49 @@ class TestVarianceHat:
         np.testing.assert_allclose(a, b, rtol=1e-15)
 
 
+#: Labels for the factorisation tests, and whether each goes to the integer
+#: keys (k code points of b bits, k * b <= 64) or to np.unique on the labels.
+FACTORISE_CASES = {
+    "mixed-length digits": (np.array(["9", "10", "09", "", "9", "10", "0"]), True),
+    "10 digits": (np.array(["1234567890", "0123456789", "9", "1234567890"]), True),
+    "11 digits": (np.array(["12345678901", "1", "12345678901", "02345678901"]), False),
+    "9 lowercase": (np.array(["abcdefghi", "zz", "abcdefghi", "a"]), True),
+    "10 lowercase": (np.array(["abcdefghij", "zz", "abcdefghij", "a"]), False),
+    "latin-1": (np.array(["é", "ÿa", "e", "ÿ", "é", "ÿa"]), True),
+    "cjk": (np.array(["中文", "中", "文中", "中文", ""]), True),
+    "astral": (np.array(["😀", "😀a", "a😀😀", "😀", "\U0010ffff"]), True),
+    "4 astral": (np.array(["😀😀😀😀", "😀", "a"]), False),
+    "embedded nul": (np.array(["a\x00b", "a", "ab", "a\x00b", "\x00"]), True),
+    "non-contiguous slice": (np.array(["b", "x", "a", "x", "b", "y", "c", "y"])[::2], True),
+    "big-endian": (np.array(["中文", "é", "😀", "a", "中文"], dtype=">U2"), True),
+    "integers": (np.array([30, 1, 30, 2, -5]), False),
+    "objects": (np.array(["b", "a", "b", "ccc"], dtype=object), False),
+}
+
+
+class TestFactorise:
+    @pytest.mark.parametrize("return_index", [False, True], ids=["no-index", "index"])
+    @pytest.mark.parametrize("case", list(FACTORISE_CASES))
+    def test_matches_unique(self, monkeypatch, case, return_index):
+        labels, packed = FACTORISE_CASES[case]
+        expected = np.unique(labels, return_index=return_index,
+                             return_inverse=True, return_counts=True)
+        sorted_dtypes = []
+        real_unique = np.unique
+
+        def recording_unique(ar, **kwargs):
+            sorted_dtypes.append(np.asarray(ar).dtype)
+            return real_unique(ar, **kwargs)
+
+        monkeypatch.setattr(np, "unique", recording_unique)
+        got = inference._factorise(labels, return_index=return_index)
+        assert sorted_dtypes == [np.dtype(np.uint64) if packed else labels.dtype]
+        assert len(got) == len(expected)
+        for g, e in zip(got, expected):
+            assert g.dtype == e.dtype
+            np.testing.assert_array_equal(g, e)
+
+
 class TestConfidenceInterval:
     def test_frozen_value(self):
         lo, hi = inference.confidence_interval(0.072, 0.025 ** 2)
