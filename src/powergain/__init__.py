@@ -12,10 +12,8 @@ from .basis import (
     J_MAX,
     conditional_power,
     gaussian_pdf,
-    hermite_normalized,
     hermite_sequence,
     integrate_basis,
-    normal_cdf,
     normal_quantile,
 )
 from .spectrum import (
@@ -30,18 +28,13 @@ from .spectrum import (
 )
 from .pubbias import (
     CaliperError,
-    CaliperModel,
     EmpiricalTail,
     caliper_tail,
-    empirical_cdf_abs,
-    estimate_theta,
     significant,
-    weight,
 )
 from .estimator import (
     ConditionalReport,
     CurvePoint,
-    EffectGroup,
     EstimateReport,
     EstimationError,
     GroupedEffects,
@@ -49,20 +42,16 @@ from .estimator import (
     RowEstimates,
     TScoreSample,
     conditional_delta,
-    delta_hat,
     delta_hat_pb,
     delta_hat_pb_rows,
     estimate,
-    naive_rescaled_share,
     power_gain_curve,
-    reconstruct_densities,
     reconstruct_prior,
     status_quo_power,
 )
 from .inference import (
     InfluenceIngredients,
     confidence_interval,
-    equality_test,
     influence,
     q_hat,
     selection_weight,
@@ -87,10 +76,8 @@ __all__ = [
     "J_MAX",
     "conditional_power",
     "gaussian_pdf",
-    "hermite_normalized",
     "hermite_sequence",
     "integrate_basis",
-    "normal_cdf",
     "normal_quantile",
     "SpectralBasis",
     "TuningConfig",
@@ -101,16 +88,11 @@ __all__ = [
     "select_tuning",
     "singular_values",
     "CaliperError",
-    "CaliperModel",
     "EmpiricalTail",
     "caliper_tail",
-    "empirical_cdf_abs",
-    "estimate_theta",
     "significant",
-    "weight",
     "ConditionalReport",
     "CurvePoint",
-    "EffectGroup",
     "EstimateReport",
     "EstimationError",
     "GroupedEffects",
@@ -118,18 +100,14 @@ __all__ = [
     "RowEstimates",
     "TScoreSample",
     "conditional_delta",
-    "delta_hat",
     "delta_hat_pb",
     "delta_hat_pb_rows",
     "estimate",
-    "naive_rescaled_share",
     "power_gain_curve",
-    "reconstruct_densities",
     "reconstruct_prior",
     "status_quo_power",
     "InfluenceIngredients",
     "confidence_interval",
-    "equality_test",
     "influence",
     "q_hat",
     "selection_weight",

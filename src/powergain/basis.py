@@ -2,7 +2,7 @@
 
 The estimator expands everything in *normalized probabilists'* Hermite
 polynomials He_j (orthonormal under the standard normal weight).  This
-module provides their stable evaluation, the Gaussian pdf/cdf helpers used
+module provides their stable evaluation, the Gaussian pdf and quantile used
 throughout, the two-sided conditional power function, and exact definite
 integrals of scaled basis polynomials over symmetric intervals.
 """
@@ -26,29 +26,6 @@ def _check_degree(j: int) -> int:
     if j > J_MAX:
         raise ValueError(f"polynomial degree {j} exceeds the supported cap {J_MAX}")
     return int(j)
-
-
-def hermite_normalized(j: int, x):
-    """Evaluate the normalized probabilists' Hermite polynomial He_j.
-
-    Row ``j`` of :func:`hermite_sequence`, reshaped to match ``x``.
-
-    Parameters
-    ----------
-    j : int
-        Polynomial degree, ``0 <= j <= J_MAX``.
-    x : float or ndarray
-        Evaluation points.
-
-    Returns
-    -------
-    float or ndarray
-        ``He_j(x)``, matching the shape of ``x``.
-    """
-    j = _check_degree(j)
-    arr = np.asarray(x, dtype=float)
-    out = hermite_sequence(arr, j)[j].reshape(arr.shape)
-    return out if arr.ndim else float(out)
 
 
 def hermite_sequence(x, jmax: int) -> np.ndarray:
@@ -102,13 +79,6 @@ def gaussian_pdf(x, variance: float = 1.0):
         raise ValueError(f"variance must be positive, got {variance}")
     arr = np.asarray(x, dtype=float)
     out = np.exp(-(arr * arr) / (2.0 * variance)) / math.sqrt(2.0 * math.pi * variance)
-    return out if arr.ndim else float(out)
-
-
-def normal_cdf(x):
-    """Standard normal CDF, accurate to better than 1e-15 absolute."""
-    arr = np.asarray(x, dtype=float)
-    out = special.ndtr(arr)
     return out if arr.ndim else float(out)
 
 

@@ -371,8 +371,17 @@ def _emit(args: argparse.Namespace, text: str, payload: dict) -> None:
 # ---------------------------------------------------------------------------
 # subcommands
 
+def _c_from_args(args: argparse.Namespace) -> float:
+    """The counterfactual scale c = sqrt(--c2), once --c2 is known to be valid."""
+    # A chained comparison is False for NaN, so NaN fails the check.
+    if not 1.0 <= args.c2 < math.inf:
+        raise ValueError("--c2 is the sample-size multiplier c^2, so the counterfactual "
+                         f"scale c must be finite and >= 1; got --c2 {args.c2}")
+    return math.sqrt(args.c2)
+
+
 def _tuning_from_args(args: argparse.Namespace, n_effective: int | None = None) -> TuningConfig:
-    return TuningConfig(c=math.sqrt(args.c2), cv=args.cv, alpha=args.alpha,
+    return TuningConfig(c=_c_from_args(args), cv=args.cv, alpha=args.alpha,
                         sigmaT2=args.sigma_t2, C=args.const_C, D=args.const_D,
                         n_effective=n_effective)
 
@@ -458,7 +467,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     for n in ns:
         for prior in dgps:
             spec = DgpSpec(prior=prior, noise=noise, theta0=args.theta0,
-                           cv=args.cv, c=math.sqrt(args.c2))
+                           cv=args.cv, c=_c_from_args(args))
             cfg = _tuning_from_args(args)
             row = run_coverage(spec, n, args.reps, cfg, args.seed + cell)
             cell += 1
@@ -482,7 +491,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_conditional(args: argparse.Namespace) -> int:
     groups = read_grouped_file(args.dataset)
-    report = conditional_delta(groups, c=math.sqrt(args.c2), cv=args.cv,
+    report = conditional_delta(groups, c=_c_from_args(args), cv=args.cv,
                                se_mode=args.se).to_dict()
     payload = {"command": "conditional", "report": report,
                "manifest": _manifest(args, args.dataset)}

@@ -3,10 +3,10 @@
 The headline quantity is the gain in the expected share of significant
 t-scores had every experiment's sample size been multiplied by ``c**2``.
 This module implements the spectral estimator with and without the
-publication-bias correction, the reconstructed prior of true effects and
-the implied t-score densities, power-gain curves over a grid of
-counterfactual scales, and the conditional (replication-design) estimator
-that holds the realized true effects fixed.
+publication-bias correction, the reconstructed prior of true effects,
+power-gain curves over a grid of counterfactual scales, and the
+conditional (replication-design) estimator that holds the realized true
+effects fixed.
 """
 from __future__ import annotations
 
@@ -27,18 +27,14 @@ __all__ = [
     "EstimateReport",
     "PriorReconstruction",
     "CurvePoint",
-    "EffectGroup",
     "GroupedEffects",
     "ConditionalReport",
     "RowEstimates",
     "status_quo_power",
-    "naive_rescaled_share",
-    "delta_hat",
     "delta_hat_pb",
     "delta_hat_pb_rows",
     "estimate",
     "reconstruct_prior",
-    "reconstruct_densities",
     "power_gain_curve",
     "conditional_delta",
 ]
@@ -126,28 +122,12 @@ class EstimateReport:
         return {**asdict(self), "flags": list(self.flags)}
 
 
-def _as_scores(sample) -> np.ndarray:
-    return sample.t if isinstance(sample, TScoreSample) else np.asarray(sample, dtype=float).ravel()
-
-
 def status_quo_power(sample, cv: float = 1.96) -> float:
     """Observed share of significant results: (1/n) * sum 1{|t_i| > cv}."""
-    t = _as_scores(sample)
+    t = sample.t if isinstance(sample, TScoreSample) else np.asarray(sample, dtype=float).ravel()
     if t.size == 0:
         raise ValueError("status-quo power of an empty sample is undefined")
     return float(np.mean(_pubbias.significant(t, cv)))
-
-
-def naive_rescaled_share(sample, c: float, cv: float = 1.96) -> float:
-    """Share of |c * t_i| above the critical value.
-
-    This is the fallacious "rescale the observed t-scores" calculation: it
-    multiplies realized noise along with the signal, so it badly
-    overstates the gain (e.g. it reports a large share even when every
-    true effect is zero).  Provided as a diagnostic foil for ``delta_hat``.
-    """
-    t = _as_scores(sample)
-    return float(np.mean(_pubbias.significant(c * t, cv)))
 
 
 #: Row statuses of the estimation core: why a row has no interval.
@@ -229,26 +209,6 @@ def _estimate_rows(t, S, codes, cv, epsilon, alpha, caliper=None) -> RowEstimate
                         theta=theta, status=status)
 
 
-def _checked_caliper(t: np.ndarray, epsilon: float, cv: float):
-    """``caliper_tail`` of one sample as a row; raises if its upper bin is empty."""
-    theta, tail = _pubbias.caliper_tail(t[None], epsilon, cv)
-    if tail.count_above[0] == 0:
-        raise _pubbias.CaliperError.empty_upper_bin(epsilon, cv)
-    return theta, tail
-
-
-def delta_hat(sample: TScoreSample, b: _spectrum.SpectralBasis) -> float:
-    """Power-gain estimate without publication-bias correction.
-
-    Equals the sample mean of the kernel ``S``: the estimator replaces the
-    basis moments of the t-score density with sample means and contracts
-    them against the contrast coefficients ``a_j``.  Identically zero when
-    the basis was built for c = 1.
-    """
-    S = _spectrum.kernel_S(_as_scores(sample), b)[None]
-    return float(_kernel_means(S, np.ones_like(S))[0][0])
-
-
 def _report(
     sample: TScoreSample,
     b: _spectrum.SpectralBasis,
@@ -265,16 +225,18 @@ def _report(
     mean is reweighted by the caliper estimate theta_hat and the standard
     error comes from the influence function; without it every weight is 1
     and the standard error is the cluster sandwich of the kernel values.
-    ``S`` and ``caliper`` may be passed in when the caller has them.
+    ``S`` and ``caliper`` may be passed in when the caller has them.  The
+    row status decides the errors: ``CaliperError`` for an empty upper
+    caliper bin, ``EstimationError`` for selection weights summing to zero.
     """
     t = sample.t
-    if pb and caliper is None:
-        caliper = _checked_caliper(t, epsilon, b.cv)
     if S is None:
         S = _spectrum.kernel_S(t, b)
     rows = _estimate_rows(t[None], S[None], sample._cluster_codes, b.cv,
                           epsilon if pb else None, alpha, caliper)
     status = rows.status[0]
+    if status == ROW_EMPTY_UPPER_BIN:
+        raise _pubbias.CaliperError.empty_upper_bin(epsilon, b.cv)
     if status == ROW_ZERO_WEIGHTS:
         raise EstimationError(_ZERO_WEIGHTS)
     flags: tuple[str, ...] = ()
@@ -367,7 +329,7 @@ def _weighted_basis_moments(
     return num / float(omega.sum())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PriorReconstruction:
     """Series coefficients of the deconvolved distribution of true effects.
 
@@ -376,6 +338,7 @@ class PriorReconstruction:
     serve every counterfactual scale: estimate once, evaluate the gain for
     each c of interest.  The series is a raw polynomial (spectral cutoff),
     so pointwise values can be negative — treat plots as diagnostics.
+    ``==`` is identity: the array fields have no single truth value.
     """
 
     coefficients: np.ndarray
@@ -399,11 +362,6 @@ class PriorReconstruction:
         b = self.basis
         return float(np.sum(self.coefficients * b.eta * b.lam * b.a))
 
-    def moments(self) -> np.ndarray:
-        """Weighted basis moments of the observed t-score density."""
-        b = self.basis
-        return self.coefficients * b.eta * b.lam
-
 
 def reconstruct_prior(
     sample: TScoreSample,
@@ -426,29 +384,6 @@ def reconstruct_prior(
     moments = _weighted_basis_moments(t, omega, b.J, b.sigmaT2)
     coeff = moments / (b.eta * b.lam)
     return PriorReconstruction(coefficients=coeff, basis=b, theta=theta_hat)
-
-
-def reconstruct_densities(prior: PriorReconstruction, t):
-    """Series estimates of the factual and counterfactual t-score densities.
-
-    f_T(t)  = sum_j psi_j(t) m_j
-    f_Tc(t) = sum_j phi_j(t / c) m_j / (c lambda_j)
-
-    with m_j the (weighted) basis moments.  Both are truncated polynomial
-    series: they may dip negative far from the origin (Gibbs phenomenon)
-    and are meant for integrals over the rejection region and for plots,
-    not as bona fide densities.  At c = 1 the two coincide pointwise.
-    """
-    b = prior.basis
-    m = prior.moments()
-    arr = np.atleast_1d(np.asarray(t, dtype=float))
-    sigma_t = math.sqrt(b.sigmaT2)
-    f_t = m @ _basis.hermite_sequence(arr / sigma_t, b.J)
-    phi_scale = b.counterfactual_scale
-    f_tc = (m / (b.c * b.lam)) @ _basis.hermite_sequence(arr / (b.c * phi_scale), b.J)
-    if np.ndim(t):
-        return f_t, f_tc
-    return float(f_t[0]), float(f_tc[0])
 
 
 @dataclass(frozen=True)
@@ -489,7 +424,7 @@ def power_gain_curve(
     if cfg.n_effective is None:
         cfg = replace(cfg, n_effective=sample.n)
     J, epsilon = _spectrum.select_tuning(cfg)
-    caliper = _checked_caliper(sample.t, epsilon, cfg.cv) if pb else None
+    caliper = _pubbias.caliper_tail(sample.t[None], epsilon, cfg.cv) if pb else None
     bases = [_spectrum.build_basis(replace(cfg, c=c), J) for c in grid]
     kernels = _spectrum.kernel_S_grid(sample.t, bases)
 
@@ -501,78 +436,18 @@ def power_gain_curve(
     return points
 
 
-def _member_columns(effects, std_errors, weights, labels, sizes=None):
-    """Member columns as flat arrays, checked once for every group.
-
-    ``sizes`` gives the members per consecutive group (``None``: one
-    group).  Shared by ``EffectGroup`` and ``GroupedEffects``, so both
-    raise the same ``ValueError``s; of the std_error and weight checks, the
-    one failing in the earliest group is raised, as building the groups one
-    by one would.  Returns (effects, std_errors, weights, labels, sizes).
-    """
-    eff = np.asarray(effects, dtype=float).ravel()
-    se = np.asarray(std_errors, dtype=float).ravel()
-    w = np.asarray(weights, dtype=float).ravel()
-    sizes = np.asarray(eff.size if sizes is None else sizes, dtype=np.intp).ravel()
-    if eff.size == 0 or np.any(sizes <= 0):
-        raise ValueError("effect group must be non-empty")
-    if se.size != eff.size or w.size != eff.size:
-        raise ValueError("effects, std_errors and weights must share one length")
-    if sizes.sum() != eff.size:
-        raise ValueError(f"group sizes sum to {sizes.sum()}, not to the "
-                         f"{eff.size} members")
-    if not (np.isfinite(eff).all() and np.isfinite(se).all() and np.isfinite(w).all()):
-        raise ValueError("effects, std_errors and weights must be finite")
-    starts = np.cumsum(sizes) - sizes
-    bad_se = np.logical_or.reduceat(se <= 0, starts)
-    bad_w = np.logical_or.reduceat(w < 0, starts) | (np.add.reduceat(w, starts) == 0.0)
-    bad = bad_se | bad_w
-    if bad.any():
-        if bad_se[np.argmax(bad)]:
-            raise ValueError("every std_error must be strictly positive")
-        raise ValueError("weights must be non-negative and not all zero")
-    lab = None
-    if labels is not None:
-        lab = np.asarray(labels).ravel()
-        if lab.size != eff.size:
-            raise ValueError("labels must match the number of effects")
-    return eff, se, w, lab, sizes
-
-
-@dataclass(frozen=True, eq=False)
-class EffectGroup:
-    """Replicated effect estimates that share one true effect.
-
-    ``effects`` are the reported effect sizes across replications,
-    ``std_errors`` their (true) standard errors, ``weights`` the averaging
-    weights (typically sample sizes).  ``labels`` optionally identify the
-    lab/site of each member; they are required only for the worst-case
-    correlated standard error.  ``==`` is identity, as for
-    ``GroupedEffects``.
-    """
-
-    effects: np.ndarray
-    std_errors: np.ndarray
-    weights: np.ndarray
-    labels: np.ndarray | None = None
-
-    def __post_init__(self) -> None:
-        eff, se, w, lab, _ = _member_columns(
-            self.effects, self.std_errors, self.weights, self.labels)
-        for name, col in (("effects", eff), ("std_errors", se), ("weights", w),
-                          ("labels", lab)):
-            object.__setattr__(self, name, col)
-
-
 @dataclass(frozen=True, eq=False)
 class GroupedEffects:
     """Every effect group of a replication design, stored as member columns.
 
+    Each group holds replicated estimates of one true effect.
     ``effects``, ``std_errors`` and ``weights`` (and ``labels``, if given)
     hold the members group after group, in member order within a group;
-    ``sizes[k]`` is the member count of group k.  Validation is the same
-    as ``EffectGroup``'s, done once for all groups.  ``len()``, indexing
-    and iteration give the groups as ``EffectGroup`` slices.  ``==`` is
+    ``sizes[k]`` is the member count of group k.  ``effects`` are the
+    reported effect sizes, ``std_errors`` their (true) standard errors,
+    ``weights`` the averaging weights within a group (typically sample
+    sizes).  ``labels`` optionally identify the lab or site of each member;
+    only the worst-case correlated standard error needs them.  ``==`` is
     identity: the array fields have no single truth value.
     """
 
@@ -581,40 +456,39 @@ class GroupedEffects:
     weights: np.ndarray
     sizes: np.ndarray
     labels: np.ndarray | None = None
-    _ends: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        eff, se, w, lab, sizes = _member_columns(
-            self.effects, self.std_errors, self.weights, self.labels, self.sizes)
+        # Of the std_error and weight checks, the one failing in the
+        # earliest group is raised.
+        eff = np.asarray(self.effects, dtype=float).ravel()
+        se = np.asarray(self.std_errors, dtype=float).ravel()
+        w = np.asarray(self.weights, dtype=float).ravel()
+        sizes = np.asarray(self.sizes, dtype=np.intp).ravel()
+        if eff.size == 0 or np.any(sizes <= 0):
+            raise ValueError("effect group must be non-empty")
+        if se.size != eff.size or w.size != eff.size:
+            raise ValueError("effects, std_errors and weights must share one length")
+        if sizes.sum() != eff.size:
+            raise ValueError(f"group sizes sum to {sizes.sum()}, not to the "
+                             f"{eff.size} members")
+        if not (np.isfinite(eff).all() and np.isfinite(se).all() and np.isfinite(w).all()):
+            raise ValueError("effects, std_errors and weights must be finite")
+        starts = np.cumsum(sizes) - sizes
+        bad_se = np.logical_or.reduceat(se <= 0, starts)
+        bad_w = np.logical_or.reduceat(w < 0, starts) | (np.add.reduceat(w, starts) == 0.0)
+        bad = bad_se | bad_w
+        if bad.any():
+            if bad_se[np.argmax(bad)]:
+                raise ValueError("every std_error must be strictly positive")
+            raise ValueError("weights must be non-negative and not all zero")
+        lab = None
+        if self.labels is not None:
+            lab = np.asarray(self.labels).ravel()
+            if lab.size != eff.size:
+                raise ValueError("labels must match the number of effects")
         for name, col in (("effects", eff), ("std_errors", se), ("weights", w),
-                          ("labels", lab), ("sizes", sizes), ("_ends", np.cumsum(sizes))):
+                          ("labels", lab), ("sizes", sizes)):
             object.__setattr__(self, name, col)
-
-    @classmethod
-    def from_groups(cls, groups: Sequence[EffectGroup]) -> "GroupedEffects":
-        """Concatenate groups; labels are kept only if every group has them."""
-        if not len(groups):
-            raise ValueError("need at least one effect group")
-        labels = None
-        if all(g.labels is not None for g in groups):
-            labels = np.concatenate([g.labels for g in groups])
-        return cls(effects=np.concatenate([g.effects for g in groups]),
-                   std_errors=np.concatenate([g.std_errors for g in groups]),
-                   weights=np.concatenate([g.weights for g in groups]),
-                   sizes=[g.effects.size for g in groups], labels=labels)
-
-    def __len__(self) -> int:
-        return int(self.sizes.size)
-
-    def __getitem__(self, k: int) -> EffectGroup:
-        k = range(len(self))[k]  # counts negative k from the end; IndexError if out of range
-        a, b = self._ends[k] - self.sizes[k], self._ends[k]
-        return EffectGroup(effects=self.effects[a:b], std_errors=self.std_errors[a:b],
-                           weights=self.weights[a:b],
-                           labels=None if self.labels is None else self.labels[a:b])
-
-    def __iter__(self):
-        return (self[k] for k in range(len(self)))
 
 
 @dataclass(frozen=True)
@@ -639,7 +513,7 @@ def _power_slope(x, cv: float):
 
 
 def conditional_delta(
-    groups: GroupedEffects | Sequence[EffectGroup],
+    data: GroupedEffects,
     c: float,
     cv: float = 1.96,
     se_mode: str = "iid",
@@ -659,9 +533,8 @@ def conditional_delta(
     same lab (identified by member ``labels``) are perfectly correlated
     across groups, which is the conservative clustering.
 
-    ``groups`` is a ``GroupedEffects`` or a sequence of ``EffectGroup``s,
-    which is concatenated into one first.  Either way every group is
-    estimated in one vectorised pass over the member columns.
+    Every group is estimated in one vectorised pass over the member
+    columns of ``data``.
     """
     if se_mode not in ("iid", "worstcase"):
         raise ValueError(f"se_mode must be 'iid' or 'worstcase', got {se_mode!r}")
@@ -669,10 +542,9 @@ def conditional_delta(
         raise ValueError(f"counterfactual scale c must be finite and >= 1, got {c}")
     if not 0 < cv < math.inf:
         raise ValueError(f"critical value must be finite and positive, got {cv}")
-    data = groups if isinstance(groups, GroupedEffects) else GroupedEffects.from_groups(groups)
 
     se = data.std_errors
-    n_groups, n_members = len(data), se.size
+    n_groups, n_members = data.sizes.size, se.size
     g = np.repeat(np.arange(n_groups), data.sizes)
     wnorm = data.weights / np.bincount(g, data.weights, n_groups)[g]
     b_bar = np.bincount(g, wnorm * data.effects, n_groups)

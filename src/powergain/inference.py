@@ -15,17 +15,12 @@ shape (R, 1).  Reductions then give one value per row.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import basis as _basis
 from .pubbias import significant
-
-if TYPE_CHECKING:  # pragma: no cover - import only for annotations
-    from .estimator import EstimateReport
 
 
 @dataclass(frozen=True)
@@ -184,17 +179,3 @@ def confidence_interval(delta_hat: float, v_hat: float, alpha: float = 0.05) -> 
     half = _basis.normal_quantile(1.0 - alpha / 2.0) * np.sqrt(v_hat)
     return delta_hat - half, delta_hat + half
 
-
-def equality_test(report_a: "EstimateReport", report_b: "EstimateReport") -> float:
-    """Two-sided p-value for equal power gains in two independent samples.
-
-    Treats the two estimates as independent normals:
-    z = (delta_a - delta_b) / sqrt(se_a^2 + se_b^2).  With zero combined
-    variance the test degenerates: p = 1 for equal estimates, 0 otherwise.
-    """
-    diff = report_a.delta - report_b.delta
-    var = report_a.se**2 + report_b.se**2
-    if var == 0.0:
-        return 1.0 if diff == 0.0 else 0.0
-    z = diff / math.sqrt(var)
-    return float(2.0 * _basis.normal_cdf(-abs(z)))

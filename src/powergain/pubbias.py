@@ -21,34 +21,18 @@ class CaliperError(Exception):
 
 
 @dataclass(frozen=True)
-class CaliperModel:
-    """Parameters of the selective-publication weight function."""
-
-    theta: float
-    cutoff: float = 1.96
-    epsilon: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.theta <= 0:
-            raise ValueError(f"theta must be positive, got {self.theta}")
-        if self.cutoff <= 0:
-            raise ValueError(f"cutoff must be positive, got {self.cutoff}")
-        if self.epsilon is not None and self.epsilon <= 0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
-
-
-@dataclass(frozen=True)
 class EmpiricalTail:
     """Bin masses and counts around the cutoff, plus the |t| CDF there.
 
-    Scalars from ``estimate_theta``; one entry per row from ``caliper_tail``.
+    One entry per row of the scores given to ``caliper_tail`` (0-d arrays
+    for a flat sample); ``n`` is the row length.
     """
 
-    F_hat: float
-    B_plus: float
-    B_minus: float
-    count_above: int
-    count_below: int
+    F_hat: np.ndarray
+    B_plus: np.ndarray
+    B_minus: np.ndarray
+    count_above: np.ndarray
+    count_below: np.ndarray
     n: int
 
 
@@ -63,32 +47,16 @@ def significant(t, cutoff: float):
     return np.abs(t) > cutoff
 
 
-def weight(t, model: CaliperModel):
-    """Publication probability w(t) = 1 if t is significant else theta.
-
-    |t| exactly equal to the cutoff is insignificant (see ``significant``).
-    """
-    arr = np.asarray(t, dtype=float)
-    out = np.where(significant(arr, model.cutoff), 1.0, model.theta)
-    return out if arr.ndim else float(out)
-
-
-def empirical_cdf_abs(t, x: float) -> float:
-    """Fraction of the sample with |t_i| <= x (inclusive)."""
-    arr = np.asarray(t, dtype=float)
-    if arr.size == 0:
-        raise ValueError("empirical CDF of an empty sample is undefined")
-    return float(np.mean(~significant(arr, x)))
-
-
 def caliper_tail(t, epsilon: float, cutoff: float = 1.96) -> tuple[np.ndarray, EmpiricalTail]:
-    """theta_hat and the tail of every row of t, along its last axis.
+    """Jump estimator: theta_hat and the tail of every row of t, along its last axis.
 
-    The lower bin is |t| in (cutoff - eps, cutoff], the upper bin
-    (cutoff, cutoff + eps].  Returns arrays with one entry per row (0-d
-    for a flat t); theta_hat is NaN where the upper bin is empty.  Raises
-    nothing but the ``ValueError`` of a non-positive epsilon: see
-    ``estimate_theta`` for the checked scalar form.
+    theta_hat = #{|t| in (cutoff - eps, cutoff]} / #{|t| in (cutoff, cutoff + eps]}
+
+    Returns arrays with one entry per row (0-d for a flat t).  The
+    estimate is deliberately not clamped to [0, 1].  An empty lower bin
+    gives theta_hat = 0; an empty upper bin leaves the ratio undefined and
+    gives NaN, which the estimator reports as a ``CaliperError``.  Raises
+    nothing but the ``ValueError`` of a non-positive epsilon.
     """
     if epsilon <= 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
@@ -103,28 +71,3 @@ def caliper_tail(t, epsilon: float, cutoff: float = 1.96) -> tuple[np.ndarray, E
                          B_plus=above / n, B_minus=below / n,
                          count_above=above, count_below=below, n=n)
     return theta, tail
-
-
-def estimate_theta(t, epsilon: float, cutoff: float = 1.96) -> tuple[float, EmpiricalTail]:
-    """Jump estimator: count ratio of the two epsilon-bins at the cutoff.
-
-    theta_hat = #{|t| in (cutoff - eps, cutoff]} / #{|t| in (cutoff, cutoff + eps]}
-
-    The estimate is deliberately not clamped to [0, 1]; values above 1 are
-    reported as-is.  A zero numerator yields theta_hat = 0 (flagged
-    downstream); a zero denominator raises :class:`CaliperError` since the
-    ratio is undefined -- widen epsilon or abort.
-
-    Returns
-    -------
-    (float, EmpiricalTail)
-    """
-    arr = np.asarray(t, dtype=float).ravel()
-    if arr.size == 0:
-        raise ValueError("cannot estimate theta from an empty sample")
-    theta, tail = caliper_tail(arr, epsilon, cutoff)
-    if tail.count_above == 0:
-        raise CaliperError.empty_upper_bin(epsilon, cutoff)
-    return float(theta), EmpiricalTail(
-        F_hat=float(tail.F_hat), B_plus=float(tail.B_plus), B_minus=float(tail.B_minus),
-        count_above=int(tail.count_above), count_below=int(tail.count_below), n=tail.n)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 from scipy import integrate, stats
@@ -277,13 +277,7 @@ class CoverageRow:
                 f"\t{self.reps}\t{self.failures}\t{self.seed}")
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n, "dgp": self.dgp, "noise": self.noise,
-            "unc_power": self.unc_power, "true_delta": self.true_delta,
-            "mean_delta": self.mean_delta, "sd_delta": self.sd_delta,
-            "mean_se": self.mean_se, "coverage": self.coverage,
-            "reps": self.reps, "failures": self.failures, "seed": self.seed,
-        }
+        return asdict(self)
 
 
 def run_coverage(spec: DgpSpec, n: int, reps: int,

@@ -57,9 +57,12 @@ class TuningConfig:
             raise ValueError(f"n_effective must be at least 2, got {self.n_effective}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralBasis:
-    """Precomputed spectral coefficients for degrees 0..J (immutable)."""
+    """Precomputed spectral coefficients for degrees 0..J (immutable).
+
+    ``==`` is identity: the array fields have no single truth value.
+    """
 
     J: int
     eta: np.ndarray

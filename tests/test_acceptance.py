@@ -20,10 +20,9 @@ from powergain import basis, simulate
 from powergain.basis import conditional_power, gaussian_pdf, hermite_sequence
 from powergain.cli import main, read_tscore_file
 from powergain.estimator import (
-    EffectGroup,
+    GroupedEffects,
     conditional_delta,
     estimate,
-    naive_rescaled_share,
     reconstruct_prior,
 )
 from powergain.inference import confidence_interval, variance_hat
@@ -105,16 +104,15 @@ def test_robust_noise_tables_bias_and_coverage():
 def test_analytic_power_gain_benchmarks():
     # Doubling the sample of a study sitting exactly at 80% power lifts
     # its power by 17.8 percentage points.
-    group = EffectGroup(effects=np.array([2.8016]), std_errors=np.array([1.0]),
-                        weights=np.array([1.0]))
-    report = conditional_delta([group], c=SQRT2)
+    group = GroupedEffects(effects=[2.8016], std_errors=[1.0], weights=[1.0], sizes=[1])
+    report = conditional_delta(group, c=SQRT2)
     np.testing.assert_allclose(report.delta, 0.178, atol=1e-3)
 
     # On pure noise the naive rescaling (treat t as if it grew by c) claims
     # a power of 16.6% at c^2 = 2, while the actual gain is zero.
     sample = draw_population(DgpSpec(prior="truenull", theta0=1.0),
                              1_000_000, seed=77)
-    naive = naive_rescaled_share(sample, c=SQRT2)
+    naive = np.mean(np.abs(SQRT2 * sample.t) > 1.96)
     np.testing.assert_allclose(naive, 0.166, atol=3e-3)
     rep = estimate(sample, TuningConfig(c=SQRT2))
     assert abs(rep.delta) < 0.01

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
 from powergain import basis
 
@@ -23,24 +23,29 @@ def hermite_closed_form(j, x):
     return total / math.sqrt(math.factorial(j))
 
 
+def hermite(j, x):
+    """He_j at the points x, flattened: row j of hermite_sequence."""
+    return basis.hermite_sequence(x, j)[j]
+
+
 class TestHermiteNormalized:
     def test_frozen_values(self):
-        np.testing.assert_allclose(basis.hermite_normalized(2, 0.0),
+        np.testing.assert_allclose(hermite(2, 0.0),
                                    -0.707106781186548, rtol=1e-12)
-        np.testing.assert_allclose(basis.hermite_normalized(3, 0.5),
+        np.testing.assert_allclose(hermite(3, 0.5),
                                    -0.561341399387812, rtol=1e-12)
-        np.testing.assert_allclose(basis.hermite_normalized(4, 1.3),
+        np.testing.assert_allclose(hermite(4, 1.3),
                                    -0.874447425759071, rtol=1e-12)
-        np.testing.assert_allclose(basis.hermite_normalized(7, -0.4),
+        np.testing.assert_allclose(hermite(7, -0.4),
                                    0.499956656283799, rtol=1e-12)
-        np.testing.assert_allclose(basis.hermite_normalized(8, 2.0),
+        np.testing.assert_allclose(hermite(8, 2.0),
                                    1.240049682184433, rtol=1e-12)
 
     def test_degree_zero_and_one(self):
         rng = np.random.default_rng(42)
         x = rng.uniform(-5, 5, size=20)
-        np.testing.assert_allclose(basis.hermite_normalized(0, x), np.ones(20))
-        np.testing.assert_allclose(basis.hermite_normalized(1, x), x)
+        np.testing.assert_allclose(hermite(0, x), np.ones(20))
+        np.testing.assert_allclose(hermite(1, x), x)
 
     def test_matches_closed_form(self):
         rng = np.random.default_rng(42)
@@ -48,21 +53,21 @@ class TestHermiteNormalized:
             j = int(rng.integers(0, 13))
             x = float(rng.uniform(-4.0, 4.0))
             np.testing.assert_allclose(
-                basis.hermite_normalized(j, x), hermite_closed_form(j, x),
+                hermite(j, x), hermite_closed_form(j, x),
                 rtol=1e-10, atol=1e-10, err_msg=f"j={j}, x={x}")
 
     def test_array_matches_scalar(self):
         rng = np.random.default_rng(42)
         x = rng.uniform(-3, 3, size=11)
-        vec = basis.hermite_normalized(6, x)
-        scal = np.array([basis.hermite_normalized(6, xi) for xi in x])
+        vec = hermite(6, x)
+        scal = np.array([hermite(6, xi)[0] for xi in x])
         np.testing.assert_allclose(vec, scal, rtol=1e-14)
 
     def test_degree_out_of_range(self):
         with pytest.raises(ValueError):
-            basis.hermite_normalized(-1, 0.0)
+            hermite(-1, 0.0)
         with pytest.raises(ValueError):
-            basis.hermite_normalized(basis.J_MAX + 1, 0.0)
+            hermite(basis.J_MAX + 1, 0.0)
 
 
 class TestHermiteSequence:
@@ -72,7 +77,7 @@ class TestHermiteSequence:
         table = basis.hermite_sequence(x, 10)
         assert table.shape == (11, 9)
         for j in range(11):
-            np.testing.assert_allclose(table[j], basis.hermite_normalized(j, x),
+            np.testing.assert_allclose(table[j], hermite(j, x),
                                        rtol=1e-14)
 
     def test_orthonormality_under_gaussian_weight(self):
@@ -100,12 +105,6 @@ class TestNormalHelpers:
         with pytest.raises(ValueError):
             basis.gaussian_pdf(0.0, variance=-1.0)
 
-    def test_normal_cdf_frozen(self):
-        np.testing.assert_allclose(basis.normal_cdf(1.959964), 0.9750000009035576,
-                                   rtol=1e-14)
-        np.testing.assert_allclose(basis.normal_cdf(-8.0), 6.2209605742717841e-16,
-                                   rtol=1e-12)
-
     def test_quantile_frozen_and_roundtrip(self):
         np.testing.assert_allclose(basis.normal_quantile(0.975),
                                    1.9599639845400540, rtol=1e-12)
@@ -114,7 +113,7 @@ class TestNormalHelpers:
         rng = np.random.default_rng(42)
         for _ in range(25):
             p = float(rng.uniform(0.01, 0.99))
-            np.testing.assert_allclose(basis.normal_cdf(basis.normal_quantile(p)),
+            np.testing.assert_allclose(special.ndtr(basis.normal_quantile(p)),
                                        p, rtol=1e-12)
 
 

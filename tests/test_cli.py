@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from powergain import cli, estimator
+from powergain import cli
 from powergain.cli import (
     DatasetError,
     main,
@@ -100,10 +100,10 @@ class TestReadGroupedFile:
                      "L2,2.0,2.1,g1,0.9\n"
                      "L1,1.0,0.4,g2,1.1\n")
         groups = read_grouped_file(str(p))
-        assert len(groups) == 2
-        np.testing.assert_array_equal(groups[0].effects, [2.5, 2.1])
-        np.testing.assert_array_equal(groups[0].weights, [1.0, 2.0])
-        assert list(groups[0].labels) == ["L1", "L2"]
+        assert groups.sizes.tolist() == [2, 1]
+        np.testing.assert_array_equal(groups.effects[:2], [2.5, 2.1])
+        np.testing.assert_array_equal(groups.weights[:2], [1.0, 2.0])
+        assert groups.labels[:2].tolist() == ["L1", "L2"]
 
     def test_missing_columns_named(self, tmp_path):
         p = tmp_path / "g.csv"
@@ -115,7 +115,7 @@ class TestReadGroupedFile:
         p = tmp_path / "g.csv"
         p.write_text("g1,2.5,0.8,1.0\ng2,0.4,1.1,1.0\n")
         groups = read_grouped_file(str(p))
-        assert len(groups) == 2 and groups[0].labels is None
+        assert groups.sizes.tolist() == [1, 1] and groups.labels is None
 
     def test_headerless_needs_four_or_five_columns(self, tmp_path):
         p = tmp_path / "g.csv"
@@ -142,7 +142,7 @@ class TestReadGroupedFile:
                      "alpha,1.1,1.0,1.0\n"
                      "zeta,0.9,1.0,2.0\n")
         groups = read_grouped_file(str(p))
-        assert groups[0].effects.size == 2 and groups[1].effects.size == 1
+        assert groups.sizes.tolist() == [2, 1]
 
     def test_group_order_with_short_and_long_ids(self, tmp_path, monkeypatch):
         # Mixed-length ids, sorted on 64-bit integer keys when short and as
@@ -163,10 +163,9 @@ class TestReadGroupedFile:
                 f"{g},{k},1,1\n" for k, g in enumerate(cells)))
             groups = read_grouped_file(str(p))
             order = list(dict.fromkeys(cells))
-            assert len(groups) == len(order)
-            for group, g in zip(groups, order):
-                np.testing.assert_array_equal(
-                    group.effects, [k for k, c in enumerate(cells) if c == g])
+            assert groups.sizes.tolist() == [cells.count(g) for g in order]
+            np.testing.assert_array_equal(
+                groups.effects, [k for g in order for k, c in enumerate(cells) if c == g])
         assert sorted_dtypes == ["u", "U"]
 
     @pytest.mark.parametrize("header", ["group_id,effect,std_error,weight\n", ""],
@@ -174,19 +173,10 @@ class TestReadGroupedFile:
     def test_byte_order_mark(self, tmp_path, header):
         p = tmp_path / "g.csv"
         p.write_bytes(b"\xef\xbb\xbf" + (header + "g1,2.5,0.8,1\ng1,2.1,0.9,2\n").encode())
-        (group,) = read_grouped_file(str(p))
-        np.testing.assert_array_equal(group.effects, [2.5, 2.1])
-        np.testing.assert_array_equal(group.std_errors, [0.8, 0.9])
-
-    def test_builds_no_effect_group(self, tmp_path, monkeypatch):
-        def refuse(self):
-            raise AssertionError("read_grouped_file built an EffectGroup")
-        monkeypatch.setattr(estimator.EffectGroup, "__post_init__", refuse)
-        p = tmp_path / "g.csv"
-        p.write_text("group_id,effect,std_error,weight,lab_id\n"
-                     + "".join(f"g{k % 7},{k / 10},1,2,L{k % 3}\n" for k in range(30)))
         groups = read_grouped_file(str(p))
-        assert len(groups) == 7
+        assert groups.sizes.tolist() == [2]
+        np.testing.assert_array_equal(groups.effects, [2.5, 2.1])
+        np.testing.assert_array_equal(groups.std_errors, [0.8, 0.9])
 
 
 @pytest.mark.parametrize("reader, command, data", [
@@ -262,12 +252,13 @@ class TestReaderLayouts:
         p = tmp_path / "g.csv"
         p.write_bytes(text.encode())
         groups = read_grouped_file(str(p))
-        assert len(groups) == len(expected)
-        for g, (eff, se, w, labs) in zip(groups, expected):
-            np.testing.assert_array_equal(g.effects, eff)
-            np.testing.assert_array_equal(g.std_errors, se)
-            np.testing.assert_array_equal(g.weights, w)
-            assert (None if g.labels is None else g.labels.tolist()) == labs
+        eff, se, w, labs = zip(*expected)
+        assert groups.sizes.tolist() == [len(e) for e in eff]
+        np.testing.assert_array_equal(groups.effects, np.concatenate(eff))
+        np.testing.assert_array_equal(groups.std_errors, np.concatenate(se))
+        np.testing.assert_array_equal(groups.weights, np.concatenate(w))
+        want_labs = None if labs[0] is None else [lab for group in labs for lab in group]
+        assert (None if groups.labels is None else groups.labels.tolist()) == want_labs
 
     @pytest.mark.parametrize("reader, text, message", [
         # Blank lines count: the numbers are physical line numbers.
@@ -508,17 +499,26 @@ class TestParser:
         ("curve", "--grid", "2,nan"),
         ("conditional", "--c2", "nan"),
         ("conditional", "--cv", "nan"),
+        ("estimate", "--c2", "-1"),
+        ("estimate", "--c2", "0.5"),
+        ("simulate", "--c2", "-1"),
+        ("conditional", "--c2", "-1"),
     ])
     def test_nan_flag_is_exit_two(self, tmp_path, capsys, flags):
         if flags[0] == "conditional":
             data = tmp_path / "g.csv"
             data.write_text("group_id,effect,std_error,weight\nstudy,2.8016,1.0,1.0\n")
+            argv = [flags[0], str(data), *flags[1:]]
+        elif flags[0] == "simulate":
+            argv = [*flags, "--dgp", "truenull", "--n", "50", "--reps", "2"]
         else:
-            data = write_balanced(tmp_path / "d.csv")
-        assert main([flags[0], str(data), *flags[1:]]) == 2
+            argv = [flags[0], write_balanced(tmp_path / "d.csv"), *flags[1:]]
+        assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "nan" in captured.err
+        assert flags[-1] in captured.err
+        if flags[1] == "--c2":
+            assert "--c2" in captured.err
 
     @pytest.mark.parametrize("flags, message", INFINITE_FLAGS,
                              ids=[" ".join(f) for f, _ in INFINITE_FLAGS])

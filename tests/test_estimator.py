@@ -1,4 +1,4 @@
-"""Tests for the point estimators, reconstructions, and curve/conditional APIs."""
+"""Tests for the point estimators, the prior reconstruction, and curve/conditional APIs."""
 import math
 
 import numpy as np
@@ -6,7 +6,7 @@ import pytest
 
 from powergain import basis, estimator, inference, pubbias, simulate, spectrum
 from powergain.cli import read_grouped_file
-from powergain.estimator import EffectGroup, EstimationError, TScoreSample
+from powergain.estimator import EstimationError, GroupedEffects, TScoreSample
 
 SQRT2 = math.sqrt(2.0)
 
@@ -78,13 +78,17 @@ class TestTScoreSample:
     def test_equality_is_identity(self):
         a = TScoreSample.from_scores([1.0, 2.0])
         b = TScoreSample.from_scores([1.0, 2.0])
-        assert a == a and not (a == b) and a != b
-        g = EffectGroup(effects=np.array([1.0, 2.0]), std_errors=np.array([1.0, 1.0]),
-                        weights=np.array([1.0, 1.0]))
-        h = EffectGroup(effects=np.array([1.0, 2.0]), std_errors=np.array([1.0, 1.0]),
-                        weights=np.array([1.0, 1.0]))
-        assert g == g and not (g == h) and g != h
-        assert len({a, b, g, h}) == 4
+        # Two equal-valued instances of every class with array fields.
+        makers = [
+            lambda: GroupedEffects(effects=[1.0, 2.0], std_errors=[1.0, 1.0],
+                                   weights=[1.0, 1.0], sizes=[2]),
+            lambda: make_basis(J=4),
+            lambda: estimator.reconstruct_prior(a, make_basis(J=4)),
+        ]
+        pairs = [(a, b)] + [(make(), make()) for make in makers]
+        for x, y in pairs:
+            assert x == x and not (x == y) and x != y
+        assert len({obj for pair in pairs for obj in pair}) == 2 * len(pairs)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -100,41 +104,42 @@ class TestDescriptiveShares:
         s = TScoreSample.from_scores([1.96, 1.961, -2.5, 0.3])
         np.testing.assert_allclose(estimator.status_quo_power(s), 0.5)
 
+    # The naive "rescale the observed t-scores" share is the status-quo
+    # power of c * t: it multiplies realized noise along with the signal.
     def test_naive_rescaled_share(self):
         s = TScoreSample.from_scores([1.0, 1.5, -1.6, 0.2])
         # c = sqrt(2): |c t| = 1.414, 2.121, 2.263, 0.283 -> half cross 1.96.
-        np.testing.assert_allclose(
-            estimator.naive_rescaled_share(s, c=SQRT2), 0.5)
+        np.testing.assert_allclose(estimator.status_quo_power(SQRT2 * s.t), 0.5)
 
     def test_naive_share_overstates_on_pure_noise(self):
         rng = np.random.default_rng(42)
         s = TScoreSample.from_scores(rng.standard_normal(200_000))
-        naive = estimator.naive_rescaled_share(s, c=SQRT2)
+        naive = estimator.status_quo_power(SQRT2 * s.t)
         # 2 * Phi(-1.96/sqrt(2)) = 0.16577 even though no effect exists.
         np.testing.assert_allclose(naive, 0.16576849565979212, atol=0.004)
 
 
 class TestDeltaHat:
+    """The estimate without the publication-bias correction: estimate(pb=False)."""
+
     def test_zero_at_unit_scale(self):
         rng = np.random.default_rng(42)
         s = TScoreSample.from_scores(rng.normal(0, 1.4, 300))
-        assert estimator.delta_hat(s, make_basis(J=10, c=1.0)) == 0.0
+        assert estimator.estimate(s, make_config(c=1.0), pb=False).delta == 0.0
 
     def test_sign_flip_invariance_is_exact(self):
         rng = np.random.default_rng(42)
-        b = make_basis()
         t = rng.normal(0.0, 1.5, 400)
-        d1 = estimator.delta_hat(TScoreSample.from_scores(t), b)
-        d2 = estimator.delta_hat(TScoreSample.from_scores(-t), b)
+        d1 = estimator.estimate(TScoreSample.from_scores(t), make_config(), pb=False).delta
+        d2 = estimator.estimate(TScoreSample.from_scores(-t), make_config(), pb=False).delta
         assert d1 == d2
 
     def test_equals_mean_kernel(self):
         rng = np.random.default_rng(42)
-        b = make_basis()
         t = rng.normal(0.0, 1.5, 250)
-        s = TScoreSample.from_scores(t)
-        np.testing.assert_allclose(estimator.delta_hat(s, b),
-                                   float(np.mean(spectrum.kernel_S(t, b))),
+        rep = estimator.estimate(TScoreSample.from_scores(t), make_config(), pb=False)
+        b = make_basis(J=rep.J)
+        np.testing.assert_allclose(rep.delta, float(np.mean(spectrum.kernel_S(t, b))),
                                    rtol=1e-14)
 
 
@@ -147,7 +152,10 @@ class TestDeltaHatPb:
         b = make_basis()
         rep = estimator.delta_hat_pb(s, b, epsilon=0.5)
         assert rep.theta == 1.0
-        assert rep.delta == estimator.delta_hat(s, b)
+        # n_effective 400 tunes J to the 14 of b.
+        uncorrected = estimator.estimate(s, make_config(n_effective=400), pb=False)
+        assert uncorrected.J == b.J
+        assert rep.delta == uncorrected.delta
 
     def test_report_is_complete(self):
         rng = np.random.default_rng(42)
@@ -255,13 +263,12 @@ class TestSignificanceAtTheCutoff:
         tie = np.array([self.CV, -self.CV])
         assert not pubbias.significant(tie, self.CV).any()
         assert estimator.status_quo_power(tie, self.CV) == 0.0
-        assert pubbias.empirical_cdf_abs(tie, self.CV) == 1.0
-        assert (pubbias.weight(tie, pubbias.CaliperModel(theta=0.4)) == 0.4).all()
+        assert pubbias.caliper_tail(tie, 0.5, self.CV)[1].F_hat == 1.0
 
     def test_caliper_and_influence_terms(self):
         # The tie sits in the lower bin, with 0.3 and 2.1 around it.
         t = np.array([self.CV, 0.3, 2.1])
-        theta, tail = pubbias.estimate_theta(t, 0.5, self.CV)
+        theta, tail = pubbias.caliper_tail(t, 0.5, self.CV)
         assert (tail.count_below, tail.count_above, tail.F_hat) == (1, 1, 2 / 3)
         insignificant = inference.selection_weight(0.3, theta, tail.F_hat, self.CV)
         assert inference.selection_weight(self.CV, theta, tail.F_hat, self.CV) == insignificant
@@ -284,8 +291,8 @@ class TestSignificanceAtTheCutoff:
         np.testing.assert_allclose(rep.delta, S @ omega / omega.sum(), rtol=1e-14)
         prior = estimator.reconstruct_prior(s, b, theta_hat=rep.theta)
         np.testing.assert_allclose(
-            prior.moments(), estimator._weighted_basis_moments(s.t, omega, b.J, b.sigmaT2),
-            rtol=1e-12)
+            prior.coefficients * b.eta * b.lam,
+            estimator._weighted_basis_moments(s.t, omega, b.J, b.sigmaT2), rtol=1e-12)
 
     def test_thinning_drops_ties(self, monkeypatch):
         # Every insignificant draw survives with probability 1e-12, so a tie
@@ -336,10 +343,12 @@ class TestEstimateOrchestrator:
         s = TScoreSample.from_scores(t)
         rep = estimator.estimate(s, make_config(), pb=False)
         assert rep.theta is None and rep.epsilon is None
-        b = spectrum.build_basis(make_config(), rep.J)
-        np.testing.assert_allclose(rep.delta, estimator.delta_hat(s, b),
-                                   rtol=1e-14)
+        # The SE is the cluster sandwich of the kernel values.
+        S = spectrum.kernel_S(t, spectrum.build_basis(make_config(), rep.J))
+        np.testing.assert_allclose(rep.delta, float(np.mean(S)), rtol=1e-14)
         assert math.isfinite(rep.se)
+        np.testing.assert_allclose(rep.se, math.sqrt(inference.variance_hat(S, np.arange(300))),
+                                   rtol=1e-12)
 
     def test_recovers_known_gain_from_thinned_draw(self):
         from powergain import simulate
@@ -378,42 +387,14 @@ class TestPriorReconstruction:
         rec = estimator.reconstruct_prior(s, b)
         h = np.linspace(-3, 3, 7)
         scale = math.sqrt(1.0 + b.sigmaT2)
-        direct = sum(rec.coefficients[j] * basis.hermite_normalized(j, h / scale)
-                     for j in range(b.J + 1))
+        H = basis.hermite_sequence(h / scale, b.J)
+        direct = sum(rec.coefficients[j] * H[j] for j in range(b.J + 1))
         np.testing.assert_allclose(rec.evaluate(h), direct, rtol=1e-12)
 
     def test_rejects_negative_theta(self):
         s = TScoreSample.from_scores([0.5, 1.0])
         with pytest.raises(ValueError):
             estimator.reconstruct_prior(s, make_basis(J=4), theta_hat=-0.1)
-
-
-class TestReconstructDensities:
-    def test_coincide_at_unit_scale(self):
-        rng = np.random.default_rng(42)
-        s = TScoreSample.from_scores(rng.normal(0.0, 1.4, 300))
-        b = make_basis(J=10, c=1.0)
-        rec = estimator.reconstruct_prior(s, b)
-        t = np.linspace(-3, 3, 41)
-        f_t, f_tc = estimator.reconstruct_densities(rec, t)
-        np.testing.assert_allclose(f_t, f_tc, rtol=0, atol=1e-12)
-
-    def test_rejection_region_mass_difference_is_the_estimate(self):
-        # Integrating the factual minus counterfactual density estimate
-        # over the significance region reproduces delta-hat: the series
-        # coefficients contract against the same a_j either way.
-        rng = np.random.default_rng(42)
-        t = rng.normal(0.3, 1.5, 500)
-        s = TScoreSample.from_scores(t)
-        b = make_basis()
-        rep = estimator.delta_hat_pb(s, b, epsilon=0.5)
-        rec = estimator.reconstruct_prior(s, b, theta_hat=rep.theta)
-
-        nodes, weights = np.polynomial.legendre.leggauss(60)
-        inner = b.cv * nodes  # map to [-cv, cv]
-        f_t, f_tc = estimator.reconstruct_densities(rec, inner)
-        inside_diff = b.cv * float(np.dot(weights, f_t - f_tc))
-        np.testing.assert_allclose(inside_diff, rep.delta, rtol=0, atol=1e-8)
 
 
 class TestPowerGainCurve:
@@ -454,24 +435,21 @@ class TestPowerGainCurve:
 
 class TestConditionalDelta:
     def test_benchmark_at_eighty_percent_power(self):
-        g = EffectGroup(effects=np.array([2.8016]), std_errors=np.array([1.0]),
-                        weights=np.array([1.0]))
-        rep = estimator.conditional_delta([g], c=SQRT2)
+        g = GroupedEffects(effects=[2.8016], std_errors=[1.0], weights=[1.0], sizes=[1])
+        rep = estimator.conditional_delta(g, c=SQRT2)
         np.testing.assert_allclose(rep.delta, 0.17736588499388703, rtol=1e-10)
         assert rep.n_groups == 1 and rep.n_members == 1
 
     def test_zero_effect_gives_zero_gain(self):
-        g = EffectGroup(effects=np.array([0.0]), std_errors=np.array([2.0]),
-                        weights=np.array([1.0]))
-        rep = estimator.conditional_delta([g], c=SQRT2)
+        g = GroupedEffects(effects=[0.0], std_errors=[2.0], weights=[1.0], sizes=[1])
+        rep = estimator.conditional_delta(g, c=SQRT2)
         assert rep.delta == 0.0
 
     def test_group_mean_uses_weights(self):
         # Weighted mean 0.75 * 2 + 0.25 * 6 = 3; members then share one b-bar.
-        g = EffectGroup(effects=np.array([2.0, 6.0]),
-                        std_errors=np.array([1.0, 1.0]),
-                        weights=np.array([3.0, 1.0]))
-        rep = estimator.conditional_delta([g], c=SQRT2)
+        g = GroupedEffects(effects=[2.0, 6.0], std_errors=[1.0, 1.0],
+                           weights=[3.0, 1.0], sizes=[2])
+        rep = estimator.conditional_delta(g, c=SQRT2)
         p3 = basis.conditional_power(np.array([3.0 * SQRT2]))[0] \
             - basis.conditional_power(np.array([3.0]))[0]
         np.testing.assert_allclose(rep.delta, p3, rtol=1e-12)
@@ -480,66 +458,60 @@ class TestConditionalDelta:
         # Independent check of the delta-method slope: nudge each group
         # mean numerically and rebuild the standard error by hand.
         rng = np.random.default_rng(42)
-        groups = []
+        groups = []  # (effects, std_errors, weights) per group
         for k in range(3):
             m = int(rng.integers(2, 5))
-            groups.append(EffectGroup(
-                effects=rng.normal(1.0 + k, 0.5, m),
-                std_errors=rng.uniform(0.5, 2.0, m),
-                weights=rng.uniform(0.5, 2.0, m)))
-        rep = estimator.conditional_delta(groups, c=SQRT2)
+            groups.append((rng.normal(1.0 + k, 0.5, m), rng.uniform(0.5, 2.0, m),
+                           rng.uniform(0.5, 2.0, m)))
 
+        def grouped(shift=0.0, group=None):
+            """The groups as member columns, group `group`'s effects moved by shift."""
+            eff = [e + (shift if k == group else 0.0) for k, (e, _, _) in enumerate(groups)]
+            return GroupedEffects(effects=np.concatenate(eff),
+                                  std_errors=np.concatenate([se for _, se, _ in groups]),
+                                  weights=np.concatenate([w for _, _, w in groups]),
+                                  sizes=[e.size for e in eff])
+
+        rep = estimator.conditional_delta(grouped(), c=SQRT2)
         h = 1e-6
         var = 0.0
-        for k, g in enumerate(groups):
-            shifted_up = [EffectGroup(gg.effects + (h if i == k else 0.0),
-                                      gg.std_errors, gg.weights)
-                          for i, gg in enumerate(groups)]
-            shifted_dn = [EffectGroup(gg.effects - (h if i == k else 0.0),
-                                      gg.std_errors, gg.weights)
-                          for i, gg in enumerate(groups)]
-            d_up = estimator.conditional_delta(shifted_up, c=SQRT2).delta
-            d_dn = estimator.conditional_delta(shifted_dn, c=SQRT2).delta
+        for k, (_, se, w) in enumerate(groups):
+            d_up = estimator.conditional_delta(grouped(h, k), c=SQRT2).delta
+            d_dn = estimator.conditional_delta(grouped(-h, k), c=SQRT2).delta
             grad = (d_up - d_dn) / (2 * h)
-            wn = g.weights / g.weights.sum()
-            var += grad ** 2 * float(np.sum((wn * g.std_errors) ** 2))
+            wn = w / w.sum()
+            var += grad ** 2 * float(np.sum((wn * se) ** 2))
         np.testing.assert_allclose(rep.se, math.sqrt(var), rtol=1e-4)
 
     def test_worstcase_needs_labels(self):
-        g = EffectGroup(effects=np.array([1.0]), std_errors=np.array([1.0]),
-                        weights=np.array([1.0]))
+        g = GroupedEffects(effects=[1.0], std_errors=[1.0], weights=[1.0], sizes=[1])
         with pytest.raises(EstimationError):
-            estimator.conditional_delta([g], c=SQRT2, se_mode="worstcase")
+            estimator.conditional_delta(g, c=SQRT2, se_mode="worstcase")
 
     def test_worstcase_exceeds_iid_when_labs_shared(self):
         # Keep group means near 1 so every gain gradient is firmly
         # positive; perfectly correlated labs must then inflate the SE.
         rng = np.random.default_rng(42)
-        labs = np.array(["L1", "L2"])
-        groups = [EffectGroup(effects=rng.normal(1.0, 0.2, 2),
-                              std_errors=np.array([1.0, 1.0]),
-                              weights=np.array([1.0, 1.0]),
-                              labels=labs)
-                  for _ in range(4)]
+        groups = GroupedEffects(
+            effects=np.concatenate([rng.normal(1.0, 0.2, 2) for _ in range(4)]),
+            std_errors=np.ones(8), weights=np.ones(8), sizes=[2] * 4,
+            labels=np.tile(["L1", "L2"], 4))
         iid = estimator.conditional_delta(groups, c=SQRT2, se_mode="iid")
         worst = estimator.conditional_delta(groups, c=SQRT2, se_mode="worstcase")
         assert worst.se > iid.se
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            estimator.conditional_delta([], c=SQRT2)
-        g = EffectGroup(effects=np.array([1.0]), std_errors=np.array([1.0]),
-                        weights=np.array([1.0]))
+            GroupedEffects(effects=[], std_errors=[], weights=[], sizes=[])
+        g = GroupedEffects(effects=[1.0], std_errors=[1.0], weights=[1.0], sizes=[1])
         with pytest.raises(ValueError):
-            estimator.conditional_delta([g], c=0.5)
+            estimator.conditional_delta(g, c=0.5)
         with pytest.raises(ValueError):
-            estimator.conditional_delta([g], c=SQRT2, se_mode="bootstrap")
+            estimator.conditional_delta(g, c=SQRT2, se_mode="bootstrap")
         with pytest.raises(ValueError):
-            EffectGroup(effects=np.array([1.0]), std_errors=np.array([0.0]),
-                        weights=np.array([1.0]))
+            GroupedEffects(effects=[1.0], std_errors=[0.0], weights=[1.0], sizes=[1])
         with pytest.raises(ValueError):
-            EffectGroup(effects=np.array([1.0]), std_errors=np.array([1.0]),
-                        weights=np.array([0.0]))
+            GroupedEffects(effects=[1.0], std_errors=[1.0], weights=[0.0], sizes=[1])
 
     @pytest.mark.parametrize("column", ["effects", "std_errors", "weights"])
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
@@ -548,7 +520,7 @@ class TestConditionalDelta:
                 "weights": np.array([1.0, 1.0])}
         cols[column][1] = bad
         with pytest.raises(ValueError, match="finite"):
-            EffectGroup(**cols)
+            GroupedEffects(**cols, sizes=[2])
 
     def test_conditional_power_called_twice(self, monkeypatch):
         # Every group is estimated in one pass: one power call at c * b/s
@@ -557,11 +529,10 @@ class TestConditionalDelta:
         power = basis.conditional_power
         monkeypatch.setattr(basis, "conditional_power",
                             lambda h, cv=1.96: calls.append(np.size(h)) or power(h, cv))
-        groups = [EffectGroup(effects=np.array([0.5 + k, 1.0 + k]),
-                              std_errors=np.array([1.0, 0.5]),
-                              weights=np.array([1.0, 2.0]),
-                              labels=np.array(["L1", f"L{k}"]))
-                  for k in range(4)]
+        groups = GroupedEffects(
+            effects=np.concatenate([[0.5 + k, 1.0 + k] for k in range(4)]),
+            std_errors=np.tile([1.0, 0.5], 4), weights=np.tile([1.0, 2.0], 4),
+            sizes=[2] * 4, labels=np.concatenate([["L1", f"L{k}"] for k in range(4)]))
         for mode in ("iid", "worstcase"):
             calls.clear()
             estimator.conditional_delta(groups, c=SQRT2, se_mode=mode)
@@ -613,30 +584,28 @@ class TestConditionalDelta:
         assert (rep.n_groups, rep.n_members) == (3, 8)
 
     def test_file_and_group_list_agree(self, tmp_path):
-        groups = [EffectGroup(*(np.array(col) for col in zip(*rows)))
-                  for rows in self.hand_groups()]
+        # The same groups, read from the file and built from a list of groups.
+        groups = self.hand_groups()
+        eff, se, w, lab = (np.array(col) for col in zip(*(m for g in groups for m in g)))
+        built = GroupedEffects(effects=eff, std_errors=se, weights=w, labels=lab,
+                               sizes=[len(g) for g in groups])
         columns = read_grouped_file(self.write_hand_file(tmp_path))
+        np.testing.assert_array_equal(columns.sizes, built.sizes)
         for mode in ("iid", "worstcase"):
             assert (estimator.conditional_delta(columns, c=SQRT2, se_mode=mode)
-                    == estimator.conditional_delta(groups, c=SQRT2, se_mode=mode))
-
-    @pytest.mark.parametrize("column, values, message", [
-        ("std_errors", [1.0, 0.0, 1.0], "every std_error must be strictly positive"),
-        ("weights", [1.0, -1.0, 1.0], "weights must be non-negative and not all zero"),
-        ("weights", [1.0, 0.0, 0.0], "weights must be non-negative and not all zero"),
-        ("effects", [1.0, 2.0, float("nan")], "must be finite"),
-    ])
-    def test_grouped_effects_checks_match_effect_group(self, column, values, message):
-        # Groups [0] and [1, 2]: the fault lies in the second group.
-        cols = {"effects": [1.0, 2.0, 3.0], "std_errors": [1.0, 1.0, 1.0],
-                "weights": [1.0, 1.0, 1.0]}
-        cols[column] = values
-        with pytest.raises(ValueError, match=message):
-            EffectGroup(**{k: np.array(v[1:]) for k, v in cols.items()})
-        with pytest.raises(ValueError, match=message):
-            estimator.GroupedEffects(**cols, sizes=[1, 2])
+                    == estimator.conditional_delta(built, c=SQRT2, se_mode=mode))
 
     def test_grouped_effects_first_fault_and_sizes(self):
+        # Each check names its fault, here in the second of groups [0] and [1, 2].
+        for column, values, message in [
+                ("std_errors", [1.0, 0.0, 1.0], "every std_error must be strictly positive"),
+                ("weights", [1.0, -1.0, 1.0], "weights must be non-negative and not all zero"),
+                ("weights", [1.0, 0.0, 0.0], "weights must be non-negative and not all zero"),
+                ("effects", [1.0, 2.0, float("nan")], "must be finite")]:
+            cols = {"effects": [1.0, 2.0, 3.0], "std_errors": [1.0, 1.0, 1.0],
+                    "weights": [1.0, 1.0, 1.0], column: values}
+            with pytest.raises(ValueError, match=message):
+                GroupedEffects(**cols, sizes=[1, 2])
         # Group 0 has all-zero weights, group 1 a zero std_error.
         with pytest.raises(ValueError, match="weights"):
             estimator.GroupedEffects(effects=[1.0, 2.0], std_errors=[1.0, 0.0],

@@ -50,7 +50,7 @@ class TestThetaInfluence:
         for _ in range(20):
             t = rng.normal(0.0, 1.5, size=500)
             eps = float(rng.uniform(0.3, 0.7))
-            _, tail = pubbias.estimate_theta(t, epsilon=eps)
+            _, tail = pubbias.caliper_tail(t, epsilon=eps)
             if tail.count_below == 0:
                 continue
             x = inference.theta_influence(t, tail.B_plus, tail.B_minus,
@@ -102,7 +102,7 @@ class TestInfluence:
         rng = np.random.default_rng(42)
         t = rng.normal(0.0, 1.5, size=400)
         S = rng.normal(size=400)
-        theta, tail = pubbias.estimate_theta(t, epsilon=0.5)
+        theta, tail = pubbias.caliper_tail(t, epsilon=0.5)
         q = inference.q_hat(S, t, theta, tail.F_hat, cutoff=1.96)
         ing = inference.InfluenceIngredients(
             theta_hat=theta, F_hat=tail.F_hat, B_plus=tail.B_plus,
@@ -119,7 +119,7 @@ class TestInfluence:
         rng = np.random.default_rng(42)
         t = rng.normal(0.0, 1.5, size=600)
         S = rng.normal(size=600)
-        theta, tail = pubbias.estimate_theta(t, epsilon=0.5)
+        theta, tail = pubbias.caliper_tail(t, epsilon=0.5)
         q = inference.q_hat(S, t, theta, tail.F_hat, cutoff=1.96)
         ing = inference.InfluenceIngredients(
             theta_hat=theta, F_hat=tail.F_hat, B_plus=tail.B_plus,
@@ -226,27 +226,3 @@ class TestConfidenceInterval:
         lo, hi = inference.confidence_interval(0.3, 0.0)
         assert lo == hi == 0.3
 
-
-class _Report:
-    def __init__(self, delta, se):
-        self.delta = delta
-        self.se = se
-
-
-class TestEqualityTest:
-    def test_frozen_value(self):
-        p = inference.equality_test(_Report(0.072, 0.025), _Report(0.173, 0.023))
-        np.testing.assert_allclose(p, 0.0029474952, rtol=1e-7)
-
-    def test_symmetric(self):
-        a, b = _Report(0.1, 0.02), _Report(0.15, 0.03)
-        np.testing.assert_allclose(inference.equality_test(a, b),
-                                   inference.equality_test(b, a), rtol=1e-14)
-
-    def test_zero_variance_edges(self):
-        assert inference.equality_test(_Report(0.1, 0.0), _Report(0.1, 0.0)) == 1.0
-        assert inference.equality_test(_Report(0.1, 0.0), _Report(0.2, 0.0)) == 0.0
-
-    def test_identical_reports_give_p_one(self):
-        a = _Report(0.07, 0.01)
-        np.testing.assert_allclose(inference.equality_test(a, a), 1.0)

@@ -133,9 +133,10 @@ class TestKernelS:
         b = spectrum.build_basis(cfg, 14)
         rng = np.random.default_rng(42)
         t = rng.normal(0.0, 1.5, size=300)
+        H = basis.hermite_sequence(t / math.sqrt(b.sigmaT2), b.J)
         direct = np.zeros_like(t)
         for j in range(b.J + 1):
-            direct += b.a[j] * basis.hermite_normalized(j, t / math.sqrt(b.sigmaT2))
+            direct += b.a[j] * H[j]
         direct *= basis.gaussian_pdf(t, b.sigmaT2)
         np.testing.assert_allclose(spectrum.kernel_S(t, b), direct, rtol=1e-10,
                                    atol=1e-14)
