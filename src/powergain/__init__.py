@@ -50,12 +50,9 @@ from .estimator import (
     status_quo_power,
 )
 from .inference import (
-    InfluenceIngredients,
     confidence_interval,
     influence,
     q_hat,
-    selection_weight,
-    theta_influence,
     variance_hat,
 )
 from .simulate import (
@@ -106,12 +103,9 @@ __all__ = [
     "power_gain_curve",
     "reconstruct_prior",
     "status_quo_power",
-    "InfluenceIngredients",
     "confidence_interval",
     "influence",
     "q_hat",
-    "selection_weight",
-    "theta_influence",
     "variance_hat",
     "FITTED_MASSES",
     "NOISES",

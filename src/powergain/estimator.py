@@ -122,9 +122,9 @@ class EstimateReport:
         return {**asdict(self), "flags": list(self.flags)}
 
 
-def status_quo_power(sample, cv: float = 1.96) -> float:
+def status_quo_power(t, cv: float = 1.96) -> float:
     """Observed share of significant results: (1/n) * sum 1{|t_i| > cv}."""
-    t = sample.t if isinstance(sample, TScoreSample) else np.asarray(sample, dtype=float).ravel()
+    t = np.asarray(t, dtype=float).ravel()
     if t.size == 0:
         raise ValueError("status-quo power of an empty sample is undefined")
     return float(np.mean(_pubbias.significant(t, cv)))
@@ -182,7 +182,7 @@ def _estimate_rows(t, S, codes, cv, epsilon, alpha, caliper=None) -> RowEstimate
         omega = np.ones_like(S)
     else:
         theta, tail = caliper if caliper is not None else _pubbias.caliper_tail(t, epsilon, cv)
-        omega = np.where(_pubbias.significant(t, cv), theta[:, None], 1.0)
+        omega = np.where(tail.insignificant, 1.0, theta[:, None])
     delta, wsum = _kernel_means(S, omega)
     if epsilon is not None:
         empty_upper, zero_weights = tail.count_above == 0, ~(wsum > 0)
@@ -191,20 +191,12 @@ def _estimate_rows(t, S, codes, cv, epsilon, alpha, caliper=None) -> RowEstimate
         status[empty_upper] = ROW_EMPTY_UPPER_BIN
         delta[empty_upper | zero_weights] = np.nan
 
-    se, ci_low, ci_high = (np.full(R, np.nan) for _ in range(3))
-    ok = status == ROW_OK
-    if ok.any():
-        rows = slice(None) if ok.all() else ok
-        t_ok, m = t[rows], S[rows]
-        if epsilon is not None:
-            th, F = theta[rows, None], tail.F_hat[rows, None]
-            q = _inference.q_hat(m, t_ok, th, F, cv)
-            m = _inference.influence(m, t_ok, _inference.InfluenceIngredients(
-                theta_hat=th, F_hat=F, B_plus=tail.B_plus[rows, None],
-                B_minus=tail.B_minus[rows, None], Q_hat=q, epsilon=epsilon, cutoff=cv))
-        v = _inference.variance_hat(m, codes)
-        se[rows] = np.sqrt(v)
-        ci_low[rows], ci_high[rows] = _inference.confidence_interval(delta[rows], v, alpha)
+    # A failing row's inf or NaN stays in that row, down to its variance.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        m = S if epsilon is None else _inference.influence(S, theta, tail)
+        v = np.where(status == ROW_OK, _inference.variance_hat(m, codes), np.nan)
+        se = np.sqrt(v)
+        ci_low, ci_high = _inference.confidence_interval(delta, v, alpha)
     return RowEstimates(delta=delta, se=se, ci_low=ci_low, ci_high=ci_high,
                         theta=theta, status=status)
 
@@ -251,7 +243,7 @@ def _report(
         theta=float(rows.theta[0]) if pb else None,
         J=b.J, epsilon=epsilon if pb else None, n=sample.n,
         n_clusters=sample.n_clusters, max_cluster_size=sample.max_cluster_size,
-        status_quo_power=status_quo_power(sample, b.cv),
+        status_quo_power=status_quo_power(t, b.cv),
         c=b.c, cv=b.cv, alpha=alpha, flags=flags)
 
 

@@ -5,95 +5,61 @@ The estimator is asymptotically linear with influence
     m(t) = S(t) * W(t; theta, F) + Q * X(t; B+, B-),
 
 where W re-normalizes the selection weight, X captures the estimation
-noise of theta, and Q is the sensitivity of the estimand to theta.  The
-variance estimator sums centered influence values within study clusters
-(block-diagonal dependence) and squares the block sums.
+noise of theta, and Q is the sensitivity of the estimand to theta.  W, X
+and Q split the scores at the cutoff and at cutoff +/- epsilon only
+through the bin masks of ``pubbias.caliper_tail``'s ``EmpiricalTail``.
+The variance estimator sums centered influence values within study
+clusters (block-diagonal dependence) and squares the block sums.
 
 Every helper also takes R samples of equal size at once: scores of shape
-(R, n), with each per-sample quantity (theta, F, B+, B-, Q) a column of
-shape (R, 1).  Reductions then give one value per row.
+(R, n), with one theta and one tail entry per row.  Reductions then give
+one value per row.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import basis as _basis
-from .pubbias import significant
 
 
-@dataclass(frozen=True)
-class InfluenceIngredients:
-    """Everything beyond S(t) needed to evaluate the influence function."""
-
-    theta_hat: float
-    F_hat: float
-    B_plus: float
-    B_minus: float
-    Q_hat: float
-    epsilon: float
-    cutoff: float
+def _column(x) -> np.ndarray:
+    """Per-row values as a column that broadcasts against the row masks."""
+    return np.asarray(x)[..., None]
 
 
-def selection_weight(t, theta: float, p: float, cutoff: float):
-    """Normalized caliper weight W(t; theta, p).
-
-    Algebraically (1 + (theta^-1 - 1) 1{|t| <= cutoff}) / (1 + (theta^-1 - 1) p),
-    evaluated in the theta-multiplied form
-
-        (theta + (1 - theta) 1{|t| <= cutoff}) / (theta + (1 - theta) p)
-
-    which stays finite as theta -> 0.  Identically 1 when theta = 1.
-    """
-    denom = theta + (1.0 - theta) * p
-    if np.any(denom <= 0):
-        raise ValueError("selection weight undefined: theta and CDF at cutoff both zero")
-    arr = np.asarray(t, dtype=float)
-    num = theta + (1.0 - theta) * ~significant(arr, cutoff)
-    out = num / denom
-    return out if arr.ndim else float(out)
-
-
-def theta_influence(t, b_plus: float, b_minus: float, epsilon: float, cutoff: float):
-    """Influence X(t; B+, B-) of the inverse caliper ratio.
-
-    X(t) = 1{|t| in (cutoff, cutoff+eps]} / B-  -  (B+ / B-^2) 1{|t| in (cutoff-eps, cutoff]}
-
-    Its sample mean is exactly zero when B+ and B- are the sample bin
-    masses of the same data.
-    """
-    if np.any(b_minus <= 0):
-        raise ValueError("theta influence undefined: lower caliper bin is empty")
-    arr = np.abs(np.asarray(t, dtype=float))
-    sig = significant(arr, cutoff)
-    upper = sig & (arr <= cutoff + epsilon)
-    lower = (arr > cutoff - epsilon) & ~sig
-    out = upper / b_minus - (b_plus / b_minus**2) * lower
-    return out if np.ndim(t) else float(out)
-
-
-def q_hat(S: np.ndarray, t, theta: float, F_hat: float, cutoff: float):
+def q_hat(S: np.ndarray, theta, tail) -> np.ndarray:
     """Sensitivity Q of the estimand to the inverse reporting ratio.
 
     Sample analogue of E[S(T) (1{|T| <= cutoff} - F) / (1 + F (theta^-1 - 1))^2],
     computed in the theta^2-multiplied form that stays finite at theta = 0.
-    A float for one sample; a column (R, 1) for R rows.
+    One entry per row of S, as a column: (R, 1), or (1,) for a flat sample.
     """
-    arr = np.asarray(t, dtype=float)
+    theta, F_hat = _column(theta), _column(tail.F_hat)
     denom = theta + F_hat * (1.0 - theta)
-    if np.any(denom <= 0):
-        raise ValueError("Q undefined: theta and CDF at cutoff both zero")
-    centered = ~significant(arr, cutoff) - F_hat
-    q = theta**2 * np.mean(np.asarray(S) * centered, axis=-1, keepdims=True) / denom**2
-    return q if arr.ndim > 1 else float(q[0])
+    centered = tail.insignificant - F_hat
+    return theta**2 * np.mean(S * centered, axis=-1, keepdims=True) / denom**2
 
 
-def influence(S: np.ndarray, t, ing: InfluenceIngredients) -> np.ndarray:
-    """Feasible influence values m(t_i) = S_i W(t_i) + Q X(t_i)."""
-    W = selection_weight(t, ing.theta_hat, ing.F_hat, ing.cutoff)
-    X = theta_influence(t, ing.B_plus, ing.B_minus, ing.epsilon, ing.cutoff)
-    return np.asarray(S) * W + ing.Q_hat * X
+def influence(S: np.ndarray, theta, tail) -> np.ndarray:
+    """Feasible influence values m(t_i) = S_i W(t_i) + Q X(t_i).
+
+    W is the normalized caliper weight, in the theta-multiplied form
+
+        W = (theta + (1 - theta) 1{|t| <= cutoff}) / (theta + (1 - theta) F)
+
+    that stays finite as theta -> 0 (identically 1 at theta = 1), and X
+    the influence of the inverse caliper ratio,
+
+        X = 1{upper bin} / B-  -  (B+ / B-^2) 1{lower bin},
+
+    whose sample mean is exactly zero.  Both are undefined where the row
+    core already fails a row: W at theta + (1 - theta) F = 0, X at B- = 0.
+    """
+    th, F_hat = _column(theta), _column(tail.F_hat)
+    B_plus, B_minus = _column(tail.B_plus), _column(tail.B_minus)
+    W = (th + (1.0 - th) * tail.insignificant) / (th + (1.0 - th) * F_hat)
+    X = tail.upper / B_minus - (B_plus / B_minus**2) * tail.lower
+    return S * W + q_hat(S, theta, tail) * X
 
 
 def _factorise(labels, return_index: bool = False) -> tuple[np.ndarray, ...]:

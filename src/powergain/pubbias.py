@@ -20,14 +20,21 @@ class CaliperError(Exception):
                    "widen epsilon or check the sample")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EmpiricalTail:
-    """Bin masses and counts around the cutoff, plus the |t| CDF there.
+    """The one bin decision around the cutoff, and what is read from it.
 
-    One entry per row of the scores given to ``caliper_tail`` (0-d arrays
-    for a flat sample); ``n`` is the row length.
+    ``insignificant`` (|t| <= cutoff), ``lower`` (|t| in (cutoff - eps,
+    cutoff]) and ``upper`` (|t| in (cutoff, cutoff + eps]) are masks with
+    the shape of the scores; every estimator term (omega, W, X, Q) reads
+    them instead of comparing scores with the cutoff again.  The counts,
+    masses and F_hat are their sums, one entry per row (0-d for a flat
+    sample); ``n`` is the row length.  ``==`` is identity.
     """
 
+    insignificant: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
     F_hat: np.ndarray
     B_plus: np.ndarray
     B_minus: np.ndarray
@@ -40,9 +47,9 @@ def significant(t, cutoff: float):
     """The one significance predicate of the package: |t| > cutoff.
 
     A score exactly at the cutoff is insignificant, as in the event
-    Pr(|T| > cv) that the power function measures.  Every module that
-    splits scores at the cutoff (caliper bins, weights, thinning, shares)
-    goes through this function.
+    Pr(|T| > cv) that the power function measures.  Every split at the
+    cutoff goes through this function: the caliper bins (and, through
+    their masks, every estimator weight), the thinning and the shares.
     """
     return np.abs(t) > cutoff
 
@@ -52,22 +59,26 @@ def caliper_tail(t, epsilon: float, cutoff: float = 1.96) -> tuple[np.ndarray, E
 
     theta_hat = #{|t| in (cutoff - eps, cutoff]} / #{|t| in (cutoff, cutoff + eps]}
 
-    Returns arrays with one entry per row (0-d for a flat t).  The
-    estimate is deliberately not clamped to [0, 1].  An empty lower bin
-    gives theta_hat = 0; an empty upper bin leaves the ratio undefined and
-    gives NaN, which the estimator reports as a ``CaliperError``.  Raises
-    nothing but the ``ValueError`` of a non-positive epsilon.
+    Returns theta_hat and the ``EmpiricalTail`` of the bin masks, whose
+    counts and F_hat are the mask sums of each row (0-d for a flat t).
+    The estimate is deliberately not clamped to [0, 1].  An empty lower
+    bin gives theta_hat = 0; an empty upper bin leaves the ratio undefined
+    and gives NaN, which the estimator reports as a ``CaliperError``.
+    Raises nothing but the ``ValueError`` of a non-positive epsilon.
     """
     if epsilon <= 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     arr = np.abs(np.asarray(t, dtype=float))
-    sig = significant(arr, cutoff)
-    below = np.count_nonzero((arr > cutoff - epsilon) & ~sig, axis=-1)
-    above = np.count_nonzero(sig & (arr <= cutoff + epsilon), axis=-1)
+    insignificant = ~significant(arr, cutoff)
+    lower = insignificant & (arr > cutoff - epsilon)
+    upper = ~insignificant & (arr <= cutoff + epsilon)
+    below = np.count_nonzero(lower, axis=-1)
+    above = np.count_nonzero(upper, axis=-1)
     n = arr.shape[-1]
     with np.errstate(divide="ignore", invalid="ignore"):
         theta = np.where(above > 0, below / above, np.nan)
-    tail = EmpiricalTail(F_hat=(n - np.count_nonzero(sig, axis=-1)) / n,
+    tail = EmpiricalTail(insignificant=insignificant, lower=lower, upper=upper,
+                         F_hat=np.count_nonzero(insignificant, axis=-1) / n,
                          B_plus=above / n, B_minus=below / n,
                          count_above=above, count_below=below, n=n)
     return theta, tail

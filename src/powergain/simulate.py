@@ -19,7 +19,7 @@ import numpy as np
 from scipy import integrate, stats
 
 from . import basis as _basis
-from .estimator import TScoreSample, delta_hat_pb_rows
+from .estimator import delta_hat_pb_rows
 from .pubbias import significant
 from . import spectrum as _spectrum
 
@@ -129,8 +129,8 @@ def _draw_noise(noise: str, rng: np.random.Generator, m: int) -> np.ndarray:
     return np.interp(rng.random(m), cdf, edges)  # inverse CDF of the exact law
 
 
-def draw_population(spec: DgpSpec, n: int, seed) -> TScoreSample:
-    """Draw n published t-scores from the DGP with singleton clusters.
+def draw_population(spec: DgpSpec, n: int, seed) -> np.ndarray:
+    """Draw n published t-scores from the DGP, as a flat array.
 
     Scores are generated as true effect plus noise and then thinned:
     significant scores (|t| > cv) always survive, insignificant ones
@@ -149,7 +149,7 @@ def draw_population(spec: DgpSpec, n: int, seed) -> TScoreSample:
         keep = significant(t, spec.cv) | (rng.random(m) < spec.theta0)
         kept.append(t[keep])
         have += int(keep.sum())
-    return TScoreSample.from_scores(np.concatenate(kept)[:n])
+    return np.concatenate(kept)[:n]
 
 
 @functools.cache
@@ -313,7 +313,7 @@ def run_coverage(spec: DgpSpec, n: int, reps: int,
     block = max(1, _spectrum._CHUNK // n)
     deltas, ses, covered = [], [], 0
     for start in range(0, reps, block):
-        t = np.stack([draw_population(spec, n, s).t for s in streams[start:start + block]])
+        t = np.stack([draw_population(spec, n, s) for s in streams[start:start + block]])
         rows = delta_hat_pb_rows(t, b, epsilon, alpha=cfg.alpha)
         good = np.isfinite(rows.se)
         deltas.append(rows.delta[good])

@@ -21,6 +21,7 @@ from powergain.basis import conditional_power, gaussian_pdf, hermite_sequence
 from powergain.cli import main, read_tscore_file
 from powergain.estimator import (
     GroupedEffects,
+    TScoreSample,
     conditional_delta,
     estimate,
     reconstruct_prior,
@@ -110,8 +111,8 @@ def test_analytic_power_gain_benchmarks():
 
     # On pure noise the naive rescaling (treat t as if it grew by c) claims
     # a power of 16.6% at c^2 = 2, while the actual gain is zero.
-    sample = draw_population(DgpSpec(prior="truenull", theta0=1.0),
-                             1_000_000, seed=77)
+    sample = TScoreSample.from_scores(
+        draw_population(DgpSpec(prior="truenull", theta0=1.0), 1_000_000, seed=77))
     naive = np.mean(np.abs(SQRT2 * sample.t) > 1.96)
     np.testing.assert_allclose(naive, 0.166, atol=3e-3)
     rep = estimate(sample, TuningConfig(c=SQRT2))
@@ -131,7 +132,7 @@ def test_tuning_rule_published_pairs():
 
 
 def test_estimator_identities():
-    sample = draw_population(DgpSpec(prior="bimodal"), 400, seed=33)
+    sample = TScoreSample.from_scores(draw_population(DgpSpec(prior="bimodal"), 400, seed=33))
     cfg = TuningConfig(c=SQRT2)
 
     # No sample-size change, no gain — exactly.
@@ -142,12 +143,12 @@ def test_estimator_identities():
     assert all(v == 0.0 for v in b.a[1::2])
 
     # The estimate depends on t only through |t|.
-    flipped = type(sample).from_scores(-sample.t, sample.study_id)
+    flipped = TScoreSample.from_scores(-sample.t, sample.study_id)
     rep, rep_f = estimate(sample, cfg), estimate(flipped, cfg)
     assert rep.delta == rep_f.delta and rep.se == rep_f.se
 
     # When the caliper ratio is exactly 1 the correction is a no-op.
-    balanced = type(sample).from_scores(
+    balanced = TScoreSample.from_scores(
         np.array([1.2, 1.5, 2.2, 2.5, 0.3, 0.5, 3.5, 0.7]))
     with_pb = estimate(balanced, cfg)
     assert with_pb.theta == 1.0
@@ -187,7 +188,7 @@ def test_variance_and_interval_plumbing():
 def test_file_ingestion_round_trip(tmp_path):
     # A synthetic t-score file with known truth: parsing it reproduces the
     # in-memory estimate bit for bit, and the estimate finds the truth.
-    sample = draw_population(DgpSpec(prior="bimodal"), 2000, seed=11)
+    sample = TScoreSample.from_scores(draw_population(DgpSpec(prior="bimodal"), 2000, seed=11))
     csv_path = tmp_path / "scores.csv"
     csv_path.write_text("t,study_id\n" + "".join(
         f"{float(t)!r},{s}\n" for t, s in zip(sample.t, sample.study_id)))

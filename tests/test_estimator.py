@@ -102,7 +102,7 @@ class TestTScoreSample:
 class TestDescriptiveShares:
     def test_status_quo_power_strict_inequality(self):
         s = TScoreSample.from_scores([1.96, 1.961, -2.5, 0.3])
-        np.testing.assert_allclose(estimator.status_quo_power(s), 0.5)
+        np.testing.assert_allclose(estimator.status_quo_power(s.t), 0.5)
 
     # The naive "rescale the observed t-scores" share is the status-quo
     # power of c * t: it multiplies realized noise along with the signal.
@@ -196,7 +196,7 @@ class TestDeltaHatPb:
 def _thinned_bimodal(rng, n):
     """n published scores: bimodal effects plus N(0, 1) noise, thinned at 0.9."""
     spec = simulate.DgpSpec(prior="bimodal")
-    return simulate.draw_population(spec, n, rng).t
+    return simulate.draw_population(spec, n, rng)
 
 
 class TestRowCore:
@@ -270,14 +270,17 @@ class TestSignificanceAtTheCutoff:
         t = np.array([self.CV, 0.3, 2.1])
         theta, tail = pubbias.caliper_tail(t, 0.5, self.CV)
         assert (tail.count_below, tail.count_above, tail.F_hat) == (1, 1, 2 / 3)
-        insignificant = inference.selection_weight(0.3, theta, tail.F_hat, self.CV)
-        assert inference.selection_weight(self.CV, theta, tail.F_hat, self.CV) == insignificant
-        x = inference.theta_influence(t, tail.B_plus, tail.B_minus, 0.5, self.CV)
-        assert x[0] == -tail.B_plus / tail.B_minus ** 2 and x[2] == 1 / tail.B_minus
+        assert tail.lower.tolist() == [True, False, False]
+        # At theta = 0, Q = 0 and m = W: the tie takes the insignificant weight.
+        w = inference.influence(np.ones(3), 0.0, tail)
+        assert w[0] == w[1] and w[2] == 0.0
+        # At theta = 1, W = 1 and X = (m - S) / Q.
         S = np.array([1.0, 0.0, 0.0])
+        (q,) = inference.q_hat(S, 1.0, tail)
         # The tie's centred term is 1 - F, as for an insignificant score.
-        assert inference.q_hat(S, t, 1.0, tail.F_hat, self.CV) == pytest.approx(
-            (1.0 - tail.F_hat) / 3.0, rel=1e-15)
+        assert q == pytest.approx((1.0 - tail.F_hat) / 3.0, rel=1e-15)
+        x = (inference.influence(S, 1.0, tail) - S) / q
+        assert x[0] == -tail.B_plus / tail.B_minus ** 2 and x[2] == 1 / tail.B_minus
 
     def test_estimators_weight_the_tie_by_one(self):
         # Lower bin {1.96, 1.8}, upper bin {2.1}: theta_hat = 2, and only
@@ -300,8 +303,8 @@ class TestSignificanceAtTheCutoff:
         draws = np.tile([self.CV, 2.5], 64)
         monkeypatch.setattr(simulate, "_draw_prior", lambda spec, rng, m: np.zeros(m))
         monkeypatch.setattr(simulate, "_draw_noise", lambda noise, rng, m: draws[:m])
-        s = simulate.draw_population(simulate.DgpSpec(theta0=1e-12), 20, 3)
-        assert (s.t == 2.5).all()
+        t = simulate.draw_population(simulate.DgpSpec(theta0=1e-12), 20, 3)
+        assert (t == 2.5).all()
 
 
 class TestEstimateOrchestrator:
@@ -353,7 +356,7 @@ class TestEstimateOrchestrator:
     def test_recovers_known_gain_from_thinned_draw(self):
         from powergain import simulate
         spec = simulate.DgpSpec(prior="bimodal", noise="normal")
-        s = simulate.draw_population(spec, 2000, 11)
+        s = TScoreSample.from_scores(simulate.draw_population(spec, 2000, 11))
         rep = estimator.estimate(s, make_config())
         assert abs(rep.delta - 0.12205062) < 3.0 * rep.se
 

@@ -1,4 +1,9 @@
-"""Tests for selection weights, influence terms, and the variance estimator."""
+"""Tests for selection weights, influence terms, and the variance estimator.
+
+W, X and Q are read off ``influence`` and ``q_hat`` on a ``caliper_tail``:
+X = 0 outside both caliper bins, so m = S W there; at theta = 0, Q = 0 and
+m = S W everywhere; at theta = 1, W = 1 and X = (m - S) / Q.
+"""
 import math
 
 import numpy as np
@@ -7,41 +12,53 @@ import pytest
 from powergain import inference, pubbias
 
 
+def tail_of(t, epsilon=0.5):
+    return pubbias.caliper_tail(np.asarray(t, dtype=float), epsilon)[1]
+
+
+def weights(theta, tail):
+    """W from its formula: (theta + (1 - theta) 1{|t| <= cv}) / (theta + (1 - theta) F)."""
+    return (theta + (1 - theta) * tail.insignificant) / (theta + (1 - theta) * tail.F_hat)
+
+
 class TestSelectionWeight:
     def test_hand_value(self):
         # theta 0.75, F 0.5: insignificant weight (0.75 + 0.25)/0.875,
-        # significant weight 0.75/0.875.
-        w_in = inference.selection_weight(0.5, theta=0.75, p=0.5, cutoff=1.96)
-        w_out = inference.selection_weight(2.5, theta=0.75, p=0.5, cutoff=1.96)
+        # significant weight 0.75/0.875.  1.8 and 2.1 fill the bins.
+        tail = tail_of([0.5, 2.5, 1.8, 2.1])
+        w_in, w_out = inference.influence(np.ones(4), 0.75, tail)[:2]
         np.testing.assert_allclose(w_in, 1.0 / 0.875, rtol=1e-14)
         np.testing.assert_allclose(w_out, 0.75 / 0.875, rtol=1e-14)
 
     def test_sample_mean_is_one(self):
-        # With p set to the sample share of insignificant scores the
-        # weights average to exactly one — they reweight, not rescale.
+        # With F the sample share of insignificant scores the weights
+        # average to exactly one — they reweight, not rescale.  With S = 1
+        # the X term adds Q * mean(X) = 0.
         rng = np.random.default_rng(42)
         for _ in range(20):
             t = rng.normal(0.0, 1.5, size=300)
             theta = float(rng.uniform(0.2, 1.5))
-            p = float(np.mean(np.abs(t) <= 1.96))
-            w = inference.selection_weight(t, theta=theta, p=p, cutoff=1.96)
+            tail = tail_of(t)
+            assert tail.count_below > 0
+            w = inference.influence(np.ones(300), theta, tail)
             np.testing.assert_allclose(np.mean(w), 1.0, rtol=1e-12)
 
     def test_no_bias_means_unit_weights(self):
-        t = np.linspace(-3, 3, 7)
-        w = inference.selection_weight(t, theta=1.0, p=0.4, cutoff=1.96)
-        np.testing.assert_allclose(w, np.ones(7))
+        t = np.append(np.linspace(-3, 3, 7), 1.8)
+        tail = tail_of(t)
+        S = np.arange(8.0) - 3.0
+        m = inference.influence(S, 1.0, tail)
+        out = ~(tail.lower | tail.upper)  # X = 0, so m = S W
+        assert out.sum() == 5
+        np.testing.assert_allclose(m[out], S[out])
 
     def test_stable_at_theta_zero(self):
         # theta = 0 with a nonzero insignificant share keeps the weight
-        # finite: 1/p inside, 0 outside.
-        w_in = inference.selection_weight(0.5, theta=0.0, p=0.25, cutoff=1.96)
-        w_out = inference.selection_weight(2.5, theta=0.0, p=0.25, cutoff=1.96)
-        np.testing.assert_allclose([w_in, w_out], [4.0, 0.0])
-
-    def test_degenerate_denominator_rejected(self):
-        with pytest.raises(ValueError):
-            inference.selection_weight(0.5, theta=0.0, p=0.0, cutoff=1.96)
+        # finite: 1/F inside, 0 outside.  Q = 0, so m = W everywhere.
+        tail = tail_of([0.5, 2.5, 1.8, 2.1, 3.0, 3.5, 4.0, 4.5])
+        assert tail.F_hat == 0.25
+        w = inference.influence(np.ones(8), 0.0, tail)
+        np.testing.assert_allclose(w, [4.0, 0.0, 4.0] + [0.0] * 5)
 
 
 class TestThetaInfluence:
@@ -49,32 +66,27 @@ class TestThetaInfluence:
         rng = np.random.default_rng(42)
         for _ in range(20):
             t = rng.normal(0.0, 1.5, size=500)
+            S = rng.normal(size=500)
             eps = float(rng.uniform(0.3, 0.7))
-            _, tail = pubbias.caliper_tail(t, epsilon=eps)
+            tail = tail_of(t, eps)
             if tail.count_below == 0:
                 continue
-            x = inference.theta_influence(t, tail.B_plus, tail.B_minus,
-                                          epsilon=eps, cutoff=1.96)
+            x = (inference.influence(S, 1.0, tail) - S) / inference.q_hat(S, 1.0, tail)
             np.testing.assert_allclose(np.mean(x), 0.0, atol=1e-12)
 
     def test_hand_values(self):
         t = np.array([1.8, 2.1, 0.3])
+        S = np.array([1.0, 0.0, 0.0])
+        tail = tail_of(t)
         # B+ = B- = 1/3: upper row gets 1/B- = 3, lower gets -(B+/B-^2) = -3.
-        x = inference.theta_influence(t, 1.0 / 3.0, 1.0 / 3.0, epsilon=0.5,
-                                      cutoff=1.96)
+        x = (inference.influence(S, 1.0, tail) - S) / inference.q_hat(S, 1.0, tail)
         np.testing.assert_allclose(x, [-3.0, 3.0, 0.0])
-
-    def test_requires_scores_below(self):
-        with pytest.raises(ValueError):
-            inference.theta_influence(np.array([2.0]), 0.5, 0.0, epsilon=0.5,
-                                      cutoff=1.96)
 
 
 class TestQhat:
     def test_zero_when_theta_zero(self):
         S = np.array([0.3, -0.1, 0.7])
-        t = np.array([0.5, 2.5, 1.0])
-        assert inference.q_hat(S, t, theta=0.0, F_hat=2 / 3, cutoff=1.96) == 0.0
+        assert inference.q_hat(S, 0.0, tail_of([0.5, 2.5, 1.0])) == 0.0
 
     def test_theta_one_form(self):
         rng = np.random.default_rng(42)
@@ -83,17 +95,15 @@ class TestQhat:
         ind = (np.abs(t) < 1.96).astype(float)
         F = float(np.mean(np.abs(t) <= 1.96))
         expected = float(np.mean(S * (ind - F)))
-        np.testing.assert_allclose(
-            inference.q_hat(S, t, theta=1.0, F_hat=F, cutoff=1.96), expected,
-            rtol=1e-12)
+        np.testing.assert_allclose(inference.q_hat(S, 1.0, tail_of(t)), expected, rtol=1e-12)
 
     def test_scales_with_theta_squared_at_fixed_denominator(self):
         S = np.array([0.5, -0.2, 0.1, 0.9])
-        t = np.array([0.5, 2.5, 1.0, 2.2])
-        q1 = inference.q_hat(S, t, theta=0.3, F_hat=0.5, cutoff=1.96)
+        tail = tail_of([0.5, 2.5, 1.0, 2.2])
+        q1 = inference.q_hat(S, 0.3, tail)
         # Doubling theta multiplies the numerator by 4 and changes the
         # denominator from (0.3 + 0.35)^2 to (0.6 + 0.2)^2.
-        q2 = inference.q_hat(S, t, theta=0.6, F_hat=0.5, cutoff=1.96)
+        q2 = inference.q_hat(S, 0.6, tail)
         np.testing.assert_allclose(q2 / q1, 4.0 * (0.65 / 0.8) ** 2, rtol=1e-12)
 
 
@@ -103,15 +113,10 @@ class TestInfluence:
         t = rng.normal(0.0, 1.5, size=400)
         S = rng.normal(size=400)
         theta, tail = pubbias.caliper_tail(t, epsilon=0.5)
-        q = inference.q_hat(S, t, theta, tail.F_hat, cutoff=1.96)
-        ing = inference.InfluenceIngredients(
-            theta_hat=theta, F_hat=tail.F_hat, B_plus=tail.B_plus,
-            B_minus=tail.B_minus, Q_hat=q, epsilon=0.5, cutoff=1.96)
-        m = inference.influence(S, t, ing)
-        w = inference.selection_weight(t, theta, tail.F_hat, cutoff=1.96)
-        x = inference.theta_influence(t, tail.B_plus, tail.B_minus,
-                                      epsilon=0.5, cutoff=1.96)
-        np.testing.assert_allclose(m, S * w + q * x, rtol=1e-12)
+        q = inference.q_hat(S, theta, tail)
+        m = inference.influence(S, theta, tail)
+        x = tail.upper / tail.B_minus - tail.B_plus / tail.B_minus ** 2 * tail.lower
+        np.testing.assert_allclose(m, S * weights(theta, tail) + q * x, rtol=1e-12)
 
     def test_mean_preserves_weighted_kernel_mean(self):
         # The theta-influence part is mean zero, so the influence mean
@@ -120,13 +125,8 @@ class TestInfluence:
         t = rng.normal(0.0, 1.5, size=600)
         S = rng.normal(size=600)
         theta, tail = pubbias.caliper_tail(t, epsilon=0.5)
-        q = inference.q_hat(S, t, theta, tail.F_hat, cutoff=1.96)
-        ing = inference.InfluenceIngredients(
-            theta_hat=theta, F_hat=tail.F_hat, B_plus=tail.B_plus,
-            B_minus=tail.B_minus, Q_hat=q, epsilon=0.5, cutoff=1.96)
-        m = inference.influence(S, t, ing)
-        w = inference.selection_weight(t, theta, tail.F_hat, cutoff=1.96)
-        np.testing.assert_allclose(np.mean(m), np.mean(S * w), rtol=1e-10)
+        m = inference.influence(S, theta, tail)
+        np.testing.assert_allclose(np.mean(m), np.mean(S * weights(theta, tail)), rtol=1e-10)
 
 
 class TestVarianceHat:

@@ -79,6 +79,28 @@ class TestEstimateTheta:
         assert tail.count_above == 2  # 1.961 and 2.46; 2.461 just misses
         np.testing.assert_allclose(theta, 1.0)
 
+    def test_masks_are_the_one_bin_decision(self):
+        # Scores at 0, cv - eps, cv and cv + eps and their negatives, and a
+        # row with a tie at cv: the masks decide each score's bin, and
+        # every count and share of the tail is a mask sum.
+        cv, eps = 1.96, 0.5
+        edges = [0.0, cv - eps, cv, cv + eps]
+        t = np.array([edges + [-x for x in edges],
+                      [cv, 0.3, 2.1, 1.8, -cv, 3.0, 2.2, 0.0]])
+        theta, tail = pubbias.caliper_tail(t, eps, cv)
+        for mask in (tail.insignificant, tail.lower, tail.upper):
+            assert mask.shape == t.shape and mask.dtype == bool
+        assert tail.insignificant[0].tolist() == [True, True, True, False] * 2
+        assert tail.lower[0].tolist() == [False, False, True, False] * 2
+        assert tail.upper[0].tolist() == [False, False, False, True] * 2
+        assert tail.lower[1].tolist() == [True, False, False, True, True, False, False, False]
+        assert not (tail.lower & ~tail.insignificant).any()
+        assert not (tail.upper & tail.insignificant).any()
+        np.testing.assert_array_equal(tail.count_below, tail.lower.sum(axis=1))
+        np.testing.assert_array_equal(tail.count_above, tail.upper.sum(axis=1))
+        np.testing.assert_array_equal(tail.F_hat, tail.insignificant.sum(axis=1) / 8)
+        np.testing.assert_array_equal(theta, [1.0, 1.5])
+
     def test_invalid_epsilon(self):
         with pytest.raises(ValueError):
             pubbias.caliper_tail(FIXTURE, epsilon=0.0)

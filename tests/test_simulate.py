@@ -66,16 +66,16 @@ class TestDgpSpec:
 class TestDrawPopulation:
     def test_deterministic_and_right_size(self):
         spec = DgpSpec(prior="bimodal")
-        s1 = simulate.draw_population(spec, 137, 5)
-        s2 = simulate.draw_population(spec, 137, 5)
+        s1 = estimator.TScoreSample.from_scores(simulate.draw_population(spec, 137, 5))
+        s2 = estimator.TScoreSample.from_scores(simulate.draw_population(spec, 137, 5))
         assert s1.n == 137
         np.testing.assert_array_equal(s1.t, s2.t)
         assert s1.n_clusters == 137  # singleton clusters
 
     def test_no_thinning_keeps_nominal_size(self):
         spec = DgpSpec(prior="truenull", theta0=1.0)
-        s = simulate.draw_population(spec, 200_000, 42)
-        share = float(np.mean(np.abs(s.t) > 1.96))
+        t = simulate.draw_population(spec, 200_000, 42)
+        share = float(np.mean(np.abs(t) > 1.96))
         np.testing.assert_allclose(share, 0.05, atol=0.003)
 
     def test_thinning_raises_significant_share(self):
@@ -83,8 +83,8 @@ class TestDrawPopulation:
         # published share of significant results is
         # 0.05 / (0.05 + 0.9 * 0.95) = 0.0552 instead of 0.05.
         spec = DgpSpec(prior="truenull", theta0=0.9)
-        s = simulate.draw_population(spec, 200_000, 42)
-        share = float(np.mean(np.abs(s.t) > 1.96))
+        t = simulate.draw_population(spec, 200_000, 42)
+        share = float(np.mean(np.abs(t) > 1.96))
         np.testing.assert_allclose(share, 0.0552439929, atol=0.003)
 
     def test_rejects_nonpositive_n(self):
@@ -315,7 +315,7 @@ def scalar_coverage(spec, n, reps, cfg, seed):
     truth = simulate.oracle_delta(spec)
     kinds, deltas, ses, covered = Counter(), [], [], 0
     for stream in np.random.SeedSequence(seed).spawn(reps):
-        sample = simulate.draw_population(spec, n, stream)
+        sample = estimator.TScoreSample.from_scores(simulate.draw_population(spec, n, stream))
         try:
             rep = estimator.delta_hat_pb(sample, b, eps, alpha=cfg.alpha)
         except CaliperError:
