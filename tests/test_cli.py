@@ -3,6 +3,9 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -443,6 +446,25 @@ class TestSimulateCommand:
         row = payload["rows"][0]
         assert row["dgp"] == "truenull" and row["noise"] == "normal"
         assert row["true_delta"] == 0.0
+
+
+def test_simulate_loads_neither_scipy_stats_nor_integrate(tmp_path):
+    # A fresh interpreter: this test session itself imports both modules.
+    script = (
+        "import json, sys\n"
+        "from powergain import cli\n"
+        "code = cli.main(['simulate', '--table', '2', '--reps', '3', '--seed', '1',\n"
+        "                 '--output', sys.argv[1]])\n"
+        "print(json.dumps([code, [m for m in ('scipy.stats', 'scipy.integrate')\n"
+        "                         if m in sys.modules]]))\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    out = tmp_path / "table2.tsv"
+    proc = subprocess.run([sys.executable, "-c", script, str(out)], env=env,
+                          capture_output=True, text=True, timeout=300, check=True)
+    assert json.loads(proc.stdout.splitlines()[-1]) == [0, []]
+    assert len(out.read_text().splitlines()) == 1 + 7
 
 
 class TestConditionalCommand:

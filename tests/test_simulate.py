@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import integrate, stats
 
 from mc_reference import MC_DRAWS, lognormal_pool_means, mc_powers
 from powergain import estimator, simulate, spectrum
@@ -174,6 +175,57 @@ class TestOracleDelta:
             spec = DgpSpec(prior=prior, noise="t30")
             np.testing.assert_allclose(simulate.oracle_delta(spec), delta,
                                        rtol=1e-6, err_msg=prior)
+
+
+def quadpack_power(spec, scale):
+    """oracle_power of a continuous prior by adaptive QUADPACK at 1e-10."""
+    opts = dict(epsabs=1e-10, epsrel=1e-10, limit=200)
+
+    def pw(h):
+        return simulate._power_given_effect(scale * h, spec.noise, spec.cv)
+
+    if spec.prior == "cauchy":
+        return integrate.quad(lambda u: pw(math.tan(u)) / math.pi,
+                              -math.pi / 2, math.pi / 2, **opts)[0]
+    if spec.prior == "uniform":
+        return integrate.quad(lambda h: pw(h) / 6.0, -3.0, 3.0, **opts)[0]
+    total = 0.0
+    for w, mu, sd in simulate._NORMAL_MIXTURES[spec.prior]:
+        total += w * integrate.quad(
+            lambda h: pw(h) * stats.norm.pdf(h, mu, sd),
+            mu - 12.0 * sd, mu + 12.0 * sd, **opts)[0]
+    return total
+
+
+class TestQuadratureOracle:
+    """The fixed Gauss-Legendre rule against QUADPACK and the SciPy laws."""
+
+    @pytest.mark.parametrize("noise, tol", [("normal", 1e-13), ("t30", 1e-13),
+                                            ("lognormal", 1e-9)])
+    def test_matches_quadpack(self, noise, tol):
+        # The lognormal-mean CDF is piecewise linear on its lattice, so
+        # QUADPACK itself only meets its 1e-10 tolerance there.
+        for prior in ("cauchy", "bimodal", "large", "slope", "uniform"):
+            spec = DgpSpec(prior=prior, noise=noise)
+            for scale in (1.0, SQRT2, 2.0, 3.0):
+                got = simulate.oracle_power(spec, scale)
+                assert abs(got - quadpack_power(spec, scale)) <= tol, (prior, scale)
+
+    def test_t30_power_is_the_scipy_t_law(self):
+        h = np.linspace(-40.0, 40.0, 20_001)
+        for cv in (1.0, 1.96, 2.58):
+            old = stats.t.sf(cv - h, 30) + stats.t.cdf(-cv - h, 30)
+            assert np.array_equal(simulate._power_given_effect(h, "t30", cv), old)
+
+    def test_lognormal_law_is_built_from_the_scipy_masses(self):
+        step = simulate._LOGNORMAL_STEP
+        cells = int(round(simulate._LOGNORMAL_TOP / step))
+        bounds = (np.arange(cells + 1) - 0.5) * step
+        bounds[0] = 0.0
+        pmf = np.diff(stats.lognorm.cdf(bounds, 1.0))
+        pool = np.fft.irfft(np.fft.rfft(pmf) ** simulate._LOGNORMAL_POOL, cells)
+        edges, cdf = simulate._lognormal_mean_cdf()
+        assert np.array_equal(cdf, np.cumsum(pool))
 
 
 class TestMonteCarloOracle:
