@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import functools
 import math
+import statistics
 
 import numpy as np
-from scipy import special
 
 #: Largest polynomial degree the recurrence is certified for.  The tuning
 #: rule with recommended constants stays below ~30 for any realistic meta
@@ -82,11 +82,14 @@ def gaussian_pdf(x, variance: float = 1.0):
     return out if arr.ndim else float(out)
 
 
-def normal_quantile(p):
-    """Inverse standard normal CDF (for critical values and CI half-widths)."""
-    arr = np.asarray(p, dtype=float)
-    out = special.ndtri(arr)
-    return out if arr.ndim else float(out)
+def normal_quantile(p: float) -> float:
+    """Inverse standard normal CDF at one probability (for CI half-widths).
+
+    Uses the standard library's ``NormalDist``, so the estimate path loads
+    no SciPy; it is within a few ulp of ``scipy.special.ndtri``.  For ``p``
+    outside (0, 1) it raises ``ValueError`` where ``ndtri`` returns +/-inf.
+    """
+    return statistics.NormalDist().inv_cdf(float(p))
 
 
 def conditional_power(h, cv: float = 1.96):
@@ -110,6 +113,8 @@ def conditional_power(h, cv: float = 1.96):
     float or ndarray
         Probability in [0, 1].
     """
+    from scipy import special
+
     if not cv > 0:
         raise ValueError(f"critical value must be positive, got {cv}")
     arr = np.asarray(h, dtype=float)

@@ -22,7 +22,6 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .estimator import (
@@ -325,18 +324,26 @@ def _digest(path: str) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def _manifest(args: argparse.Namespace, dataset: str | None) -> dict:
+def _manifest(args: argparse.Namespace, dataset: str | None,
+              uses_scipy: bool = False) -> dict:
+    """Command, flags, versions and dataset digest of one run.
+
+    The SciPy version is listed only for the commands that load SciPy
+    (``simulate`` and ``conditional``), so ``estimate`` and ``curve`` never
+    import it just to name it.
+    """
     echo = {k: v for k, v in sorted(vars(args).items())
             if k not in ("func",) and not k.startswith("_")}
+    versions = {"powergain": __version__, "numpy": np.__version__}
+    if uses_scipy:
+        import scipy
+
+        versions["scipy"] = scipy.__version__
+    versions["python"] = sys.version.split()[0]
     man = {
         "command": args.command,
         "config": echo,
-        "versions": {
-            "powergain": __version__,
-            "numpy": np.__version__,
-            "scipy": scipy.__version__,
-            "python": sys.version.split()[0],
-        },
+        "versions": versions,
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
     if dataset is not None:
@@ -478,7 +485,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                 header_done = True
                 sys.stdout.flush()
 
-    payload = {"command": "simulate", "rows": rows, "manifest": _manifest(args, None)}
+    payload = {"command": "simulate", "rows": rows,
+               "manifest": _manifest(args, None, uses_scipy=True)}
     if stream_text:
         return 0
     if args.out == "csv":
@@ -494,7 +502,7 @@ def cmd_conditional(args: argparse.Namespace) -> int:
     report = conditional_delta(groups, c=_c_from_args(args), cv=args.cv,
                                se_mode=args.se).to_dict()
     payload = {"command": "conditional", "report": report,
-               "manifest": _manifest(args, args.dataset)}
+               "manifest": _manifest(args, args.dataset, uses_scipy=True)}
     if args.out == "csv":
         text = _csv_table([report], list(report))
     else:

@@ -17,7 +17,6 @@ import math
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
-from scipy import special
 
 from . import basis as _basis
 from .estimator import delta_hat_pb_rows
@@ -170,6 +169,8 @@ def _lognormal_mean_cdf():
     inverse-CDF draws.  Built on first use (two arrays of 500,000 floats)
     and kept for the life of the process.
     """
+    from scipy import special
+
     h = _LOGNORMAL_STEP
     cells = int(round(_LOGNORMAL_TOP / h))
     bounds = (np.arange(cells + 1) - 0.5) * h
@@ -187,6 +188,8 @@ def _power_given_effect(h, noise: str, cv: float):
     if noise == "normal":
         return _basis.conditional_power(h, cv)
     if noise == "t30":
+        from scipy import special
+
         return special.stdtr(30, h - cv) + special.stdtr(30, -cv - h)
     edges, cdf = _lognormal_mean_cdf()
     return 1.0 - np.interp(cv - h, edges, cdf) + np.interp(-cv - h, edges, cdf)

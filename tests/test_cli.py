@@ -330,7 +330,7 @@ class TestEstimateCommand:
         assert manifest["command"] == "estimate"
         assert manifest["dataset"]["path"] == p
         assert len(manifest["dataset"]["sha256"]) == 64
-        assert set(manifest["versions"]) == {"powergain", "numpy", "scipy", "python"}
+        assert set(manifest["versions"]) == {"powergain", "numpy", "python"}
         assert manifest["config"]["c2"] == 2.0
 
     def test_c2_one_gives_exact_zero(self, tmp_path):
@@ -446,10 +446,24 @@ class TestSimulateCommand:
         row = payload["rows"][0]
         assert row["dgp"] == "truenull" and row["noise"] == "normal"
         assert row["true_delta"] == 0.0
+        assert set(payload["manifest"]["versions"]) == {"powergain", "numpy",
+                                                        "scipy", "python"}
+
+
+def _last_json_line_of_fresh_interpreter(script, *argv):
+    """Run ``script`` in a fresh interpreter on this checkout; its last stdout line as JSON.
+
+    A fresh interpreter, because this test session itself imports SciPy.
+    """
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run([sys.executable, "-c", script, *argv], env=env,
+                          capture_output=True, text=True, timeout=300, check=True)
+    return json.loads(proc.stdout.splitlines()[-1])
 
 
 def test_simulate_loads_neither_scipy_stats_nor_integrate(tmp_path):
-    # A fresh interpreter: this test session itself imports both modules.
     script = (
         "import json, sys\n"
         "from powergain import cli\n"
@@ -457,14 +471,36 @@ def test_simulate_loads_neither_scipy_stats_nor_integrate(tmp_path):
         "                 '--output', sys.argv[1]])\n"
         "print(json.dumps([code, [m for m in ('scipy.stats', 'scipy.integrate')\n"
         "                         if m in sys.modules]]))\n")
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
     out = tmp_path / "table2.tsv"
-    proc = subprocess.run([sys.executable, "-c", script, str(out)], env=env,
-                          capture_output=True, text=True, timeout=300, check=True)
-    assert json.loads(proc.stdout.splitlines()[-1]) == [0, []]
+    assert _last_json_line_of_fresh_interpreter(script, str(out)) == [0, []]
     assert len(out.read_text().splitlines()) == 1 + 7
+
+
+def test_estimate_and_curve_load_no_scipy(tmp_path):
+    script = (
+        "import json, sys\n"
+        "steps = []\n"
+        "def loaded():\n"
+        "    return [m for m in ('scipy', 'scipy.special', 'scipy.stats',\n"
+        "                        'scipy.integrate') if m in sys.modules]\n"
+        "import powergain\n"
+        "steps.append(loaded())\n"
+        "from powergain import cli\n"
+        "steps.append(loaded())\n"
+        "data, out = sys.argv[1], sys.argv[2]\n"
+        "codes = [cli.main(['estimate', data, '--out', 'json', '--output', out]),\n"
+        "         cli.main(['curve', data, '--out', 'json', '--output', out])]\n"
+        "steps.append(loaded())\n"
+        "codes.append(cli.main(['conditional', sys.argv[3], '--output', out]))\n"
+        "steps.append(loaded())\n"
+        "print(json.dumps([codes, steps]))\n")
+    data = write_balanced(tmp_path / "d.csv")
+    grouped = tmp_path / "g.csv"
+    grouped.write_text("group_id,effect,std_error,weight\nstudy,2.8016,1.0,1.0\n")
+    codes, steps = _last_json_line_of_fresh_interpreter(
+        script, data, str(tmp_path / "r.json"), str(grouped))
+    assert codes == [0, 0, 0]
+    assert steps == [[], [], [], ["scipy", "scipy.special"]]
 
 
 class TestConditionalCommand:
@@ -474,8 +510,11 @@ class TestConditionalCommand:
         out = tmp_path / "c.json"
         assert main(["conditional", str(p), "--out", "json",
                      "--output", str(out)]) == 0
-        report = json.loads(out.read_text())["report"]
+        payload = json.loads(out.read_text())
+        report = payload["report"]
         np.testing.assert_allclose(report["delta"], 0.178, atol=1e-3)
+        assert set(payload["manifest"]["versions"]) == {"powergain", "numpy",
+                                                        "scipy", "python"}
         assert main(["conditional", str(p)]) == 0
         assert "0.177" in capsys.readouterr().out
 
