@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 invalid flags or values, 3 dataset parse error,
 from __future__ import annotations
 
 import argparse
+import codecs
 import csv
 import hashlib
 import io
@@ -49,20 +50,26 @@ class DatasetError(Exception):
 # ---------------------------------------------------------------------------
 # dataset ingestion
 #
-# The layout and the delimiter come from the first non-blank line.  The
-# columns are then parsed in bulk by NumPy's C reader; a line scan runs only
-# when that parse rejects the file, to name the bad lines.
+# The file's bytes are read once for the head: their decode checks UTF-8
+# and gives the layout and the delimiter, from the first non-blank line, and
+# one vectorised scan of the bytes bounds the width of each label column.
+# NumPy's C reader then parses the file in bulk, labels straight into str
+# fields of those widths, so no Python object is made per row.  A
+# whitespace-only line makes that parse fail; only then are such lines
+# blanked for a second parse, and only when that fails too does a line scan
+# run, to name the bad lines.
 
 _NON_BLANK = re.compile(r"\S")
 #: A whitespace-only line that follows a newline.
 _WHITESPACE_LINE = re.compile(r"\n[^\S\n]+$", re.MULTILINE)
 #: A line break in the raw bytes of a file.
 _LINE_BREAK = re.compile(rb"\r\n?|\n")
+#: Bytes per block of the label-width scan; its arrays then fit in cache.
+_SCAN_BLOCK = 1 << 16
 
 
-def _undecodable(path: str) -> str:
-    """Where the file at path first breaks UTF-8, by physical line."""
-    data = Path(path).read_bytes()
+def _undecodable(path: str, data: bytes) -> str:
+    """Where the file's bytes first break UTF-8, by physical line."""
     try:
         data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -72,21 +79,30 @@ def _undecodable(path: str) -> str:
     return f"{path} is not valid UTF-8"
 
 
-def _read_head(path: str) -> tuple[str, int, str, list[str], bool]:
-    """The file's text and its first non-blank line.
+def _text(data: bytes) -> str:
+    """The bytes decoded as UTF-8 without a leading byte-order mark, with
+    `\r\n` and `\r` line ends read as `\n`, as NumPy's reader reads them."""
+    text = data.decode("utf-8-sig")
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 
-    The text is decoded as UTF-8 without a leading byte-order mark; a
-    file that is not UTF-8 is a dataset error naming the line at fault.
-    Returns it with the first non-blank line's 1-based physical line
+
+def _read_head(path: str) -> tuple[bytes, int, str, list[str], bool]:
+    """The file's bytes and its first non-blank line.
+
+    The bytes must decode as UTF-8, with or without a leading byte-order
+    mark; a file that does not is a dataset error naming the line at fault.
+    Returns them with the first non-blank line's 1-based physical line
     number, the delimiter sniffed from that line, its trimmed cells, and
     whether a non-blank line follows it.
     """
     try:
-        text = Path(path).read_text(encoding="utf-8-sig")
+        data = Path(path).read_bytes()
     except OSError as exc:
         raise DatasetError(f"cannot read {path}: {exc}") from exc
+    try:
+        text = _text(data)
     except UnicodeDecodeError as exc:
-        raise DatasetError(_undecodable(path)) from exc
+        raise DatasetError(_undecodable(path, data)) from exc
     found = _NON_BLANK.search(text)
     if found is None:
         raise DatasetError(f"{path} contains no data")
@@ -95,8 +111,45 @@ def _read_head(path: str) -> tuple[str, int, str, list[str], bool]:
     line = text[start:] if end < 0 else text[start:end]
     delim = "\t" if "\t" in line else ","
     more = end >= 0 and _NON_BLANK.search(text, end) is not None
-    return (text, text.count("\n", 0, start) + 1, delim,
+    return (data, text.count("\n", 0, start) + 1, delim,
             [c.strip() for c in line.split(delim)], more)
+
+
+def _cell_widths(data: bytes, skip: int, delim: str, columns: tuple[int, ...]) -> list[int]:
+    """The widest cell of each given column below the first skip physical
+    lines, in UTF-8 bytes: a bound on its characters.
+
+    Lines end in `\n`, `\r\n` or `\r`, as for NumPy's reader; `\r\n`
+    counts here as two line ends around an empty line, which changes no
+    width.  A column that no line reaches is 0 wide.  The bytes are scanned
+    in blocks of whole lines, so that the scan's arrays stay small.
+    """
+    if not data.endswith((b"\n", b"\r")):
+        data += b"\n"
+    start = len(codecs.BOM_UTF8) if data.startswith(codecs.BOM_UTF8) else 0
+    for _ in range(skip):
+        start = _LINE_BREAK.search(data, start).end()
+    line_ends = b"\n\r" if b"\r" in data else b"\n"
+    widths = [0] * len(columns)
+    while start < len(data):
+        brk = _LINE_BREAK.search(data, start + _SCAN_BLOCK)
+        stop = brk.end() if brk else len(data)
+        block = np.frombuffer(data, np.uint8, stop - start, start)
+        is_end = block == ord(delim)
+        for byte in line_ends:
+            is_end |= block == byte
+        ends = np.flatnonzero(is_end)
+        # Cell i of the block lies between bounds[i] = ends[i - 1] and
+        # ends[i]; line j holds cells line_first[j] to line_last[j].
+        line_last = np.flatnonzero(block[ends] != ord(delim))
+        line_first = np.concatenate(([0], line_last[:-1] + 1))
+        bounds = np.concatenate(([-1], ends))
+        for k, column in enumerate(columns):
+            cell = line_first + column
+            cell = cell[cell <= line_last]
+            widths[k] = max(widths[k], int((ends[cell] - bounds[cell]).max(initial=1)) - 1)
+        start = stop
+    return widths
 
 
 def _number(cell: str) -> float | None:
@@ -136,30 +189,45 @@ def _bad_lines(text: str, skip: int, delim: str, numeric: tuple[int, ...],
     return bad
 
 
-def _columns(path: str, text: str, skip: int, delim: str, numeric: tuple[int, ...],
+def _columns(path: str, data: bytes, skip: int, delim: str, numeric: tuple[int, ...],
              labels: tuple[int, ...], what: str) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """The rows below the first skip physical lines, parsed in bulk.
 
-    One pass of NumPy's reader returns the numeric columns as float arrays
-    and the label columns as trimmed str arrays.  A file that the reader
+    NumPy's reader returns the numeric columns as float arrays and each
+    label column as a str field as wide as its widest cell, which is then
+    trimmed and narrowed to its longest label.  A file that the reader
     rejects, or that has a non-finite number, is reported with the
     physical numbers of its bad lines and yields no data.
     """
-    # NumPy's reader takes a whitespace-only line for a row; blank it.
-    text, blanked = _WHITESPACE_LINE.subn("\n", text)
     names = [f"c{j}" for j in range(len(numeric) + len(labels))]
-    dtype = list(zip(names, [float] * len(numeric) + [object] * len(labels)))
-    try:
-        rows = np.loadtxt(io.StringIO(text) if blanked else path, dtype=dtype,
-                          delimiter=delim, comments=None, skiprows=skip,
-                          usecols=numeric + labels, ndmin=1, encoding="utf-8-sig")
-    except ValueError:
-        rows = None
+    dtype = list(zip(names, [float] * len(numeric)
+                     + [f"U{max(w, 1)}" for w in _cell_widths(data, skip, delim, labels)]))
+
+    def parse(source):
+        try:
+            return np.loadtxt(source, dtype=dtype, delimiter=delim, comments=None,
+                              skiprows=skip, usecols=numeric + labels, ndmin=1,
+                              encoding="utf-8-sig")
+        except ValueError:
+            return None
+
+    rows = parse(path)
+    if rows is None:
+        # NumPy's reader takes a whitespace-only line for a row, and a row
+        # of blanks never parses; blank such lines and parse again.
+        text, blanked = _WHITESPACE_LINE.subn("\n", _text(data))
+        rows = parse(io.StringIO(text)) if blanked else None
     nums, labs = names[:len(numeric)], names[len(numeric):]
     if rows is None or not all(np.isfinite(rows[c]).all() for c in nums):
-        bad = _bad_lines(text, skip, delim, numeric, max(numeric + labels))
+        bad = _bad_lines(_text(data), skip, delim, numeric, max(numeric + labels))
         raise DatasetError(_bad_lines_message(bad, what))
-    return [rows[c] for c in nums], [np.char.strip(rows[c].astype(str)) for c in labs]
+    return [rows[c] for c in nums], [_trimmed(rows[c]) for c in labs]
+
+
+def _trimmed(labels: np.ndarray) -> np.ndarray:
+    """The labels without surrounding whitespace, as wide as the longest."""
+    labels = np.char.strip(labels)
+    return labels.astype(f"U{int(np.char.str_len(labels).max(initial=1))}", copy=False)
 
 
 def read_tscore_file(path: str) -> tuple[TScoreSample, bool]:
@@ -173,7 +241,7 @@ def read_tscore_file(path: str) -> tuple[TScoreSample, bool]:
     bad rows are reported by physical line number.  Returns the sample and
     whether study labels were found.
     """
-    text, lineno, delim, first, more = _read_head(path)
+    data, lineno, delim, first, more = _read_head(path)
     lowered = [c.lower() for c in first]
     if "t" in lowered:
         if not more:
@@ -194,7 +262,7 @@ def read_tscore_file(path: str) -> tuple[TScoreSample, bool]:
             "first line is neither a header containing a `t` column nor a "
             "numeric t value")
 
-    (t,), sids = _columns(path, text, skip, delim, (t_idx,),
+    (t,), sids = _columns(path, data, skip, delim, (t_idx,),
                           () if sid_idx is None else (sid_idx,),
                           "every row needs a finite numeric t")
     return TScoreSample.from_scores(t, sids[0] if sids else None), bool(sids)
@@ -214,7 +282,7 @@ def read_grouped_file(path: str) -> GroupedEffects:
     ``GroupedEffects``: groups in order of first appearance, members in
     file order, with no per-group object built.
     """
-    text, lineno, delim, first, more = _read_head(path)
+    data, lineno, delim, first, more = _read_head(path)
     first = [c.lower() for c in first]
     if any(c in _GROUP_COLUMNS or c == "lab_id" for c in first):
         missing = [c for c in _GROUP_COLUMNS if c not in first]
@@ -237,7 +305,7 @@ def read_grouped_file(path: str) -> GroupedEffects:
         skip = lineno - 1
 
     nums, (gid, *lab) = _columns(
-        path, text, skip, delim, (idx["effect"], idx["std_error"], idx["weight"]),
+        path, data, skip, delim, (idx["effect"], idx["std_error"], idx["weight"]),
         (idx["group_id"],) + (() if lab_idx is None else (lab_idx,)),
         "every row needs finite numeric effect, std_error and weight")
     _, first_row, inverse, counts = _factorise(gid, return_index=True)

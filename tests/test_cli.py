@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from powergain import cli
+from powergain import cli, inference
 from powergain.cli import (
     DatasetError,
     main,
@@ -296,6 +296,169 @@ class TestReaderLayouts:
         else:
             with pytest.raises(DatasetError, match=r"could not parse 1 line\(s\): 3 —"):
                 read_tscore_file(str(p))
+
+
+@pytest.fixture
+def loadtxt_dtypes(monkeypatch):
+    """The dtype of every array that NumPy's reader returns; none may hold
+    a Python object."""
+    dtypes, real_loadtxt = [], np.loadtxt
+
+    def recording_loadtxt(*args, **kwargs):
+        rows = real_loadtxt(*args, **kwargs)
+        dtypes.append(rows.dtype)
+        assert all(rows.dtype[f].kind != "O" for f in rows.dtype.names)
+        return rows
+
+    monkeypatch.setattr(np, "loadtxt", recording_loadtxt)
+    return dtypes
+
+
+def label_widths(dtypes):
+    return [dt[f].itemsize // 4 for dt in dtypes for f in dt.names if dt[f].kind == "U"]
+
+
+def python_columns(data: bytes, names: tuple[str, ...]) -> dict[str, list[str]]:
+    """The named columns of a file with a header row, or of a headerless file
+    in that column order, read line by line with str.split and str.strip."""
+    text = data.decode("utf-8-sig").replace("\r\n", "\n").replace("\r", "\n")
+    lines = [line for line in text.split("\n") if line.strip()]
+    delim = "\t" if "\t" in lines[0] else ","
+    head = [c.strip().lower() for c in lines[0].split(delim)]
+    idx = [head.index(n) for n in names] if names[0] in head else range(len(names))
+    rows = [line.split(delim) for line in lines[1 if names[0] in head else 0:]]
+    return {n: [row[i].strip() for row in rows] for n, i in zip(names, idx)}
+
+
+def layout(rows, *, delim=",", header=True, bom=False, lead=False, gap="", end="\n"):
+    """File bytes for rows of cells, the first being the header: a leading
+    empty cell on every line (lead), whitespace-only lines between rows
+    (gap) and the text after the last row (end)."""
+    lines = [delim.join([""] * lead + list(row)) for row in rows[0 if header else 1:]]
+    text = (f"\n{gap}\n" if gap else "\n").join(lines) + end
+    return (b"\xef\xbb\xbf" if bom else b"") + text.encode()
+
+
+LABELS = ["a", "b", "a", "c", "b", "a"]
+# Each case: (layout options, the label cells as written).
+PARITY_CASES = {
+    "bom, headerless": (dict(bom=True, header=False), LABELS),
+    "tab, leading empty cell": (dict(delim="\t", lead=True), LABELS),
+    "whitespace-only lines between rows": (dict(gap=" \n\t\n\u00a0 "), LABELS),
+    "no final newline": (dict(end=""), LABELS[:-1] + ["a" * 40]),
+    "labels padded with spaces or U+00A0": (
+        {}, [" a", "b  ", "\u00a0a\u00a0 ", " c\u00a0", "\u00a0 b", "a "]),
+    "non-ASCII labels": ({}, ["é", "日本", "é", "e", "日本", "日"]),
+    "longest label on the last line": ({}, LABELS[:-1] + ["a" * 40]),
+}
+
+
+class TestReaderParity:
+    """The bulk reader against str.split, str.strip and np.unique."""
+
+    @pytest.mark.parametrize("name", list(PARITY_CASES))
+    def test_tscore_file(self, tmp_path, monkeypatch, loadtxt_dtypes, name):
+        options, labels = PARITY_CASES[name]
+        data = layout([("t", "study_id")] + [(f"{k - 2.5:g}", lab) for k, lab in enumerate(labels)],
+                      **options)
+        p = tmp_path / "d.csv"
+        p.write_bytes(data)
+        factorised = []
+        real_factorise = inference._factorise
+
+        def recording_factorise(labels, **kwargs):
+            factorised.append(np.asarray(labels).dtype.kind)
+            return real_factorise(labels, **kwargs)
+
+        monkeypatch.setattr(inference, "_factorise", recording_factorise)
+        sample, has_sid = read_tscore_file(str(p))
+        ref = python_columns(data, ("t", "study_id"))
+        _, codes, sizes = np.unique(ref["study_id"], return_inverse=True, return_counts=True)
+        assert has_sid and factorised == ["U"]
+        np.testing.assert_array_equal(sample.t, [float(x) for x in ref["t"]])
+        assert sample.study_id.tolist() == ref["study_id"]
+        np.testing.assert_array_equal(sample._cluster_codes, codes)
+        np.testing.assert_array_equal(sample._cluster_sizes, sizes)
+        assert label_widths(loadtxt_dtypes)[-1] <= max(len(c.encode()) for c in labels)
+
+    @pytest.mark.parametrize("name", list(PARITY_CASES))
+    def test_grouped_file(self, tmp_path, monkeypatch, loadtxt_dtypes, name):
+        options, labels = PARITY_CASES[name]
+        groups = labels[::-1]
+        data = layout([("group_id", "effect", "std_error", "weight", "lab_id")]
+                      + [(g, str(k), "1", "1", lab) for k, (g, lab) in enumerate(zip(groups, labels))],
+                      **options)
+        p = tmp_path / "g.csv"
+        p.write_bytes(data)
+        factorised = []
+        real_factorise = cli._factorise
+
+        def recording_factorise(labels, **kwargs):
+            factorised.append(np.asarray(labels))
+            return real_factorise(labels, **kwargs)
+
+        monkeypatch.setattr(cli, "_factorise", recording_factorise)
+        effects = read_grouped_file(str(p))
+        ref = python_columns(data, ("group_id", "effect", "std_error", "weight", "lab_id"))
+        order = list(dict.fromkeys(ref["group_id"]))
+        members = sorted(range(len(ref["group_id"])), key=lambda i: order.index(ref["group_id"][i]))
+        (gid,) = factorised
+        assert gid.dtype.kind == "U" and effects.labels.dtype.kind == "U"
+        assert gid.tolist() == ref["group_id"]
+        np.testing.assert_array_equal(real_factorise(gid)[1],
+                                      np.unique(ref["group_id"], return_inverse=True)[1])
+        assert effects.sizes.tolist() == [ref["group_id"].count(g) for g in order]
+        np.testing.assert_array_equal(effects.effects, [float(ref["effect"][i]) for i in members])
+        assert effects.labels.tolist() == [ref["lab_id"][i] for i in members]
+        np.testing.assert_array_equal(real_factorise(effects.labels)[1],
+                                      np.unique([ref["lab_id"][i] for i in members],
+                                                return_inverse=True)[1])
+
+
+class TestCellWidths:
+    """Label fields are as wide as their own column's widest cell."""
+
+    ROWS = [("t", "study_id", "title")] + [
+        (f"{k / 4:g}", f"s{k % 3}" + "x" * (k == 5), "T" * (2000 if k == 2 else k))
+        for k in range(8)]
+
+    @pytest.mark.parametrize("end", ["\r", "\r\n", "\n"])
+    def test_line_ends_and_a_wide_unused_column(self, tmp_path, loadtxt_dtypes, end):
+        data = "".join(",".join(row) + end for row in self.ROWS).encode()
+        widest = max(len(row[1]) for row in self.ROWS[1:])
+        assert cli._cell_widths(data, 1, ",", (1,)) == [widest]
+        assert cli._cell_widths(data, 1, ",", (2, 0, 3)) == [2000, 4, 0]
+        p = tmp_path / "d.csv"
+        p.write_bytes(data)
+        sample, _ = read_tscore_file(str(p))
+        plain = tmp_path / "plain.csv"
+        plain.write_text("".join(f"{t},{sid}\n" for t, sid, _ in self.ROWS))
+        reference, _ = read_tscore_file(str(plain))
+        np.testing.assert_array_equal(sample.t, reference.t)
+        assert sample.study_id.tolist() == reference.study_id.tolist()
+        np.testing.assert_array_equal(sample._cluster_codes, reference._cluster_codes)
+        assert all(w <= widest + 1 for w in label_widths(loadtxt_dtypes))
+
+    @pytest.mark.parametrize("data, skip, widths", [
+        # Skipped lines (and a byte-order mark) do not count.
+        (b"\xef\xbb\xbfheader-cell,x\n1,ab\n", 1, [1, 2]),
+        (b"\xef\xbb\xbf1,ab\n22,c", 0, [2, 2]),
+        # Blank lines, ragged lines and lines too short for a column.
+        (b"t\n\n1,abc,zzzzzzzz\n\n2,,\n3\n", 1, [1, 3]),
+        # Mixed line ends; a lone \r before \n-ended lines.
+        (b"1,a\r22,bbb\r\n3,cc\n", 0, [2, 3]),
+        # Widths count UTF-8 bytes, at least the characters.
+        ("1,日本\n2,é\n".encode(), 0, [1, 6]),
+    ])
+    def test_blocks_and_odd_lines(self, monkeypatch, data, skip, widths):
+        # Blocks end at the first line end past _SCAN_BLOCK bytes, so tiny
+        # blocks hold one or two lines each.
+        for block in (1, 5, 1 << 16):
+            monkeypatch.setattr(cli, "_SCAN_BLOCK", block)
+            assert cli._cell_widths(data, skip, ",", (0, 1)) == widths
+
+    def test_tab_delimiter(self):
+        assert cli._cell_widths(b"\tab\tc\n1\t\t\n", 0, "\t", (0, 1, 2)) == [1, 2, 1]
 
 
 class TestEstimateCommand:
