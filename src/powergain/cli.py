@@ -33,7 +33,7 @@ from .estimator import (
     estimate,
     power_gain_curve,
 )
-from .inference import _factorise
+from .inference import _factorise, _pair_sort
 from .pubbias import CaliperError
 from .simulate import NOISES, PRIORS, TABLE_PRESETS, CoverageRow, DgpSpec, run_coverage
 from .spectrum import TuningConfig
@@ -309,9 +309,12 @@ def read_grouped_file(path: str) -> GroupedEffects:
         (idx["group_id"],) + (() if lab_idx is None else (lab_idx,)),
         "every row needs finite numeric effect, std_error and weight")
     _, first_row, inverse, counts = _factorise(gid, return_index=True)
-    # Rows sorted by the first row of their group: groups in order of
-    # appearance, members in file order (the sort is stable).
-    rows = np.argsort(first_row[inverse], kind="stable")
+    # Rows sorted by the first row of their group, and then by row: groups
+    # in order of appearance, members in file order.  Both sort keys are
+    # row numbers, so r = bit_length(n - 1) bits hold each.
+    r = (gid.size - 1).bit_length()
+    rows = _pair_sort(first_row[inverse].astype(np.uint64),
+                      np.arange(gid.size, dtype=np.uint64), r)[1]
     effects, std_errors, weights = (col[rows] for col in nums)
     return GroupedEffects(effects=effects, std_errors=std_errors, weights=weights,
                           sizes=counts[np.argsort(first_row)],

@@ -222,6 +222,9 @@ def _report(
     in when the caller has them.  The
     row status decides the errors: ``CaliperError`` for an empty upper
     caliper bin, ``EstimationError`` for selection weights summing to zero.
+    A flag and a NaN standard error and interval mark the two cases with
+    an estimate but no SE: no score just below the cutoff, and (at c > 1)
+    a sample whose scores all share one cluster.
     """
     t = sample.t
     if S is None:
@@ -238,12 +241,18 @@ def _report(
     flags: tuple[str, ...] = ()
     if status == ROW_NO_SE:
         flags = ("theta-zero: no scores just below the cutoff; SE unavailable",)
-    ci_low, ci_high = float(rows.ci_low[0]), float(rows.ci_high[0])
+    se, ci_low, ci_high = float(rows.se[0]), float(rows.ci_low[0]), float(rows.ci_high[0])
     if clamp_ci:
         ci_low, ci_high = max(ci_low, 0.0), max(ci_high, 0.0)
+    if sample.n_clusters == 1 and b.c != 1.0:
+        # The centered sum over the one cluster is identically zero, so the
+        # cluster-robust SE is 0 by construction, not by precision.  At
+        # c = 1 the estimate itself is exactly 0 and its SE 0 stands.
+        flags += ("one-cluster: every score is in one study cluster; SE unavailable",)
+        se = ci_low = ci_high = math.nan
 
     return EstimateReport(
-        delta=float(rows.delta[0]), se=float(rows.se[0]), ci_low=ci_low, ci_high=ci_high,
+        delta=float(rows.delta[0]), se=se, ci_low=ci_low, ci_high=ci_high,
         theta=float(rows.theta[0]) if pb else None,
         J=b.J, epsilon=epsilon if pb else None, n=sample.n,
         n_clusters=sample.n_clusters, max_cluster_size=sample.max_cluster_size,

@@ -62,6 +62,24 @@ def influence(S: np.ndarray, theta, tail) -> np.ndarray:
     return S * W + q_hat(S, theta, tail) * X
 
 
+def _pair_sort(high: np.ndarray, low: np.ndarray, low_bits: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sort (high, low) pairs lexicographically by one in-place value sort.
+
+    Each pair is one uint64 word ``(high << low_bits) | low``; the caller
+    keeps high < 2**(64 - low_bits) and low < 2**low_bits.  Returns the
+    high and low parts of the sorted words, as uint64.  With the row
+    numbers 0..n-1 as ``low`` and low_bits >= bit_length(n - 1), the low
+    part is ``np.argsort(high, kind="stable")``: the rows by key, and
+    within a key by row.
+    """
+    words = np.left_shift(high, np.uint64(low_bits), dtype=np.uint64)
+    words |= low
+    words.sort()
+    low = words & np.uint64((1 << low_bits) - 1)
+    words >>= np.uint64(low_bits)
+    return words, low
+
+
 def _factorise(labels, return_index: bool = False) -> tuple[np.ndarray, ...]:
     """Factorise labels: ``np.unique(labels, return_index=return_index,
     return_inverse=True, return_counts=True)`` on the flattened labels.
@@ -73,22 +91,49 @@ def _factorise(labels, return_index: bool = False) -> tuple[np.ndarray, ...]:
     point.  The zero padding of shorter labels sorts them first, so the
     key order is NumPy's string order and every output is the same.  That
     covers ASCII digit ids of up to 10 characters, other ASCII ids of up
-    to 9 and Latin-1 ids of up to 8.  Every other array (wider labels,
+    to 9 and Latin-1 ids of up to 8.
+
+    When the r = bit_length(n - 1) row bits fit beside the k * b key bits,
+    the rows are sorted by ``_pair_sort`` on (key, row) words: one value
+    sort orders them by label and, within a label, by row.  The heads of
+    the runs of equal keys then give the uniques, the counts and, as the
+    row at each head, the first index; a second ``_pair_sort`` of (row,
+    code) words returns the codes to row order without a random scatter.
+    When they do not fit (10-digit ids at more than 16 rows, say), the
+    packed keys go to ``np.unique``.  Every other array (wider labels,
     integers, objects) goes to ``np.unique`` as it is.
     """
     arr = np.asarray(labels).ravel()
-    if arr.dtype.kind == "U" and arr.size:
+    n = arr.size
+    if arr.dtype.kind == "U" and n:
         width = arr.dtype.itemsize // 4
         native = arr.dtype.newbyteorder("=")
-        points = arr.astype(native, copy=False).view(np.uint32).reshape(arr.size, width)
+        points = arr.astype(native, copy=False).view(np.uint32).reshape(n, width)
         bits = int(points.max()).bit_length()
         if width * bits <= 64:
-            keys = np.zeros(arr.size, dtype=np.uint64)
+            keys = np.zeros(n, dtype=np.uint64)
             for j in range(width):
                 keys <<= np.uint64(bits)
                 keys |= points[:, j]
-            keys, *rest = np.unique(keys, return_index=return_index,
-                                    return_inverse=True, return_counts=True)
+            r = (n - 1).bit_length()
+            if width * bits + r > 64:
+                keys, *rest = np.unique(keys, return_index=return_index,
+                                        return_inverse=True, return_counts=True)
+            else:
+                keys, rows = _pair_sort(keys, np.arange(n, dtype=np.uint64), r)
+                head = np.empty(n, dtype=bool)
+                head[0] = True
+                np.not_equal(keys[1:], keys[:-1], out=head[1:])
+                starts = np.flatnonzero(head)
+                # A code is below the number of distinct keys, so its bits
+                # plus the row bits fit where the key and row bits did.
+                codes = np.cumsum(head, dtype=np.uint64)
+                codes -= np.uint64(1)
+                codes = _pair_sort(rows, codes, (starts.size - 1).bit_length())[1]
+                rest = [codes.astype(np.intp), np.diff(starts, append=n)]
+                if return_index:
+                    rest.insert(0, rows[starts].astype(np.intp))
+                keys = keys[starts]
             shifts = np.uint64(bits) * np.arange(width - 1, -1, -1, dtype=np.uint64)
             unpacked = (keys[:, None] >> shifts) & np.uint64((1 << bits) - 1)
             uniques = unpacked.astype(np.uint32).view(native).ravel().astype(arr.dtype)

@@ -153,13 +153,19 @@ class TestReadGroupedFile:
         # of first appearance, with members in file order.
         short = ["10", "9", "", "09", "é", "ÿa", "9", "10", "09", "é"]
         sorted_dtypes = []
-        real_unique = np.unique
+        real_unique, real_pair_sort = np.unique, inference._pair_sort
 
         def recording_unique(ar, **kwargs):
             sorted_dtypes.append(np.asarray(ar).dtype.kind)
             return real_unique(ar, **kwargs)
 
+        def recording_pair_sort(*args):
+            # _factorise sorts the integer keys as uint64 (key, row) words.
+            sorted_dtypes.append("u")
+            return real_pair_sort(*args)
+
         monkeypatch.setattr(np, "unique", recording_unique)
+        monkeypatch.setattr(inference, "_pair_sort", recording_pair_sort)
         for cells in (short, [g + "x" * 10 for g in short]):
             p = tmp_path / "g.csv"
             p.write_text("group_id,effect,std_error,weight\n" + "".join(
@@ -169,7 +175,7 @@ class TestReadGroupedFile:
             assert groups.sizes.tolist() == [cells.count(g) for g in order]
             np.testing.assert_array_equal(
                 groups.effects, [k for g in order for k, c in enumerate(cells) if c == g])
-        assert sorted_dtypes == ["u", "U"]
+        assert sorted_dtypes == ["u", "u", "U"]
 
     @pytest.mark.parametrize("header", ["group_id,effect,std_error,weight\n", ""],
                              ids=["header", "headerless"])
@@ -555,6 +561,57 @@ class TestStrictJson:
             for row in rows:
                 assert row["se"] is None and row["ci_low"] is None
                 assert row["ci_high"] is None and math.isfinite(row["delta"])
+
+
+class TestOneCluster:
+    """Every score in one study: the cluster-robust SE is degenerate (its one
+    centered block sum is zero), so it is reported as unavailable."""
+
+    @pytest.fixture
+    def one_study(self, tmp_path):
+        rng = np.random.default_rng(17)
+        t = rng.normal(np.where(rng.random(6000) < 0.5, 0.0, 2.8), 1.4)
+        p = tmp_path / "d.csv"
+        p.write_text("t,study_id\n" + "".join(f"{x:.4f},s1\n" for x in t))
+        return p
+
+    def test_estimate_flags_and_drops_the_se(self, one_study, tmp_path, capsys):
+        for extra in ([], ["--no-pb"]):
+            assert main(["estimate", str(one_study), *extra]) == 0
+            text = capsys.readouterr().out
+            assert "std error                  : nan" in text
+            assert "CI                     : [nan, nan]" in text
+            assert "note: one-cluster" in text and "clusters                   : 1" in text
+            out = tmp_path / "r.json"
+            assert main(["estimate", str(one_study), *extra, "--out", "json",
+                         "--output", str(out)]) == 0
+            report = json.loads(out.read_text())["report"]
+            assert report["se"] is None and report["ci_low"] is None
+            assert report["ci_high"] is None and math.isfinite(report["delta"])
+            assert [f.split(":")[0] for f in report["flags"]] == ["one-cluster"]
+        assert main(["estimate", str(one_study), "--out", "csv"]) == 0
+        row = next(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert row["se"] == row["ci_low"] == row["ci_high"] == "nan"
+        assert row["flags"].startswith("one-cluster")
+
+    def test_curve_keeps_the_exact_anchor(self, one_study, tmp_path):
+        out = tmp_path / "c.json"
+        assert main(["curve", str(one_study), "--grid", "2,4", "--out", "json",
+                     "--output", str(out)]) == 0
+        anchor, *points = json.loads(out.read_text())["points"]
+        assert anchor == {"c2": 1.0, "delta": 0.0, "se": 0.0, "ci_low": 0.0, "ci_high": 0.0}
+        for pt in points:
+            assert pt["se"] is None and pt["ci_low"] is None and pt["ci_high"] is None
+            assert math.isfinite(pt["delta"])
+
+    def test_two_clusters_keep_the_se(self, one_study, tmp_path):
+        lines = one_study.read_text().splitlines(keepends=True)
+        one_study.write_text("".join(lines[:-1]) + lines[-1].replace("s1", "s2"))
+        out = tmp_path / "r.json"
+        assert main(["estimate", str(one_study), "--out", "json",
+                     "--output", str(out)]) == 0
+        report = json.loads(out.read_text())["report"]
+        assert report["se"] > 0 and report["flags"] == []
 
 
 class TestCurveCommand:

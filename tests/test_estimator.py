@@ -36,13 +36,13 @@ class TestTScoreSample:
 
     def test_labels_factorised_once(self, monkeypatch):
         calls = []
-        real_unique = np.unique
+        real_factorise = inference._factorise
 
-        def counting_unique(*args, **kwargs):
+        def counting_factorise(*args, **kwargs):
             calls.append(1)
-            return real_unique(*args, **kwargs)
+            return real_factorise(*args, **kwargs)
 
-        monkeypatch.setattr(np, "unique", counting_unique)
+        monkeypatch.setattr(inference, "_factorise", counting_factorise)
         s = TScoreSample.from_scores([0.1, 0.2, 0.3], study_id=["b", "a", "b"])
         for _ in range(3):
             assert s.n_clusters == 2 and s.max_cluster_size == 2

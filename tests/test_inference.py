@@ -169,6 +169,9 @@ class TestVarianceHat:
 
 #: Labels for the factorisation tests, and whether each goes to the integer
 #: keys (k code points of b bits, k * b <= 64) or to np.unique on the labels.
+#: Integer keys are sorted as (key, row) words by ``_pair_sort`` where the
+#: row bits fit beside the key bits, and by np.unique where they do not
+#: (here "9 lowercase" and "astral", whose keys take 63 bits).
 FACTORISE_CASES = {
     "mixed-length digits": (np.array(["9", "10", "09", "", "9", "10", "0"]), True),
     "10 digits": (np.array(["1234567890", "0123456789", "9", "1234567890"]), True),
@@ -187,27 +190,126 @@ FACTORISE_CASES = {
 }
 
 
+@pytest.fixture
+def sorts(monkeypatch):
+    """What each factorisation sorts, in call order: "pair" for a
+    ``_pair_sort`` of uint64 words, else the dtype handed to ``np.unique``."""
+    seen = []
+    real_unique, real_pair_sort = np.unique, inference._pair_sort
+
+    def recording_unique(ar, **kwargs):
+        seen.append(np.asarray(ar).dtype)
+        return real_unique(ar, **kwargs)
+
+    def recording_pair_sort(*args):
+        seen.append("pair")
+        return real_pair_sort(*args)
+
+    monkeypatch.setattr(np, "unique", recording_unique)
+    monkeypatch.setattr(inference, "_pair_sort", recording_pair_sort)
+    return seen
+
+
 class TestFactorise:
     @pytest.mark.parametrize("return_index", [False, True], ids=["no-index", "index"])
     @pytest.mark.parametrize("case", list(FACTORISE_CASES))
-    def test_matches_unique(self, monkeypatch, case, return_index):
+    def test_matches_unique(self, sorts, case, return_index):
         labels, packed = FACTORISE_CASES[case]
         expected = np.unique(labels, return_index=return_index,
                              return_inverse=True, return_counts=True)
-        sorted_dtypes = []
-        real_unique = np.unique
-
-        def recording_unique(ar, **kwargs):
-            sorted_dtypes.append(np.asarray(ar).dtype)
-            return real_unique(ar, **kwargs)
-
-        monkeypatch.setattr(np, "unique", recording_unique)
+        sorts.clear()
         got = inference._factorise(labels, return_index=return_index)
-        assert sorted_dtypes == [np.dtype(np.uint64) if packed else labels.dtype]
+        # Packed: one sort of (key, row) words and one of (row, code) words,
+        # or np.unique on the uint64 keys.
+        if packed:
+            assert sorts in (["pair", "pair"], [np.dtype(np.uint64)])
+        else:
+            assert sorts == [labels.dtype]
         assert len(got) == len(expected)
         for g, e in zip(got, expected):
             assert g.dtype == e.dtype
             np.testing.assert_array_equal(g, e)
+
+
+#: Alphabets of the random factorisation cases: code points of 6, 7, 8, 16
+#: and 21 bits.
+ALPHABETS = {
+    "digits": "0123456789",
+    "ascii with spaces": "ab yz ~!",
+    "latin-1": "aéÿ\u00a0",
+    "cjk": "中文日本語",
+    "astral": "a😀\U0010ffff",
+}
+
+
+def random_labels(rng, alphabet):
+    """Up to 3000 labels of 0-10 characters, drawn with ties from a pool,
+    sometimes as a strided view or in big-endian byte order."""
+    n = int(rng.integers(1, 3001))
+    width = int(rng.integers(0, 11))
+    m = int(rng.integers(1, n + 1))
+    # Code points past a label's length are 0, NumPy's padding of a str.
+    points = rng.choice([ord(c) for c in alphabet], (m, max(width, 1)))
+    points[np.arange(points.shape[1]) >= rng.integers(0, width + 1, (m, 1))] = 0
+    pool = points.astype(np.uint32).view(f"U{points.shape[1]}").ravel()
+    labels = pool[rng.integers(0, m, 2 * n)]
+    labels = labels.astype(f"U{max(int(np.char.str_len(labels).max()), 1)}")
+    if rng.random() < 0.3:
+        labels = labels.astype(labels.dtype.newbyteorder(">"))
+    return labels[::2] if rng.random() < 0.3 else labels[:n]
+
+
+class TestFactoriseRandom:
+    @pytest.mark.parametrize("alphabet", list(ALPHABETS))
+    def test_matches_unique(self, alphabet):
+        rng = np.random.default_rng(sum(map(ord, alphabet)))
+        for k in range(64):
+            labels = random_labels(rng, ALPHABETS[alphabet])
+            return_index = bool(k % 2)
+            expected = np.unique(labels, return_index=return_index,
+                                 return_inverse=True, return_counts=True)
+            got = inference._factorise(labels, return_index=return_index)
+            assert len(got) == len(expected)
+            for g, e in zip(got, expected):
+                assert g.dtype == e.dtype
+                np.testing.assert_array_equal(g, e)
+
+    @pytest.mark.parametrize("n, path", [(1, "pair"), (16, "pair"), (17, "unique"),
+                                         (3000, "unique")])
+    def test_row_bits_beside_ten_digit_keys(self, sorts, n, path):
+        # Ten digits take 60 key bits: up to 16 rows (4 row bits) the keys
+        # go to _pair_sort, from 17 rows on to np.unique.
+        rng = np.random.default_rng(n)
+        labels = np.array([f"{k:010d}" for k in rng.integers(0, 10**10, n)])[
+            rng.integers(0, n, n)]
+        for return_index in (False, True):
+            expected = np.unique(labels, return_index=return_index,
+                                 return_inverse=True, return_counts=True)
+            sorts.clear()
+            got = inference._factorise(labels, return_index=return_index)
+            assert sorts == (["pair", "pair"] if path == "pair" else [np.dtype(np.uint64)])
+            for g, e in zip(got, expected):
+                assert g.dtype == e.dtype
+                np.testing.assert_array_equal(g, e)
+
+
+class TestPairSort:
+    @pytest.mark.parametrize("n", [1, 2, 17, 1000])
+    def test_row_order_is_the_stable_argsort(self, n):
+        rng = np.random.default_rng(n)
+        keys = rng.integers(0, max(n // 4, 1), n).astype(np.uint64)
+        r = (n - 1).bit_length()
+        high, low = inference._pair_sort(keys, np.arange(n, dtype=np.uint64), r)
+        order = np.argsort(keys, kind="stable")
+        np.testing.assert_array_equal(low, order)
+        np.testing.assert_array_equal(high, keys[order])
+
+    def test_widest_keys(self):
+        # Keys of 64 - r bits, ties among them, keep their rows in order.
+        keys = np.array([2**60 - 1, 0, 2**60 - 1, 5, 0, 2**59], dtype=np.uint64)
+        high, low = inference._pair_sort(keys, np.arange(6, dtype=np.uint64), 4)
+        np.testing.assert_array_equal(low, np.argsort(keys, kind="stable"))
+        np.testing.assert_array_equal(high, np.sort(keys))
 
 
 class TestConfidenceInterval:
