@@ -34,7 +34,6 @@ from .pubbias import (
 )
 from .estimator import (
     ConditionalReport,
-    CurvePoint,
     EstimateReport,
     EstimationError,
     GroupedEffects,
@@ -89,7 +88,6 @@ __all__ = [
     "caliper_tail",
     "significant",
     "ConditionalReport",
-    "CurvePoint",
     "EstimateReport",
     "EstimationError",
     "GroupedEffects",

@@ -359,6 +359,7 @@ def render_curve_text(points: list[dict]) -> str:
     for p in points:
         lines.append(f"{p['c2']:>8g}  {p['delta']:>12.6f}  {p['se']:>12.6f}  "
                      f"{p['ci_low']:>12.6f}  {p['ci_high']:>12.6f}")
+    lines += [f"note: c2={p['c2']:g}: {flag}" for p in points for flag in p.get("flags", [])]
     return "\n".join(lines)
 
 
@@ -380,11 +381,13 @@ def render_simulate_text(rows: list[dict]) -> str:
 
 
 def _csv_table(rows: list[dict], columns: list[str]) -> str:
+    """The rows as CSV; a list cell (the flags) is written `;`-joined."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
     for r in rows:
-        writer.writerow([r[c] for c in columns])
+        writer.writerow([";".join(r[c]) if isinstance(r[c], list) else r[c]
+                         for c in columns])
     return buf.getvalue().rstrip("\n")
 
 
@@ -486,8 +489,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     payload = {"command": "estimate", "report": report,
                "manifest": _manifest(args, args.dataset)}
     if args.out == "csv":
-        flat = dict(report, flags=";".join(report["flags"]))
-        text = _csv_table([flat], list(flat))
+        text = _csv_table([report], list(report))
     else:
         text = render_estimate_text(report)
     _emit(args, text, payload)
@@ -512,18 +514,19 @@ def cmd_curve(args: argparse.Namespace) -> int:
     grid_c2 = _parse_grid(args.grid)
     sample = _load_sample(args)
     cfg = _tuning_from_args(args, _n_effective(args, sample))
-    points = power_gain_curve(sample, cfg, [math.sqrt(v) for v in grid_c2],
-                              pb=not args.no_pb, clamp_ci=args.clamp_ci_at_zero)
-    dicts = [p.to_dict() for p in points]
-    for d, c2 in zip(dicts, grid_c2):
-        d["c2"] = c2  # label rows with the requested multiplier, not sqrt(c2)**2
+    reports = power_gain_curve(sample, cfg, [math.sqrt(v) for v in grid_c2],
+                               pb=not args.no_pb, clamp_ci=args.clamp_ci_at_zero)
+    # Rows are labelled with the requested multiplier, not sqrt(c2)**2.
+    points = [{"c2": c2, "delta": r.delta, "se": r.se, "ci_low": r.ci_low,
+               "ci_high": r.ci_high, "flags": list(r.flags)}
+              for c2, r in zip(grid_c2, reports)]
 
-    payload = {"command": "curve", "points": dicts,
+    payload = {"command": "curve", "points": points,
                "manifest": _manifest(args, args.dataset)}
     if args.out == "csv":
-        text = _csv_table(dicts, ["c2", "delta", "se", "ci_low", "ci_high"])
+        text = _csv_table(points, list(points[0]))
     else:
-        text = render_curve_text(dicts)
+        text = render_curve_text(points)
     _emit(args, text, payload)
     return 0
 

@@ -7,6 +7,10 @@ publication-bias correction, the reconstructed prior of true effects,
 power-gain curves over a grid of counterfactual scales, and the
 conditional (replication-design) estimator that holds the realized true
 effects fixed.
+
+Every ``EstimateReport`` is built in one place, ``_reports``, from one
+row core, ``_estimate_rows``: the estimate at one c is the one-point
+curve, and ``delta_hat_pb`` is the same builder on a given basis.
 """
 from __future__ import annotations
 
@@ -26,7 +30,6 @@ __all__ = [
     "TScoreSample",
     "EstimateReport",
     "PriorReconstruction",
-    "CurvePoint",
     "GroupedEffects",
     "ConditionalReport",
     "RowEstimates",
@@ -164,27 +167,25 @@ def _kernel_means(S: np.ndarray, omega: np.ndarray) -> tuple[np.ndarray, np.ndar
         return np.einsum("ij,ij->i", S, omega) / wsum, wsum
 
 
-def _estimate_rows(t, S, codes, cv, epsilon, alpha, caliper=None) -> RowEstimates:
+def _estimate_rows(S, codes, caliper, alpha) -> RowEstimates:
     """The one estimation core: R samples of n scores in one row-wise pass.
 
-    ``t`` and its kernel values ``S`` have shape (R, n), and every row
-    shares the n cluster ``codes``.  With an ``epsilon`` the kernel mean
-    of each row is reweighted by its caliper estimate theta_hat and the
-    SE comes from the influence function; with ``epsilon=None`` every
-    weight is 1 and the SE is the cluster sandwich of the kernel values.
-    ``caliper`` is ``pubbias.caliper_tail(t, epsilon, cv)`` if the caller
-    already has it.
+    The kernel values ``S`` have shape (R, n), and every row shares the n
+    cluster ``codes``.  ``caliper`` is ``pubbias.caliper_tail``'s
+    ``(theta, tail)`` of the rows' scores: the kernel mean of each row is
+    reweighted by its caliper estimate theta_hat and the SE comes from the
+    influence function.  With ``caliper=None`` every weight is 1 and the
+    SE is the cluster sandwich of the kernel values.
     """
-    R = t.shape[0]
-    status = np.full(R, ROW_OK, dtype=np.int8)
+    status = np.full(S.shape[0], ROW_OK, dtype=np.int8)
     theta = None
-    if epsilon is None:
+    if caliper is None:
         omega = np.ones_like(S)
     else:
-        theta, tail = caliper if caliper is not None else _pubbias.caliper_tail(t, epsilon, cv)
+        theta, tail = caliper
         omega = np.where(tail.insignificant, 1.0, theta[:, None])
     delta, wsum = _kernel_means(S, omega)
-    if epsilon is not None:
+    if caliper is not None:
         empty_upper, zero_weights = tail.count_above == 0, ~(wsum > 0)
         status[tail.count_below == 0] = ROW_NO_SE
         status[zero_weights] = ROW_ZERO_WEIGHTS
@@ -193,7 +194,7 @@ def _estimate_rows(t, S, codes, cv, epsilon, alpha, caliper=None) -> RowEstimate
 
     # A failing row's inf or NaN stays in that row, down to its variance.
     with np.errstate(divide="ignore", invalid="ignore"):
-        m = S if epsilon is None else _inference.influence(S, theta, tail)
+        m = S if caliper is None else _inference.influence(S, theta, tail)
         v = np.where(status == ROW_OK, _inference.variance_hat(m, codes), np.nan)
         se = np.sqrt(v)
         ci_low, ci_high = _inference.confidence_interval(delta, v, alpha)
@@ -201,63 +202,60 @@ def _estimate_rows(t, S, codes, cv, epsilon, alpha, caliper=None) -> RowEstimate
                         theta=theta, status=status)
 
 
-def _report(
+def _reports(
     sample: TScoreSample,
-    b: _spectrum.SpectralBasis,
-    epsilon: float | None,
+    bases: Sequence[_spectrum.SpectralBasis],
+    epsilon: float,
     pb: bool,
     alpha: float,
     clamp_ci: bool,
-    S: np.ndarray | None = None,
-    caliper=None,
-    sq_power: float | None = None,
-) -> EstimateReport:
-    """Point estimate, cluster SE and interval of one sample on b.
+) -> list[EstimateReport]:
+    """Point estimate, cluster SE and interval of one sample on each basis.
 
-    Runs the row core on the sample as one row.  With ``pb`` the kernel
-    mean is reweighted by the caliper estimate theta_hat and the standard
-    error comes from the influence function; without it every weight is 1
-    and the standard error is the cluster sandwich of the kernel values.
-    ``S``, ``caliper`` and the status-quo power ``sq_power`` may be passed
-    in when the caller has them.  The
-    row status decides the errors: ``CaliperError`` for an empty upper
-    caliper bin, ``EstimationError`` for selection weights summing to zero.
-    A flag and a NaN standard error and interval mark the two cases with
-    an estimate but no SE: no score just below the cutoff, and (at c > 1)
-    a sample whose scores all share one cluster.
+    The bases share J, cv and sigma_T^2 and differ only in c, so the
+    caliper (with ``pb``), the status-quo power and the Hermite blocks of
+    the kernel are computed once; the row core then runs on the sample as
+    one row per basis.  With ``pb`` the kernel mean is reweighted by the
+    caliper estimate theta_hat and the standard error comes from the
+    influence function; without it every weight is 1 and the standard
+    error is the cluster sandwich of the kernel values.  The row status
+    decides the errors: ``CaliperError`` for an empty upper caliper bin,
+    ``EstimationError`` for selection weights summing to zero.  A flag and
+    a NaN standard error and interval mark the two cases with an estimate
+    but no SE: no score just below the cutoff, and (at c > 1) a sample
+    whose scores all share one cluster.
     """
-    t = sample.t
-    if S is None:
-        S = _spectrum.kernel_S(t, b)
-    if sq_power is None:
-        sq_power = status_quo_power(t, b.cv)
-    rows = _estimate_rows(t[None], S[None], sample._cluster_codes, b.cv,
-                          epsilon if pb else None, alpha, caliper)
-    status = rows.status[0]
-    if status == ROW_EMPTY_UPPER_BIN:
-        raise _pubbias.CaliperError.empty_upper_bin(epsilon, b.cv)
-    if status == ROW_ZERO_WEIGHTS:
-        raise EstimationError(_ZERO_WEIGHTS)
-    flags: tuple[str, ...] = ()
-    if status == ROW_NO_SE:
-        flags = ("theta-zero: no scores just below the cutoff; SE unavailable",)
-    se, ci_low, ci_high = float(rows.se[0]), float(rows.ci_low[0]), float(rows.ci_high[0])
-    if clamp_ci:
-        ci_low, ci_high = max(ci_low, 0.0), max(ci_high, 0.0)
-    if sample.n_clusters == 1 and b.c != 1.0:
-        # The centered sum over the one cluster is identically zero, so the
-        # cluster-robust SE is 0 by construction, not by precision.  At
-        # c = 1 the estimate itself is exactly 0 and its SE 0 stands.
-        flags += ("one-cluster: every score is in one study cluster; SE unavailable",)
-        se = ci_low = ci_high = math.nan
-
-    return EstimateReport(
-        delta=float(rows.delta[0]), se=se, ci_low=ci_low, ci_high=ci_high,
-        theta=float(rows.theta[0]) if pb else None,
-        J=b.J, epsilon=epsilon if pb else None, n=sample.n,
-        n_clusters=sample.n_clusters, max_cluster_size=sample.max_cluster_size,
-        status_quo_power=sq_power,
-        c=b.c, cv=b.cv, alpha=alpha, flags=flags)
+    t, cv = sample.t, bases[0].cv
+    caliper = _pubbias.caliper_tail(t[None], epsilon, cv) if pb else None
+    sq_power = status_quo_power(t, cv)
+    reports = []
+    for b, S in zip(bases, _spectrum.kernel_S_grid(t, bases)):
+        rows = _estimate_rows(S[None], sample._cluster_codes, caliper, alpha)
+        status = rows.status[0]
+        if status == ROW_EMPTY_UPPER_BIN:
+            raise _pubbias.CaliperError.empty_upper_bin(epsilon, cv)
+        if status == ROW_ZERO_WEIGHTS:
+            raise EstimationError(_ZERO_WEIGHTS)
+        flags: tuple[str, ...] = ()
+        if status == ROW_NO_SE:
+            flags = ("theta-zero: no scores just below the cutoff; SE unavailable",)
+        se, ci_low, ci_high = float(rows.se[0]), float(rows.ci_low[0]), float(rows.ci_high[0])
+        if clamp_ci:
+            ci_low, ci_high = max(ci_low, 0.0), max(ci_high, 0.0)
+        if sample.n_clusters == 1 and b.c != 1.0:
+            # The centered sum over the one cluster is identically zero, so the
+            # cluster-robust SE is 0 by construction, not by precision.  At
+            # c = 1 the estimate itself is exactly 0 and its SE 0 stands.
+            flags += ("one-cluster: every score is in one study cluster; SE unavailable",)
+            se = ci_low = ci_high = math.nan
+        reports.append(EstimateReport(
+            delta=float(rows.delta[0]), se=se, ci_low=ci_low, ci_high=ci_high,
+            theta=float(rows.theta[0]) if pb else None,
+            J=b.J, epsilon=epsilon if pb else None, n=sample.n,
+            n_clusters=sample.n_clusters, max_cluster_size=sample.max_cluster_size,
+            status_quo_power=sq_power,
+            c=b.c, cv=cv, alpha=alpha, flags=flags))
+    return reports
 
 
 def delta_hat_pb(
@@ -282,7 +280,7 @@ def delta_hat_pb(
     function of the caliper ratio is undefined; the point estimate is
     still returned with NaN standard error and an explanatory flag.
     """
-    return _report(sample, b, epsilon, True, alpha, clamp_ci)
+    return _reports(sample, [b], epsilon, True, alpha, clamp_ci)[0]
 
 
 def delta_hat_pb_rows(
@@ -290,15 +288,16 @@ def delta_hat_pb_rows(
 ) -> RowEstimates:
     """``delta_hat_pb`` of every row of t: R samples of n scores, singleton clusters.
 
-    One ``kernel_S`` over all R * n scores, then the row core that
-    ``delta_hat_pb`` runs on a single row.  Nothing is raised for a row
-    that fails; its ``status`` says why (see ``RowEstimates``).
+    One ``kernel_S`` over all R * n scores and one caliper over every row,
+    then the row core that ``delta_hat_pb`` runs on a single row.  Nothing
+    is raised for a row that fails; its ``status`` says why (see
+    ``RowEstimates``).
     """
     t = np.asarray(t, dtype=float)
     if t.ndim != 2 or t.size == 0:
         raise ValueError(f"need a non-empty (R, n) array of scores, got shape {t.shape}")
-    return _estimate_rows(t, _spectrum.kernel_S(t, b), np.arange(t.shape[1]),
-                          b.cv, epsilon, alpha)
+    return _estimate_rows(_spectrum.kernel_S(t, b), np.arange(t.shape[1]),
+                          _pubbias.caliper_tail(t, epsilon, b.cv), alpha)
 
 
 def estimate(
@@ -307,18 +306,15 @@ def estimate(
     pb: bool = True,
     clamp_ci: bool = False,
 ) -> EstimateReport:
-    """Select tuning from the sample, build the basis, and estimate.
+    """Select tuning from the sample, build the basis, and estimate at ``cfg.c``.
 
-    ``cfg.n_effective`` defaults to the number of t-scores; pass the study
-    count instead to scale the tuning rule by studies.  With ``pb=False``
-    the publication-bias machinery is skipped entirely: no theta, and the
-    standard error is the cluster sandwich of the kernel values.
+    The one-point ``power_gain_curve``.  ``cfg.n_effective`` defaults to
+    the number of t-scores; pass the study count instead to scale the
+    tuning rule by studies.  With ``pb=False`` the publication-bias
+    machinery is skipped entirely: no theta, and the standard error is the
+    cluster sandwich of the kernel values.
     """
-    if cfg.n_effective is None:
-        cfg = replace(cfg, n_effective=sample.n)
-    J, epsilon = _spectrum.select_tuning(cfg)
-    return _report(sample, _spectrum.build_basis(cfg, J), epsilon, pb,
-                   cfg.alpha, clamp_ci)
+    return power_gain_curve(sample, cfg, [cfg.c], pb, clamp_ci)[0]
 
 
 def _weighted_basis_moments(
@@ -391,36 +387,22 @@ def reconstruct_prior(
     return PriorReconstruction(coefficients=coeff, basis=b, theta=theta_hat)
 
 
-@dataclass(frozen=True)
-class CurvePoint:
-    """One grid point of a power-gain curve."""
-
-    c2: float
-    delta: float
-    se: float
-    ci_low: float
-    ci_high: float
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-
 def power_gain_curve(
     sample: TScoreSample,
     cfg: _spectrum.TuningConfig,
     c_grid: Sequence[float],
     pb: bool = True,
     clamp_ci: bool = False,
-) -> list[CurvePoint]:
-    """Estimate the power gain at every counterfactual scale in the grid.
+) -> list[EstimateReport]:
+    """Estimate the power gain at every counterfactual scale c in the grid.
 
-    J and epsilon come from the tuning rule once — they do not depend on
-    c — and so do theta_hat, the caliper tail and the status-quo power.
-    Each Hermite block is built once and contracted with every grid
-    point's coefficients, and each point then runs the same row core as
-    ``estimate``, so a one-point grid reproduces the scalar call exactly.
-    The c = 1 point is exactly zero with zero variance (every contrast
-    coefficient vanishes).
+    Returns one ``EstimateReport`` per c, flags included.  J and epsilon
+    come from the tuning rule once — they do not depend on c — and so do
+    theta_hat, the caliper tail and the status-quo power.  Each Hermite
+    block is built once and contracted with every grid point's
+    coefficients, and each point then runs the row core on its own, so a
+    one-point grid is exactly ``estimate``.  The c = 1 point is exactly
+    zero with zero variance (every contrast coefficient vanishes).
     """
     grid = [float(c) for c in c_grid]
     if not grid:
@@ -430,17 +412,8 @@ def power_gain_curve(
     if cfg.n_effective is None:
         cfg = replace(cfg, n_effective=sample.n)
     J, epsilon = _spectrum.select_tuning(cfg)
-    caliper = _pubbias.caliper_tail(sample.t[None], epsilon, cfg.cv) if pb else None
-    sq_power = status_quo_power(sample.t, cfg.cv)
     bases = [_spectrum.build_basis(replace(cfg, c=c), J) for c in grid]
-    kernels = _spectrum.kernel_S_grid(sample.t, bases)
-
-    points = []
-    for c, b, S in zip(grid, bases, kernels):
-        rep = _report(sample, b, epsilon, pb, cfg.alpha, clamp_ci, S, caliper, sq_power)
-        points.append(CurvePoint(c2=c * c, delta=rep.delta, se=rep.se,
-                                 ci_low=rep.ci_low, ci_high=rep.ci_high))
-    return points
+    return _reports(sample, bases, epsilon, pb, cfg.alpha, clamp_ci)
 
 
 @dataclass(frozen=True, eq=False)

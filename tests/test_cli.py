@@ -599,7 +599,8 @@ class TestOneCluster:
         assert main(["curve", str(one_study), "--grid", "2,4", "--out", "json",
                      "--output", str(out)]) == 0
         anchor, *points = json.loads(out.read_text())["points"]
-        assert anchor == {"c2": 1.0, "delta": 0.0, "se": 0.0, "ci_low": 0.0, "ci_high": 0.0}
+        assert anchor == {"c2": 1.0, "delta": 0.0, "se": 0.0, "ci_low": 0.0,
+                          "ci_high": 0.0, "flags": []}
         for pt in points:
             assert pt["se"] is None and pt["ci_low"] is None and pt["ci_high"] is None
             assert math.isfinite(pt["delta"])
@@ -638,8 +639,57 @@ class TestCurveCommand:
         p = write_balanced(tmp_path / "d.csv")
         assert main(["curve", p, "--grid", "4", "--out", "csv"]) == 0
         rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
-        assert rows[0] == ["c2", "delta", "se", "ci_low", "ci_high"]
+        assert rows[0] == ["c2", "delta", "se", "ci_low", "ci_high", "flags"]
         assert len(rows) == 3  # header + anchor + c2=4
+
+
+class TestCurveNotes:
+    """Each curve row carries its point's flags, in every output format."""
+
+    @pytest.fixture(params=["one-cluster", "theta-zero", "none"])
+    def flagged(self, request, tmp_path):
+        """A dataset, its flag kind, and the c2 values whose rows carry it."""
+        rng = np.random.default_rng(17)
+        p = tmp_path / "d.csv"
+        if request.param == "one-cluster":
+            t = rng.normal(np.where(rng.random(6000) < 0.5, 0.0, 2.8), 1.4)
+            p.write_text("t,study_id\n" + "".join(f"{x:.4f},s1\n" for x in t))
+            return str(p), request.param, [2.0, 4.0]
+        if request.param == "theta-zero":
+            # No score just below the cutoff: every point, the anchor too.
+            t = np.concatenate([rng.uniform(0.0, 1.0, 300), rng.uniform(2.0, 2.6, 200)])
+            p.write_text("t\n" + "".join(f"{x:.6f}\n" for x in t))
+            return str(p), request.param, [1.0, 2.0, 4.0]
+        return write_balanced(p), request.param, []
+
+    def test_json_points_carry_flags(self, flagged, tmp_path):
+        p, kind, c2s = flagged
+        out = tmp_path / "c.json"
+        assert main(["curve", p, "--grid", "2,4", "--out", "json",
+                     "--output", str(out)]) == 0
+        points = json.loads(out.read_text())["points"]
+        assert [pt["c2"] for pt in points] == [1.0, 2.0, 4.0]
+        for pt in points:
+            assert [f.split(":")[0] for f in pt["flags"]] == ([kind] if pt["c2"] in c2s else [])
+
+    def test_csv_flags_column(self, flagged, capsys):
+        p, kind, c2s = flagged
+        assert main(["curve", p, "--grid", "2,4", "--out", "csv"]) == 0
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert len(rows) == 3
+        for row in rows:
+            want = kind if float(row["c2"]) in c2s else ""
+            assert row["flags"].split(":")[0] == want
+
+    def test_text_notes_under_the_table(self, flagged, capsys):
+        p, kind, c2s = flagged
+        assert main(["curve", p, "--grid", "2,4"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].split() == ["c2", "delta", "se", "ci_low", "ci_high"]
+        assert [ln.split()[0] for ln in lines[1:4]] == ["1", "2", "4"]
+        assert [ln.split(": ")[:2] for ln in lines[4:]] == [
+            ["note", f"c2={c2:g}"] for c2 in c2s]
+        assert all(ln.split(": ")[2] == kind for ln in lines[4:])
 
 
 class TestSimulateCommand:

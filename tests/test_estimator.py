@@ -1,4 +1,5 @@
 """Tests for the point estimators, the prior reconstruction, and curve/conditional APIs."""
+import dataclasses
 import math
 
 import numpy as np
@@ -405,18 +406,30 @@ class TestPowerGainCurve:
         rng = np.random.default_rng(42)
         s = TScoreSample.from_scores(rng.normal(0.0, 1.4, 300))
         pts = estimator.power_gain_curve(s, make_config(), [1.0, SQRT2, 2.0])
-        assert pts[0].c2 == 1.0 and pts[0].delta == 0.0 and pts[0].se == 0.0
+        assert pts[0].c == 1.0 and pts[0].delta == 0.0 and pts[0].se == 0.0
 
     def test_single_point_grid_matches_scalar_call(self):
+        # estimate, a one-point curve and delta_hat_pb give the same report,
+        # field for field (NaN equal to NaN), flags included.
         rng = np.random.default_rng(42)
         t = rng.normal(0.2, 1.5, 400)
-        for study_id in (None, STRING_LABELS):
-            s = TScoreSample.from_scores(t, study_id)
-            cfg = make_config()
-            pts = estimator.power_gain_curve(s, cfg, [SQRT2])
-            J, eps = spectrum.select_tuning(make_config(n_effective=400))
-            rep = estimator.delta_hat_pb(s, spectrum.build_basis(cfg, J), eps)
-            assert pts[0].delta == rep.delta and pts[0].se == rep.se
+        no_lower_bin = np.concatenate([rng.uniform(0.0, 1.0, 300),
+                                       rng.uniform(2.0, 2.6, 100)])
+        cases = [(t, None, {}), (t, STRING_LABELS, {}),
+                 (t, np.full(400, "s1"), {True: ["one-cluster"], False: ["one-cluster"]}),
+                 (no_lower_bin, None, {True: ["theta-zero"]})]
+        cfg = make_config()
+        J, eps = spectrum.select_tuning(make_config(n_effective=400))
+        for scores, study_id, flags in cases:
+            s = TScoreSample.from_scores(scores, study_id)
+            for pb in (True, False):
+                rep = estimator.estimate(s, cfg, pb=pb)
+                [pt] = estimator.power_gain_curve(s, cfg, [SQRT2], pb=pb)
+                np.testing.assert_equal(dataclasses.asdict(pt), dataclasses.asdict(rep))
+                assert [f.split(":")[0] for f in rep.flags] == flags.get(pb, [])
+                if pb:
+                    ref = estimator.delta_hat_pb(s, spectrum.build_basis(cfg, J), eps)
+                    np.testing.assert_equal(dataclasses.asdict(ref), dataclasses.asdict(rep))
 
     def test_tuning_fixed_across_grid(self):
         rng = np.random.default_rng(42)
