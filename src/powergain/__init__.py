@@ -13,18 +13,15 @@ from .basis import (
     conditional_power,
     gaussian_pdf,
     hermite_sequence,
-    integrate_basis,
     normal_quantile,
 )
 from .spectrum import (
     SpectralBasis,
     TuningConfig,
-    a_coefficient,
     build_basis,
     kernel_S,
     kernel_S_grid,
     select_tuning,
-    singular_values,
 )
 from .pubbias import (
     CaliperError,
@@ -73,16 +70,13 @@ __all__ = [
     "conditional_power",
     "gaussian_pdf",
     "hermite_sequence",
-    "integrate_basis",
     "normal_quantile",
     "SpectralBasis",
     "TuningConfig",
-    "a_coefficient",
     "build_basis",
     "kernel_S",
     "kernel_S_grid",
     "select_tuning",
-    "singular_values",
     "CaliperError",
     "EmpiricalTail",
     "caliper_tail",

@@ -1,14 +1,14 @@
-"""Hermite basis functions, Gaussian densities, and polynomial integrals.
+"""Hermite basis functions and Gaussian densities.
 
 The estimator expands everything in *normalized probabilists'* Hermite
 polynomials He_j (orthonormal under the standard normal weight).  This
-module provides their stable evaluation, the Gaussian pdf and quantile used
-throughout, the two-sided conditional power function, and exact definite
-integrals of scaled basis polynomials over symmetric intervals.
+module provides their stable evaluation by one three-term recurrence, the
+Gaussian pdf and quantile used throughout, and the two-sided conditional
+power function.  Integrals of He_j need no quadrature: He'_{j+1} =
+sqrt(j+1) He_j, so ``spectrum.build_basis`` reads them off the same sweep.
 """
 from __future__ import annotations
 
-import functools
 import math
 import statistics
 
@@ -120,49 +120,3 @@ def conditional_power(h, cv: float = 1.96):
     arr = np.asarray(h, dtype=float)
     out = 1.0 - (special.ndtr(cv - arr) - special.ndtr(-cv - arr))
     return out if arr.ndim else float(out)
-
-
-@functools.cache
-def _gauss_legendre(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights, read-only and computed once per count.
-
-    Every basis build integrates each even degree twice, so ``leggauss``
-    would otherwise dominate ``build_basis`` at moderate sample sizes.
-    """
-    nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
-    nodes.flags.writeable = weights.flags.writeable = False
-    return nodes, weights
-
-
-def integrate_basis(j: int, half_width: float, scale: float = 1.0) -> float:
-    """Integrate He_j(t / scale) over the symmetric interval [-hw, +hw].
-
-    The integrand is a polynomial of degree ``j``, so Gauss-Legendre
-    quadrature with ``ceil((j + 2) / 2)`` nodes is exact to machine
-    precision.  Odd degrees integrate to exactly zero by symmetry and are
-    short-circuited.
-
-    Parameters
-    ----------
-    j : int
-        Polynomial degree.
-    half_width : float
-        Positive half-width of the integration interval.
-    scale : float
-        Positive argument scaling of the polynomial.
-
-    Returns
-    -------
-    float
-    """
-    j = _check_degree(j)
-    if half_width <= 0:
-        raise ValueError(f"half_width must be positive, got {half_width}")
-    if scale <= 0:
-        raise ValueError(f"scale must be positive, got {scale}")
-    if j % 2 == 1:
-        return 0.0
-    nodes, weights = _gauss_legendre((j + 2 + 1) // 2)  # ceil((j + 2) / 2) nodes
-    t = nodes * half_width
-    vals = hermite_sequence(t / scale, j)[j]
-    return half_width * float(np.dot(weights, vals))

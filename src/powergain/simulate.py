@@ -199,6 +199,17 @@ def _power_given_effect(h, noise: str, cv: float):
 _QUAD_PANELS, _QUAD_NODES = 16, 32
 
 
+@functools.cache
+def _gauss_legendre(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights, read-only and computed on first use.
+
+    Computed lazily so that importing the package loads no ``numpy.polynomial``.
+    """
+    nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
 def _integrate(f, a: float, b: float) -> float:
     """Integral of f over [a, b] by the composite Gauss-Legendre rule.
 
@@ -206,7 +217,7 @@ def _integrate(f, a: float, b: float) -> float:
     nodes each, and ``f`` is called once, on the (panels, nodes) array of
     every node.  The end points are never nodes.
     """
-    nodes, weights = _basis._gauss_legendre(_QUAD_NODES)
+    nodes, weights = _gauss_legendre(_QUAD_NODES)
     half = 0.5 * (b - a) / _QUAD_PANELS
     mids = a + half * (2.0 * np.arange(_QUAD_PANELS) + 1.0)
     return float(half * np.sum(f(mids[:, None] + half * nodes) @ weights))

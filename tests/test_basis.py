@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
-from powergain import basis
+from powergain import basis, spectrum
 
 
 def hermite_closed_form(j, x):
@@ -21,6 +21,27 @@ def hermite_closed_form(j, x):
                 * math.comb(j, 2 * l))
         total += coef * x ** (j - 2 * l)
     return total / math.sqrt(math.factorial(j))
+
+
+def integral_by_quad(j, half_width, scale):
+    """Integral of He_j(x / scale) over [-half_width, half_width] by QUADPACK."""
+    value, _ = integrate.quad(lambda x: hermite_closed_form(j, x / scale),
+                              -half_width, half_width, epsabs=1e-12)
+    return value
+
+
+def a_by_quadrature(cfg, J):
+    """Even-degree a_0, a_2, .., a_J from their definition, by quadrature.
+
+    a_j = int_{-cv}^{cv} He_j(x / sigma_T) dx
+          - lambda_j^-1 int_{-cv/c}^{cv/c} He_j(x / s_c) dx,
+    with s_c^2 = 1 + sigma_T^2 - c^-2 and lambda_j = (sigma_T / s_c)^j.
+    """
+    sigma_t = math.sqrt(cfg.sigmaT2)
+    s_c = math.sqrt(1.0 + cfg.sigmaT2 - cfg.c ** -2)
+    return np.array([integral_by_quad(j, cfg.cv, sigma_t)
+                     - integral_by_quad(j, cfg.cv / cfg.c, s_c) / (sigma_t / s_c) ** j
+                     for j in range(0, J + 1, 2)])
 
 
 def hermite(j, x):
@@ -157,37 +178,40 @@ class TestConditionalPower:
 
 
 class TestIntegrateBasis:
+    """Integrals of He_j(x / s) over [-h, h], checked through build_basis's a.
+
+    a_j = L_j - R_j / lambda_j, where L_j is the integral over [-cv, cv] at
+    scale sigma_T and R_j the one over [-cv/c, cv/c] at scale s_c.
+    """
+
     def test_frozen_values(self):
-        np.testing.assert_allclose(basis.integrate_basis(0, 1.96), 3.92,
+        # c = sqrt 2, sigma_T^2 = 1, cv = 1.96: L_j at h = 1.96, s = 1 and
+        # R_j at h = 1.96 / sqrt 2, s = sqrt 1.5.
+        b = spectrum.build_basis(spectrum.TuningConfig(c=math.sqrt(2.0)), 4)
+        np.testing.assert_allclose(b.a[0] + 2.0 * 1.96 / math.sqrt(2.0), 3.92,
                                    rtol=1e-14)
-        np.testing.assert_allclose(basis.integrate_basis(2, 1.96),
-                                   0.777598727607555, rtol=1e-12)
-        np.testing.assert_allclose(basis.integrate_basis(4, 1.96),
-                                   -1.385586083991381, rtol=1e-12)
-        np.testing.assert_allclose(
-            basis.integrate_basis(2, 1.96 / math.sqrt(2.0),
-                                  scale=math.sqrt(1.5)),
-            -1.123384888888889, rtol=1e-12)
+        np.testing.assert_allclose(b.a[2],
+                                   0.777598727607555 - -1.123384888888889 / b.lam[2],
+                                   rtol=1e-12)
+        r4 = integral_by_quad(4, 1.96 / math.sqrt(2.0), math.sqrt(1.5))
+        np.testing.assert_allclose(b.a[4] + r4 / b.lam[4], -1.385586083991381,
+                                   rtol=1e-12)
 
     def test_odd_degrees_exactly_zero(self):
-        for j in range(1, 30, 2):
-            assert basis.integrate_basis(j, 2.5, scale=1.3) == 0.0
+        rng = np.random.default_rng(42)
+        for _ in range(10):
+            cfg = spectrum.TuningConfig(c=float(rng.uniform(1.0, 3.0)),
+                                        cv=float(rng.uniform(0.5, 3.0)),
+                                        sigmaT2=float(rng.uniform(0.5, 2.0)))
+            assert (spectrum.build_basis(cfg, 29).a[1::2] == 0.0).all()
 
     def test_matches_adaptive_quadrature(self):
         rng = np.random.default_rng(42)
         for _ in range(20):
-            j = int(rng.integers(0, 7)) * 2
-            hw = float(rng.uniform(0.5, 3.0))
-            scale = float(rng.uniform(0.7, 2.0))
-            expected, _ = integrate.quad(
-                lambda t: hermite_closed_form(j, t / scale), -hw, hw,
-                epsabs=1e-12)
+            cfg = spectrum.TuningConfig(c=float(rng.uniform(1.05, 3.0)),
+                                        cv=float(rng.uniform(0.5, 3.0)),
+                                        sigmaT2=float(rng.uniform(0.5, 2.0)))
+            J = int(rng.integers(0, 7)) * 2
             np.testing.assert_allclose(
-                basis.integrate_basis(j, hw, scale=scale), expected,
-                rtol=1e-9, atol=1e-12, err_msg=f"j={j}, hw={hw}, scale={scale}")
-
-    def test_validates_inputs(self):
-        with pytest.raises(ValueError):
-            basis.integrate_basis(2, 0.0)
-        with pytest.raises(ValueError):
-            basis.integrate_basis(2, 1.0, scale=-1.0)
+                spectrum.build_basis(cfg, J).a[::2], a_by_quadrature(cfg, J),
+                rtol=1e-9, atol=1e-12, err_msg=f"{cfg}, J={J}")

@@ -747,8 +747,12 @@ def test_simulate_loads_neither_scipy_stats_nor_integrate(tmp_path):
 
 
 def test_estimate_and_curve_load_no_scipy(tmp_path):
+    # Nor numpy.polynomial, which NumPy before 2.0 loads on its own import,
+    # so only a load after `import numpy` counts.
     script = (
         "import json, sys\n"
+        "import numpy\n"
+        "numpy_loads = set(sys.modules)\n"
         "steps = []\n"
         "def loaded():\n"
         "    return [m for m in ('scipy', 'scipy.special', 'scipy.stats',\n"
@@ -761,16 +765,18 @@ def test_estimate_and_curve_load_no_scipy(tmp_path):
         "codes = [cli.main(['estimate', data, '--out', 'json', '--output', out]),\n"
         "         cli.main(['curve', data, '--out', 'json', '--output', out])]\n"
         "steps.append(loaded())\n"
+        "polynomial = 'numpy.polynomial' in set(sys.modules) - numpy_loads\n"
         "codes.append(cli.main(['conditional', sys.argv[3], '--output', out]))\n"
         "steps.append(loaded())\n"
-        "print(json.dumps([codes, steps]))\n")
+        "print(json.dumps([codes, steps, polynomial]))\n")
     data = write_balanced(tmp_path / "d.csv")
     grouped = tmp_path / "g.csv"
     grouped.write_text("group_id,effect,std_error,weight\nstudy,2.8016,1.0,1.0\n")
-    codes, steps = _last_json_line_of_fresh_interpreter(
+    codes, steps, polynomial = _last_json_line_of_fresh_interpreter(
         script, data, str(tmp_path / "r.json"), str(grouped))
     assert codes == [0, 0, 0]
     assert steps == [[], [], [], ["scipy", "scipy.special"]]
+    assert not polynomial
 
 
 class TestConditionalCommand:
@@ -867,6 +873,20 @@ class TestParser:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and message in captured.err
         assert "inf" in captured.err
+
+    @pytest.mark.parametrize("command", ["estimate", "curve", "simulate"])
+    @pytest.mark.parametrize("flag, value", [("--sigma-t2", "1e16"), ("--alpha", "1e-320")])
+    def test_unestimable_tuning_is_exit_two(self, tmp_path, capsys, command, flag, value):
+        # sigmaT2 / (1 + sigmaT2) or 1 - alpha/2 rounds to 1: finite, in
+        # range, and still no estimate or interval.
+        if command == "simulate":
+            argv = [command, "--dgp", "truenull", "--n", "50", "--reps", "2"]
+        else:
+            argv = [command, write_balanced(tmp_path / "d.csv")]
+        assert main([*argv, flag, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and flag in captured.err
 
     def test_invalid_choice_is_exit_two(self, capsys):
         with pytest.raises(SystemExit) as exc:

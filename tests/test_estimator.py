@@ -215,6 +215,22 @@ class TestRowCore:
             want = [rep.delta, rep.se, rep.ci_low, rep.ci_high, rep.theta]
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
+    def test_rows_match_scalar_bitwise_at_random_widths(self):
+        # A score's kernel value must not depend on how many scores share its
+        # block, so row k of a batch is the scalar estimate of t[k] bit for bit.
+        rng = np.random.default_rng(20)
+        for n in (37, 120, 301):
+            cfg = make_config(n_effective=n)
+            J, eps = spectrum.select_tuning(cfg)
+            b = spectrum.build_basis(cfg, J)
+            t = np.stack([_thinned_bimodal(rng, n) for _ in range(6)])
+            rows = estimator.delta_hat_pb_rows(t, b, eps)
+            for k in range(t.shape[0]):
+                rep = estimator.delta_hat_pb(TScoreSample.from_scores(t[k]), b, eps)
+                assert rows.delta[k] == rep.delta, f"n={n}, row {k}"
+                assert rows.theta[k] == rep.theta, f"n={n}, row {k}"
+                assert rows.se[k] == rep.se or math.isnan(rows.se[k]) and math.isnan(rep.se)
+
     def test_statuses_match_scalar_errors(self):
         # epsilon 0.3: lower bin (1.66, 1.96], upper bin (1.96, 2.26].
         t = np.array([[0.5, 1.0, 0.1],    # upper bin empty

@@ -1,8 +1,10 @@
-"""Tests for singular values, contrast coefficients, and the tuning rule."""
+"""Tests for the spectral basis (eta, lambda, a), the kernel, and the tuning rule."""
+import itertools
 import math
 
 import numpy as np
 import pytest
+from test_basis import a_by_quadrature
 
 from powergain import basis, spectrum
 
@@ -39,67 +41,70 @@ class TestTuningConfig:
 
 
 class TestSingularValues:
+    """eta and lambda as build_basis stores them."""
+
     def test_frozen_values(self):
-        cfg = default_config()
-        eta1, lam1 = spectrum.singular_values(1, cfg)
-        np.testing.assert_allclose(eta1, 0.86602540378443865, rtol=1e-14)
-        np.testing.assert_allclose(lam1, 0.81649658092772603, rtol=1e-14)
-        eta2, lam2 = spectrum.singular_values(2, cfg)
-        np.testing.assert_allclose(eta2, 0.75, rtol=1e-14)
-        np.testing.assert_allclose(lam2, 2.0 / 3.0, rtol=1e-14)
+        b = spectrum.build_basis(default_config(), 2)
+        np.testing.assert_allclose(b.eta[1], 0.86602540378443865, rtol=1e-14)
+        np.testing.assert_allclose(b.lam[1], 0.81649658092772603, rtol=1e-14)
+        np.testing.assert_allclose(b.eta[2], 0.75, rtol=1e-14)
+        np.testing.assert_allclose(b.lam[2], 2.0 / 3.0, rtol=1e-14)
 
     def test_degree_zero_is_one(self):
-        cfg = default_config()
-        assert spectrum.singular_values(0, cfg) == (1.0, 1.0)
+        b = spectrum.build_basis(default_config(), 5)
+        assert (b.eta[0], b.lam[0]) == (1.0, 1.0)
 
     def test_product_does_not_depend_on_c(self):
         # eta_j * lambda_j collapses to (sigma_T^2 / (1 + sigma_T^2))^(j/2),
         # which is what lets one reconstruction serve every counterfactual.
         rng = np.random.default_rng(42)
+        j = np.arange(30)
         for _ in range(30):
             c = float(rng.uniform(1.0, 3.0))
             s2 = float(rng.uniform(0.5, 2.0))
-            j = int(rng.integers(0, 30))
-            eta, lam = spectrum.singular_values(j, default_config(c=c, sigmaT2=s2))
-            np.testing.assert_allclose(eta * lam, (s2 / (1 + s2)) ** (j / 2),
+            b = spectrum.build_basis(default_config(c=c, sigmaT2=s2), 29)
+            np.testing.assert_allclose(b.eta * b.lam, (s2 / (1 + s2)) ** (j / 2),
                                        rtol=1e-12)
 
     def test_geometric_decay(self):
-        cfg = default_config()
-        etas = np.array([spectrum.singular_values(j, cfg)[0] for j in range(20)])
-        ratios = etas[1:] / etas[:-1]
-        np.testing.assert_allclose(ratios, ratios[0], rtol=1e-12)
+        b = spectrum.build_basis(default_config(), 19)
+        for seq in (b.eta, b.lam):
+            ratios = seq[1:] / seq[:-1]
+            np.testing.assert_allclose(ratios, ratios[0], rtol=1e-12)
 
 
 class TestAcoefficient:
+    """The contrast coefficients a as build_basis stores them."""
+
     def test_frozen_values(self):
-        cfg = default_config()
-        np.testing.assert_allclose(spectrum.a_coefficient(0, cfg),
-                                   1.1481414177487337, rtol=1e-12)
-        np.testing.assert_allclose(spectrum.a_coefficient(2, cfg),
-                                   2.462676060940888, rtol=1e-12)
+        b = spectrum.build_basis(default_config(), 2)
+        np.testing.assert_allclose(b.a[0], 1.1481414177487337, rtol=1e-12)
+        np.testing.assert_allclose(b.a[2], 2.462676060940888, rtol=1e-12)
 
     def test_odd_degrees_zero(self):
-        cfg = default_config()
-        for j in range(1, 21, 2):
-            assert spectrum.a_coefficient(j, cfg) == 0.0
+        b = spectrum.build_basis(default_config(), 20)
+        assert (b.a[1::2] == 0.0).all()
 
     def test_all_zero_when_c_is_one(self):
-        cfg = default_config(c=1.0)
-        for j in range(0, 12):
-            assert spectrum.a_coefficient(j, cfg) == 0.0
+        for J in (11, basis.J_MAX):
+            assert (spectrum.build_basis(default_config(c=1.0), J).a == 0.0).all()
 
     def test_matches_direct_integrals(self):
-        # Rebuild a_j from the definition: integral of psi_j over the
-        # rejection region minus the rescaled integral of phi_j.
-        cfg = default_config()
-        s_c = math.sqrt(1.0 + cfg.sigmaT2 - 1.0 / cfg.c ** 2)
-        for j in (0, 2, 4, 6, 8):
-            _, lam = spectrum.singular_values(j, cfg)
-            left = basis.integrate_basis(j, cfg.cv, scale=math.sqrt(cfg.sigmaT2))
-            right = basis.integrate_basis(j, cfg.cv / cfg.c, scale=s_c)
-            np.testing.assert_allclose(spectrum.a_coefficient(j, cfg),
-                                       left - right / lam, rtol=1e-12)
+        # Rebuild a_j from the definition, by adaptive quadrature of the
+        # explicit polynomials, up to the highest supported degree.
+        for c2, s2, cv in itertools.product((1.5, 4.0, 9.0), (0.5, 2.0), (1.645, 2.576)):
+            cfg = default_config(c=math.sqrt(c2), sigmaT2=s2, cv=cv)
+            np.testing.assert_allclose(
+                spectrum.build_basis(cfg, basis.J_MAX).a[::2],
+                a_by_quadrature(cfg, basis.J_MAX),
+                rtol=1e-9, atol=1e-12, err_msg=f"c2={c2}, s2={s2}, cv={cv}")
+
+    def test_high_degree_frozen(self):
+        # Frozen from a 60-digit mpmath evaluation of the definition at the
+        # double-precision c = sqrt(8.0), sigma_T^2 = 1, cv = 1.96.
+        b = spectrum.build_basis(default_config(c=math.sqrt(8.0)), 40)
+        np.testing.assert_allclose(b.a[36], -615.77620192503952285, rtol=1e-13)
+        np.testing.assert_allclose(b.a[38], -980.81647160942121159, rtol=1e-13)
 
 
 class TestBuildBasis:
@@ -109,9 +114,6 @@ class TestBuildBasis:
         assert b.J == 9
         assert b.eta.shape == b.lam.shape == b.a.shape == (10,)
         assert b.c == cfg.c and b.cv == cfg.cv and b.sigmaT2 == cfg.sigmaT2
-        np.testing.assert_allclose(
-            b.counterfactual_scale,
-            math.sqrt(1.0 + cfg.sigmaT2 - 1.0 / cfg.c ** 2), rtol=1e-14)
 
     def test_rejects_bad_cutoff(self):
         cfg = default_config()
@@ -140,6 +142,14 @@ class TestKernelS:
         direct *= basis.gaussian_pdf(t, b.sigmaT2)
         np.testing.assert_allclose(spectrum.kernel_S(t, b), direct, rtol=1e-10,
                                    atol=1e-14)
+
+    def test_value_does_not_depend_on_block_width(self):
+        b = spectrum.build_basis(default_config(), 17)
+        rng = np.random.default_rng(8)
+        for width in rng.integers(1, 400, size=12):
+            t = rng.normal(0.0, 2.0, size=width)
+            whole = spectrum.kernel_S(t, b)
+            assert [spectrum.kernel_S(x, b) for x in t] == whole.tolist()
 
     def test_even_function_of_t(self):
         cfg = default_config()
