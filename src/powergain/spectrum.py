@@ -152,9 +152,9 @@ def kernel_S_grid(t: np.ndarray, bases) -> np.ndarray:
 
     Each Hermite block P is built once and contracted with every basis's
     ``a`` over the even degrees (odd a_j are exactly 0) by elementwise
-    multiply-adds.  A score's value thus does not depend on the block
-    width, as a gemv's rounding can, and each row equals ``kernel_S(t, b)``
-    exactly, as does each score's entry ``kernel_S(t_i, b)``.  ``t`` is flat.
+    multiply-adds, so a score's value does not depend on the block width
+    (a gemv's rounding can): each row equals ``kernel_S(t, b)`` exactly,
+    and each entry equals ``kernel_S(t_i, b)`` exactly.  ``t`` is flat.
     """
     J, sigmaT2 = bases[0].J, bases[0].sigmaT2
     if any(b.J != J or b.sigmaT2 != sigmaT2 for b in bases):
