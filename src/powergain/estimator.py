@@ -10,7 +10,9 @@ effects fixed.
 
 Every ``EstimateReport`` is built in one place, ``_reports``, from one
 row core, ``_estimate_rows``: the estimate at one c is the one-point
-curve, and ``delta_hat_pb`` is the same builder on a given basis.
+curve, and ``delta_hat_pb`` is the same builder on a given basis.  The row
+core evaluates a sample on the table of its distinct |t| values, which a
+rounded sample makes far shorter than the sample itself.
 """
 from __future__ import annotations
 
@@ -46,6 +48,50 @@ class EstimationError(Exception):
     """Raised when an estimate is undefined on the given sample."""
 
 
+#: Decimal places of the rounding grids a sample is tested on, coarsest first.
+_GRID_DECIMALS = (1, 2, 3)
+#: Leading scores tested before the whole sample, so off-grid data fails fast.
+_GRID_PREFIX = 1024
+
+
+def _grid_keys(a: np.ndarray, scale: float) -> np.ndarray | None:
+    """k = rint(a * scale) if k / scale gives back every entry of a exactly, else None."""
+    k = np.rint(a * scale)
+    return k if np.array_equal(k / scale, a) else None
+
+
+def _score_table(t: np.ndarray) -> tuple[float | None, np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct |t| of a rounded sample and where each score sits among them.
+
+    Returns ``(step, table, index, counts)`` with ``table[index] == |t|``
+    exactly and ``counts`` the number of scores at each table entry.  The
+    step is the coarsest g = 10^-d, d in ``_GRID_DECIMALS``, for which
+    k = rint(|t| 10^d) gives k / 10^d == |t| for every score; the table
+    holds the distinct k / 10^d in increasing order, found by a
+    ``bincount`` of k.  A sample on none of these grids, or one whose
+    largest k is not below n (so a single far outlier cannot make the
+    ``bincount`` outgrow the sample), has step None, and its table is |t|
+    itself with the identity index.
+    """
+    a = np.abs(t)
+    with np.errstate(over="ignore"):
+        for d in _GRID_DECIMALS:
+            scale = 10.0 ** d
+            if _grid_keys(a[:_GRID_PREFIX], scale) is None:
+                continue
+            k = _grid_keys(a, scale)
+            if k is None:
+                continue
+            if k.max() >= a.size:
+                break  # a finer grid only has larger keys
+            k = k.astype(np.intp)
+            counts = np.bincount(k)
+            present = np.flatnonzero(counts)
+            rank = np.cumsum(counts > 0) - 1  # of each present key among them
+            return 10.0 ** -d, present / scale, rank[k], counts[present]
+    return None, a, np.arange(a.size), np.ones(a.size, dtype=np.intp)
+
+
 @dataclass(frozen=True, eq=False)
 class TScoreSample:
     """Reported t-scores plus the study labels that define clusters.
@@ -55,6 +101,13 @@ class TScoreSample:
     labels are factorised once, at construction, into integer cluster
     codes (in sorted-label order) and cluster sizes.  ``study_id=None``
     means singleton clusters: labels and codes ``arange(n)``, unit sizes.
+
+    Published t-scores are rounded, so construction also looks for the
+    rounding grid, the coarsest decimal step g in {0.1, 0.01, 0.001} that
+    every score lies on (``_score_table``).  The estimators then evaluate
+    each distinct |t| once and gather the values back to the scores by an
+    integer index; a sample on no grid is its own table.  Either way the
+    estimates are the same, bit for bit.  ``_grid_step`` is g, or None.
     ``==`` is identity: the array fields have no single truth value.
     """
 
@@ -62,6 +115,10 @@ class TScoreSample:
     study_id: np.ndarray | None
     _cluster_codes: np.ndarray = field(init=False, repr=False)
     _cluster_sizes: np.ndarray = field(init=False, repr=False)
+    _grid_step: float | None = field(init=False, repr=False)
+    _table: np.ndarray = field(init=False, repr=False)
+    _table_index: np.ndarray = field(init=False, repr=False)
+    _table_counts: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         t = np.asarray(self.t, dtype=float).ravel()
@@ -78,10 +135,12 @@ class TScoreSample:
                 raise ValueError(
                     f"study_id length {sid.size} does not match {t.size} t-scores")
             _, codes, sizes = _inference._factorise(sid)
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "study_id", sid)
-        object.__setattr__(self, "_cluster_codes", codes)
-        object.__setattr__(self, "_cluster_sizes", sizes)
+        step, table, index, counts = _score_table(t)
+        for name, value in (("t", t), ("study_id", sid), ("_cluster_codes", codes),
+                            ("_cluster_sizes", sizes), ("_grid_step", step),
+                            ("_table", table), ("_table_index", index),
+                            ("_table_counts", counts)):
+            object.__setattr__(self, name, value)
 
     @classmethod
     def from_scores(cls, t, study_id=None) -> "TScoreSample":
@@ -160,46 +219,57 @@ class RowEstimates:
     status: np.ndarray
 
 
-def _kernel_means(S: np.ndarray, omega: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per row: sum_i S_i omega_i / sum_i omega_i and the weight sum."""
-    wsum = omega.sum(axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.einsum("ij,ij->i", S, omega) / wsum, wsum
+def _estimate_rows(kernels, index, codes, caliper, alpha) -> list[RowEstimates]:
+    """The one estimation core: R samples of n scores, row-wise, for each kernel.
 
-
-def _estimate_rows(S, codes, caliper, alpha) -> RowEstimates:
-    """The one estimation core: R samples of n scores in one row-wise pass.
-
-    The kernel values ``S`` have shape (R, n), and every row shares the n
-    cluster ``codes``.  ``caliper`` is ``pubbias.caliper_tail``'s
-    ``(theta, tail)`` of the rows' scores: the kernel mean of each row is
-    reweighted by its caliper estimate theta_hat and the SE comes from the
-    influence function.  With ``caliper=None`` every weight is 1 and the
-    SE is the cluster sandwich of the kernel values.
+    Each row holds its scores as a table of K values, and ``index`` (n,)
+    takes each score to its table entry (the identity when the table is
+    the scores themselves).  ``kernels`` has shape (G, R, K): G kernels'
+    values S on the table; every row shares the n cluster ``codes``.
+    ``caliper`` is ``pubbias.caliper_tail``'s ``(theta, tail)`` of the
+    table: the kernel mean of each row is reweighted by its caliper
+    estimate theta_hat and the SE comes from the influence function.
+    With ``caliper=None`` every weight is 1 and the SE is the cluster
+    sandwich of the kernel values.  The weights and the row statuses do not
+    depend on the kernel and are formed once; W, X and m are formed on the
+    table.  Every sum over a row (the weighted kernel mean, the mean in Q
+    and the variance) runs over its n gathered scores in score order, so
+    the estimates do not depend on how the scores are tabled.  Returns one
+    ``RowEstimates`` per kernel.
     """
-    status = np.full(S.shape[0], ROW_OK, dtype=np.int8)
+    R, K = kernels.shape[1:]
+    status = np.full(R, ROW_OK, dtype=np.int8)
     theta = None
     if caliper is None:
-        omega = np.ones_like(S)
+        omega = np.ones((R, K))
     else:
         theta, tail = caliper
         omega = np.where(tail.insignificant, 1.0, theta[:, None])
-    delta, wsum = _kernel_means(S, omega)
+    omega = np.take(omega, index, axis=1)
+    wsum = omega.sum(axis=1)
+    failed = np.zeros(R, dtype=bool)
     if caliper is not None:
         empty_upper, zero_weights = tail.count_above == 0, ~(wsum > 0)
         status[tail.count_below == 0] = ROW_NO_SE
         status[zero_weights] = ROW_ZERO_WEIGHTS
         status[empty_upper] = ROW_EMPTY_UPPER_BIN
-        delta[empty_upper | zero_weights] = np.nan
+        failed = empty_upper | zero_weights
 
-    # A failing row's inf or NaN stays in that row, down to its variance.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        m = S if caliper is None else _inference.influence(S, theta, tail)
-        v = np.where(status == ROW_OK, _inference.variance_hat(m, codes), np.nan)
-        se = np.sqrt(v)
-        ci_low, ci_high = _inference.confidence_interval(delta, v, alpha)
-    return RowEstimates(delta=delta, se=se, ci_low=ci_low, ci_high=ci_high,
-                        theta=theta, status=status)
+    out = []
+    for S in kernels:
+        # A failing row's inf or NaN stays in that row, down to its variance.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            scores = np.take(S, index, axis=1)
+            delta = np.einsum("ij,ij->i", scores, omega) / wsum
+            delta[failed] = np.nan
+            if caliper is not None:
+                scores = np.take(_inference.influence(S, theta, tail, index), index, axis=1)
+            v = np.where(status == ROW_OK, _inference.variance_hat(scores, codes), np.nan)
+            se = np.sqrt(v)
+            ci_low, ci_high = _inference.confidence_interval(delta, v, alpha)
+        out.append(RowEstimates(delta=delta, se=se, ci_low=ci_low, ci_high=ci_high,
+                                theta=theta, status=status))
+    return out
 
 
 def _reports(
@@ -215,31 +285,49 @@ def _reports(
     The bases share J, cv and sigma_T^2 and differ only in c, so the
     caliper (with ``pb``), the status-quo power and the Hermite blocks of
     the kernel are computed once; the row core then runs on the sample as
-    one row per basis.  With ``pb`` the kernel mean is reweighted by the
+    one row per basis.  All of it is evaluated on the sample's table of
+    distinct |t| values (``TScoreSample``): the kernel, the caliper masks
+    (whose counts sum the table's multiplicities) and the influence terms
+    once per distinct value, and only the sums over the sample run over
+    its n scores.  With ``pb`` the kernel mean is reweighted by the
     caliper estimate theta_hat and the standard error comes from the
     influence function; without it every weight is 1 and the standard
     error is the cluster sandwich of the kernel values.  The row status
     decides the errors: ``CaliperError`` for an empty upper caliper bin,
-    ``EstimationError`` for selection weights summing to zero.  A flag and
+    ``EstimationError`` for selection weights summing to zero, and
+    ``EstimationError`` for an estimate or SE that is not finite (the
+    kernel overflows when sigma_T^2 or D drives J too high).  A flag and
     a NaN standard error and interval mark the two cases with an estimate
     but no SE: no score just below the cutoff, and (at c > 1) a sample
     whose scores all share one cluster.
     """
     t, cv = sample.t, bases[0].cv
-    caliper = _pubbias.caliper_tail(t[None], epsilon, cv) if pb else None
+    table = sample._table
+    caliper = (_pubbias.caliper_tail(table[None], epsilon, cv, sample._table_counts)
+               if pb else None)
     sq_power = status_quo_power(t, cv)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # A kernel that overflows gives an estimate that is not finite, which
+        # is raised below as an EstimationError.
+        kernels = _spectrum.kernel_S_grid(table, bases)[:, None]
     reports = []
-    for b, S in zip(bases, _spectrum.kernel_S_grid(t, bases)):
-        rows = _estimate_rows(S[None], sample._cluster_codes, caliper, alpha)
+    for b, rows in zip(bases, _estimate_rows(kernels, sample._table_index,
+                                             sample._cluster_codes, caliper, alpha)):
         status = rows.status[0]
         if status == ROW_EMPTY_UPPER_BIN:
             raise _pubbias.CaliperError.empty_upper_bin(epsilon, cv)
         if status == ROW_ZERO_WEIGHTS:
             raise EstimationError(_ZERO_WEIGHTS)
+        delta, se = float(rows.delta[0]), float(rows.se[0])
+        if not (math.isfinite(delta) and (status == ROW_NO_SE or math.isfinite(se))):
+            raise EstimationError(
+                f"estimate not finite (delta {delta}, SE {se}): the spectral kernel "
+                f"overflows at J = {b.J} with sigma_T^2 = {b.sigmaT2:g}; use a larger "
+                "--sigma-t2 or --const-D")
         flags: tuple[str, ...] = ()
         if status == ROW_NO_SE:
             flags = ("theta-zero: no scores just below the cutoff; SE unavailable",)
-        se, ci_low, ci_high = float(rows.se[0]), float(rows.ci_low[0]), float(rows.ci_high[0])
+        ci_low, ci_high = float(rows.ci_low[0]), float(rows.ci_high[0])
         if clamp_ci:
             ci_low, ci_high = max(ci_low, 0.0), max(ci_high, 0.0)
         if sample.n_clusters == 1 and b.c != 1.0:
@@ -249,7 +337,7 @@ def _reports(
             flags += ("one-cluster: every score is in one study cluster; SE unavailable",)
             se = ci_low = ci_high = math.nan
         reports.append(EstimateReport(
-            delta=float(rows.delta[0]), se=se, ci_low=ci_low, ci_high=ci_high,
+            delta=delta, se=se, ci_low=ci_low, ci_high=ci_high,
             theta=float(rows.theta[0]) if pb else None,
             J=b.J, epsilon=epsilon if pb else None, n=sample.n,
             n_clusters=sample.n_clusters, max_cluster_size=sample.max_cluster_size,
@@ -289,15 +377,16 @@ def delta_hat_pb_rows(
     """``delta_hat_pb`` of every row of t: R samples of n scores, singleton clusters.
 
     One ``kernel_S`` over all R * n scores and one caliper over every row,
-    then the row core that ``delta_hat_pb`` runs on a single row.  Nothing
-    is raised for a row that fails; its ``status`` says why (see
-    ``RowEstimates``).
+    then the row core that ``delta_hat_pb`` runs on a single row, with
+    each row its own table.  Nothing is raised for a row that fails; its
+    ``status`` says why (see ``RowEstimates``).
     """
     t = np.asarray(t, dtype=float)
     if t.ndim != 2 or t.size == 0:
         raise ValueError(f"need a non-empty (R, n) array of scores, got shape {t.shape}")
-    return _estimate_rows(_spectrum.kernel_S(t, b), np.arange(t.shape[1]),
-                          _pubbias.caliper_tail(t, epsilon, b.cv), alpha)
+    identity = np.arange(t.shape[1])
+    return _estimate_rows(_spectrum.kernel_S(t, b)[None], identity, identity,
+                          _pubbias.caliper_tail(t, epsilon, b.cv), alpha)[0]
 
 
 def estimate(

@@ -13,7 +13,10 @@ clusters (block-diagonal dependence) and squares the block sums.
 
 Every helper also takes R samples of equal size at once: scores of shape
 (R, n), with one theta and one tail entry per row.  Reductions then give
-one value per row.
+one value per row.  ``q_hat`` and ``influence`` also take the scores as a
+table of K values plus an ``index`` that takes each of a row's n scores to
+its table entry: the terms are formed on the table and only the sample
+mean in Q runs over the n scores.
 """
 from __future__ import annotations
 
@@ -27,20 +30,24 @@ def _column(x) -> np.ndarray:
     return np.asarray(x)[..., None]
 
 
-def q_hat(S: np.ndarray, theta, tail) -> np.ndarray:
+def q_hat(S: np.ndarray, theta, tail, index=None) -> np.ndarray:
     """Sensitivity Q of the estimand to the inverse reporting ratio.
 
     Sample analogue of E[S(T) (1{|T| <= cutoff} - F) / (1 + F (theta^-1 - 1))^2],
     computed in the theta^2-multiplied form that stays finite at theta = 0.
     One entry per row of S, as a column: (R, 1), or (1,) for a flat sample.
+    With S and the tail on a table of scores, ``index`` takes the sample's
+    scores to their table entries and the mean runs over the sample.
     """
     theta, F_hat = _column(theta), _column(tail.F_hat)
     denom = theta + F_hat * (1.0 - theta)
-    centered = tail.insignificant - F_hat
-    return theta**2 * np.mean(S * centered, axis=-1, keepdims=True) / denom**2
+    terms = S * (tail.insignificant - F_hat)
+    if index is not None:
+        terms = np.take(terms, index, axis=-1)
+    return theta**2 * np.mean(terms, axis=-1, keepdims=True) / denom**2
 
 
-def influence(S: np.ndarray, theta, tail) -> np.ndarray:
+def influence(S: np.ndarray, theta, tail, index=None) -> np.ndarray:
     """Feasible influence values m(t_i) = S_i W(t_i) + Q X(t_i).
 
     W is the normalized caliper weight, in the theta-multiplied form
@@ -54,12 +61,14 @@ def influence(S: np.ndarray, theta, tail) -> np.ndarray:
 
     whose sample mean is exactly zero.  Both are undefined where the row
     core already fails a row: W at theta + (1 - theta) F = 0, X at B- = 0.
+    With S and the tail on a table of scores, m is too; ``index`` is
+    ``q_hat``'s.
     """
     th, F_hat = _column(theta), _column(tail.F_hat)
     B_plus, B_minus = _column(tail.B_plus), _column(tail.B_minus)
     W = (th + (1.0 - th) * tail.insignificant) / (th + (1.0 - th) * F_hat)
     X = tail.upper / B_minus - (B_plus / B_minus**2) * tail.lower
-    return S * W + q_hat(S, theta, tail) * X
+    return S * W + q_hat(S, theta, tail, index) * X
 
 
 def _pair_sort(high: np.ndarray, low: np.ndarray, low_bits: int) -> tuple[np.ndarray, np.ndarray]:
@@ -85,23 +94,26 @@ def _factorise(labels, return_index: bool = False) -> tuple[np.ndarray, ...]:
     return_inverse=True, return_counts=True)`` on the flattened labels.
 
     That is (uniques[, first_index], codes, counts), with codes in
-    sorted-label order.  A str array of width k whose code points have at
+    sorted-label order.  A str array of width k whose code points take at
     most b bits, with k * b <= 64, is sorted on integer keys instead of
     strings: each label packed big-endian into one uint64, b bits per code
     point.  The zero padding of shorter labels sorts them first, so the
-    key order is NumPy's string order and every output is the same.  That
-    covers ASCII digit ids of up to 10 characters, other ASCII ids of up
-    to 9 and Latin-1 ids of up to 8.
+    key order is NumPy's string order and every output is the same.  When
+    the raw code points do not fit beside the r = bit_length(n - 1) row
+    bits, each nonzero code point is packed as its offset from the
+    smallest one, plus 1, which keeps the order and the padding first:
+    digits then take 4 bits, so ids of up to 16 digits fit, and 8-digit
+    ids fit beside up to 2**32 rows.
 
-    When the r = bit_length(n - 1) row bits fit beside the k * b key bits,
-    the rows are sorted by ``_pair_sort`` on (key, row) words: one value
-    sort orders them by label and, within a label, by row.  The heads of
-    the runs of equal keys then give the uniques, the counts and, as the
-    row at each head, the first index; a second ``_pair_sort`` of (row,
+    When the r row bits fit beside the k * b key bits, the rows are sorted
+    by ``_pair_sort`` on (key, row) words: one value sort orders them by
+    label and, within a label, by row.  The heads of the runs of equal
+    keys then give the counts and, as the row at each head, the first
+    index, whose labels are the uniques; a second ``_pair_sort`` of (row,
     code) words returns the codes to row order without a random scatter.
-    When they do not fit (10-digit ids at more than 16 rows, say), the
-    packed keys go to ``np.unique``.  Every other array (wider labels,
-    integers, objects) goes to ``np.unique`` as it is.
+    When they do not fit (16-digit ids, say), the packed keys go to
+    ``np.unique``.  Every other array (wider labels, integers, objects)
+    goes to ``np.unique`` as it is.
     """
     arr = np.asarray(labels).ravel()
     n = arr.size
@@ -109,16 +121,20 @@ def _factorise(labels, return_index: bool = False) -> tuple[np.ndarray, ...]:
         width = arr.dtype.itemsize // 4
         native = arr.dtype.newbyteorder("=")
         points = arr.astype(native, copy=False).view(np.uint32).reshape(n, width)
-        bits = int(points.max()).bit_length()
+        hi, off = int(points.max()), 0
+        r = (n - 1).bit_length()
+        if width * hi.bit_length() + r > 64:
+            off = int((points - np.uint32(1)).min())  # the padding 0 wraps to the top
+            points = points - np.uint32(off) * (points != 0)
+        bits = (hi - off).bit_length()
         if width * bits <= 64:
             keys = np.zeros(n, dtype=np.uint64)
             for j in range(width):
                 keys <<= np.uint64(bits)
                 keys |= points[:, j]
-            r = (n - 1).bit_length()
             if width * bits + r > 64:
-                keys, *rest = np.unique(keys, return_index=return_index,
-                                        return_inverse=True, return_counts=True)
+                _, first, *rest = np.unique(keys, return_index=True,
+                                            return_inverse=True, return_counts=True)
             else:
                 keys, rows = _pair_sort(keys, np.arange(n, dtype=np.uint64), r)
                 head = np.empty(n, dtype=bool)
@@ -130,14 +146,10 @@ def _factorise(labels, return_index: bool = False) -> tuple[np.ndarray, ...]:
                 codes = np.cumsum(head, dtype=np.uint64)
                 codes -= np.uint64(1)
                 codes = _pair_sort(rows, codes, (starts.size - 1).bit_length())[1]
+                first = rows[starts].astype(np.intp)
                 rest = [codes.astype(np.intp), np.diff(starts, append=n)]
-                if return_index:
-                    rest.insert(0, rows[starts].astype(np.intp))
-                keys = keys[starts]
-            shifts = np.uint64(bits) * np.arange(width - 1, -1, -1, dtype=np.uint64)
-            unpacked = (keys[:, None] >> shifts) & np.uint64((1 << bits) - 1)
-            uniques = unpacked.astype(np.uint32).view(native).ravel().astype(arr.dtype)
-            return (uniques, *rest)
+            # Each unique label is the label at its first row.
+            return (arr[first], *([first] if return_index else []), *rest)
     return np.unique(arr, return_index=return_index, return_inverse=True, return_counts=True)
 
 
@@ -154,7 +166,7 @@ def variance_hat(values, study_id):
 
     ``values`` of shape (R, n) are R samples sharing the n cluster labels;
     the result is then one variance per row, from one ``bincount`` whose
-    codes are offset row by row.
+    codes are offset row by row (a single row takes the codes as they are).
     """
     vals = np.asarray(values, dtype=float)
     n = vals.shape[-1]
@@ -166,17 +178,21 @@ def variance_hat(values, study_id):
     # Non-negative integer labels below n, such as TScoreSample's cluster
     # codes, index the blocks as they are: an absent label is an empty
     # block, which adds exactly 0.  Other labels are factorised first.
-    if not (codes.dtype.kind in "iu" and codes.min() >= 0 and codes.max() < n):
-        codes = _factorise(codes)[1]
-    lo, hi = int(codes.min()), int(codes.max())
+    lo = hi = -1
+    if codes.dtype.kind in "iu":
+        lo, hi = int(codes.min()), int(codes.max())
+    if not 0 <= lo <= hi < n:
+        _, codes, sizes = _factorise(codes)
+        lo, hi = 0, sizes.size - 1
+    R = rows.shape[0]
     if lo == hi:
         # One cluster: the centered full-sample sum is identically zero.
-        v = np.zeros(rows.shape[0])
+        v = np.zeros(R)
     else:
         width = hi + 1
-        offset = codes + width * np.arange(rows.shape[0])[:, None]
+        offset = codes if R == 1 else codes + width * np.arange(R)[:, None]
         block_sums = np.bincount(offset.ravel(), weights=centered.ravel(),
-                                 minlength=rows.size // n * width).reshape(-1, width)
+                                 minlength=R * width).reshape(-1, width)
         v = np.maximum(np.einsum("ij,ij->i", block_sums, block_sums) / (n * n), 0.0)
     return v if vals.ndim > 1 else float(v[0])
 

@@ -28,8 +28,10 @@ class EmpiricalTail:
     cutoff]) and ``upper`` (|t| in (cutoff, cutoff + eps]) are masks with
     the shape of the scores; every estimator term (omega, W, X, Q) reads
     them instead of comparing scores with the cutoff again.  The counts,
-    masses and F_hat are their sums, one entry per row (0-d for a flat
-    sample); ``n`` is the row length.  ``==`` is identity.
+    masses and F_hat are their sums, weighted by each score's multiplicity,
+    one entry per row (0-d for a flat sample); ``n`` is the row's total
+    multiplicity, its length when every score counts once.  ``==`` is
+    identity.
     """
 
     insignificant: np.ndarray
@@ -54,13 +56,18 @@ def significant(t, cutoff: float):
     return np.abs(t) > cutoff
 
 
-def caliper_tail(t, epsilon: float, cutoff: float = 1.96) -> tuple[np.ndarray, EmpiricalTail]:
+def caliper_tail(t, epsilon: float, cutoff: float = 1.96,
+                 counts=None) -> tuple[np.ndarray, EmpiricalTail]:
     """Jump estimator: theta_hat and the tail of every row of t, along its last axis.
 
     theta_hat = #{|t| in (cutoff - eps, cutoff]} / #{|t| in (cutoff, cutoff + eps]}
 
     Returns theta_hat and the ``EmpiricalTail`` of the bin masks, whose
     counts and F_hat are the mask sums of each row (0-d for a flat t).
+    ``counts`` gives each entry of the last axis a multiplicity, so a
+    table of distinct scores counts as the sample it stands for; the sums
+    are then integer sums of the multiplicities under each mask, equal to
+    the counts over the sample.  By default every entry counts once.
     The estimate is deliberately not clamped to [0, 1].  An empty lower
     bin gives theta_hat = 0; an empty upper bin leaves the ratio undefined
     and gives NaN, which the estimator reports as a ``CaliperError``.
@@ -69,16 +76,17 @@ def caliper_tail(t, epsilon: float, cutoff: float = 1.96) -> tuple[np.ndarray, E
     if epsilon <= 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     arr = np.abs(np.asarray(t, dtype=float))
+    counts = np.ones(arr.shape[-1], dtype=np.intp) if counts is None else np.asarray(counts)
     insignificant = ~significant(arr, cutoff)
     lower = insignificant & (arr > cutoff - epsilon)
     upper = ~insignificant & (arr <= cutoff + epsilon)
-    below = np.count_nonzero(lower, axis=-1)
-    above = np.count_nonzero(upper, axis=-1)
-    n = arr.shape[-1]
+    below = lower @ counts
+    above = upper @ counts
+    n = int(counts.sum())
     with np.errstate(divide="ignore", invalid="ignore"):
         theta = np.where(above > 0, below / above, np.nan)
     tail = EmpiricalTail(insignificant=insignificant, lower=lower, upper=upper,
-                         F_hat=np.count_nonzero(insignificant, axis=-1) / n,
+                         F_hat=(insignificant @ counts) / n,
                          B_plus=above / n, B_minus=below / n,
                          count_above=above, count_below=below, n=n)
     return theta, tail

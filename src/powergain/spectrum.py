@@ -154,7 +154,10 @@ def kernel_S_grid(t: np.ndarray, bases) -> np.ndarray:
     ``a`` over the even degrees (odd a_j are exactly 0) by elementwise
     multiply-adds, so a score's value does not depend on the block width
     (a gemv's rounding can): each row equals ``kernel_S(t, b)`` exactly,
-    and each entry equals ``kernel_S(t_i, b)`` exactly.  ``t`` is flat.
+    and each entry equals ``kernel_S(t_i, b)`` exactly.  The recurrence
+    flips the sign of every odd degree exactly, so S(-t) == S(t) too.  Both
+    facts let the estimators call this on a sample's distinct |t| only
+    and gather the values back to the scores bit for bit.  ``t`` is flat.
     """
     J, sigmaT2 = bases[0].J, bases[0].sigmaT2
     if any(b.J != J or b.sigmaT2 != sigmaT2 for b in bases):

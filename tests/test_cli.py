@@ -888,6 +888,24 @@ class TestParser:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and flag in captured.err
 
+    @pytest.mark.parametrize("command", ["estimate", "curve"])
+    @pytest.mark.parametrize("rounded", [True, False], ids=["rounded", "continuous"])
+    def test_overflowing_kernel_is_exit_four(self, tmp_path, capsys, command, rounded):
+        # sigma_T^2 = 1e-12 and D = 1e-300 make the tuning rule pick J = 50,
+        # where the kernel overflows: no estimate, not a NaN with exit 0.
+        rng = np.random.default_rng(5)
+        t = rng.normal(np.where(rng.random(2000) < 0.5, 0.0, 2.8), 1.4)
+        p = tmp_path / "d.csv"
+        p.write_text("t,study_id\n" + "".join(
+            f"{x:.2f},s{i % 200}\n" if rounded else f"{x!r},s{i % 200}\n"
+            for i, x in enumerate(t.tolist())))
+        assert (read_tscore_file(str(p))[0]._grid_step is None) != rounded
+        assert main([command, str(p), "--sigma-t2", "1e-12", "--const-D", "1e-300"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "--sigma-t2" in captured.err and "--const-D" in captured.err
+
     def test_invalid_choice_is_exit_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["simulate", "--table", "9"])

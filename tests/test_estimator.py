@@ -271,6 +271,109 @@ class TestRowCore:
                                        for row in m], rtol=1e-12)
 
 
+def _rounded(t, decimals):
+    """Scores as a file with ``decimals`` places gives them back."""
+    return np.array([float(f"{x:.{decimals}f}") for x in t])
+
+
+def _direct_rows(sample, bases, epsilon, pb=True, alpha=0.05):
+    """(delta, se, ci_low, ci_high, theta) per basis, every score evaluated on its own.
+
+    The reference of the score table: the kernel on all n signed scores and
+    the row core with the identity index.
+    """
+    t, identity = sample.t, np.arange(sample.n)
+    caliper = pubbias.caliper_tail(t[None], epsilon, bases[0].cv) if pb else None
+    rows = estimator._estimate_rows(spectrum.kernel_S_grid(t, bases)[:, None], identity,
+                                    sample._cluster_codes, caliper, alpha)
+    return np.array([[r.delta[0], r.se[0], r.ci_low[0], r.ci_high[0],
+                      r.theta[0] if pb else np.nan] for r in rows])
+
+
+def _curve_rows(sample, cfg, grid, pb=True):
+    reports = estimator.power_gain_curve(sample, cfg, grid, pb=pb)
+    return np.array([[r.delta, r.se, r.ci_low, r.ci_high,
+                      np.nan if r.theta is None else r.theta] for r in reports])
+
+
+class TestScoreTable:
+    """Rounded samples are evaluated once per distinct |t|, bit for bit as every score."""
+
+    GRID = [1.0, SQRT2, 2.0, math.sqrt(8.0)]
+
+    def scores(self, n=12000, seed=3):
+        rng = np.random.default_rng(seed)
+        return rng.normal(np.where(rng.random(n) < 0.5, 0.0, 2.8), 1.4)
+
+    def check(self, t, step, study_id=None, pbs=(True, False)):
+        sample = TScoreSample.from_scores(t, study_id)
+        assert sample._grid_step == step
+        a = np.abs(sample.t)
+        assert np.array_equal(sample._table[sample._table_index], a)
+        assert sample._table_counts.sum() == sample.n
+        if step is not None:
+            assert sample._table.size == np.unique(a).size
+        cfg = make_config()
+        J, eps = spectrum.select_tuning(make_config(n_effective=sample.n))
+        bases = [spectrum.build_basis(make_config(c=c), J) for c in self.GRID]
+        for pb in pbs:
+            np.testing.assert_array_equal(_curve_rows(sample, cfg, self.GRID, pb),
+                                          _direct_rows(sample, bases, eps, pb))
+        return sample
+
+    @pytest.mark.parametrize("decimals, step", [(0, 0.1), (1, 0.1), (2, 0.01), (3, 0.001)])
+    def test_decimal_grids(self, decimals, step):
+        t = _rounded(self.scores(), decimals)
+        labels = np.random.default_rng(decimals).integers(0, 2000, t.size)
+        self.check(t, step)
+        self.check(t, step, study_id=labels)
+
+    def test_mixed_decimals_take_the_finer_grid(self):
+        t = self.scores()
+        self.check(np.concatenate([_rounded(t[:6000], 2), _rounded(t[6000:], 3)]), 0.001)
+
+    @pytest.mark.parametrize("decimals", [4, None], ids=["4 decimals", "continuous"])
+    def test_no_grid(self, decimals):
+        t = self.scores()
+        self.check(t if decimals is None else _rounded(t, decimals), None)
+
+    def test_negative_scores(self):
+        t = -np.abs(_rounded(self.scores(), 2))
+        sample = self.check(t, 0.01)
+        assert (sample._table >= 0).all()
+
+    def test_outlier_past_the_table_bound(self):
+        # 10^5 on the 0.01 grid is key 10^7, past the n = 12001 entries the
+        # table may hold: the sample is evaluated score by score.
+        t = np.append(_rounded(self.scores(), 2), 1e5)
+        self.check(t, None)
+        self.check(t[:-1], 0.01)
+
+    @pytest.mark.parametrize("decimals", [2, 3])
+    def test_ties_at_the_cutoff_and_bin_edges(self, decimals):
+        # Scores at cv, at cv +/- epsilon and one grid step either side of
+        # each, as the caliper compares them.
+        cv, eps, g = 1.96, 0.25, 10.0 ** -decimals
+        edges = [cv, cv - eps, cv + eps]
+        ties = [e + k * g for e in edges for k in (-1, 0, 1)]
+        t = np.concatenate([_rounded(self.scores(), decimals),
+                            np.repeat(_rounded(ties, decimals), 40)])
+        t[::2] *= -1
+        sample = TScoreSample.from_scores(t)
+        assert sample._grid_step == g
+        bases = [make_basis(J=12, c=c) for c in self.GRID]
+        got = [estimator.delta_hat_pb(sample, b, eps) for b in bases]
+        got = np.array([[r.delta, r.se, r.ci_low, r.ci_high, r.theta] for r in got])
+        np.testing.assert_array_equal(got, _direct_rows(sample, bases, eps))
+
+    def test_single_distinct_value(self):
+        t = np.tile([1.5, -1.5], 30)
+        sample = self.check(t, 0.1, pbs=(False,))
+        assert sample._table.tolist() == [1.5]
+        with pytest.raises(pubbias.CaliperError):
+            estimator.estimate(sample, make_config())
+
+
 class TestSignificanceAtTheCutoff:
     """|t| = cv is insignificant in every module: |t| > cv is the one predicate."""
 

@@ -169,15 +169,19 @@ class TestVarianceHat:
 
 #: Labels for the factorisation tests, and whether each goes to the integer
 #: keys (k code points of b bits, k * b <= 64) or to np.unique on the labels.
-#: Integer keys are sorted as (key, row) words by ``_pair_sort`` where the
-#: row bits fit beside the key bits, and by np.unique where they do not
-#: (here "9 lowercase" and "astral", whose keys take 63 bits).
+#: Where the raw code points do not fit beside the row bits, b counts the
+#: offsets from the smallest code point, plus 1 (4 bits for digits, 5 for
+#: lowercase).  Integer keys are sorted as (key, row) words by ``_pair_sort``
+#: where the row bits fit beside the key bits, and by np.unique where they do
+#: not (here "astral", whose offsets still take 21 bits).
 FACTORISE_CASES = {
     "mixed-length digits": (np.array(["9", "10", "09", "", "9", "10", "0"]), True),
     "10 digits": (np.array(["1234567890", "0123456789", "9", "1234567890"]), True),
-    "11 digits": (np.array(["12345678901", "1", "12345678901", "02345678901"]), False),
+    "11 digits": (np.array(["12345678901", "1", "12345678901", "02345678901"]), True),
+    "17 digits": (np.array(["12345678901234567", "1", "12345678901234567"]), False),
     "9 lowercase": (np.array(["abcdefghi", "zz", "abcdefghi", "a"]), True),
-    "10 lowercase": (np.array(["abcdefghij", "zz", "abcdefghij", "a"]), False),
+    "10 lowercase": (np.array(["abcdefghij", "zz", "abcdefghij", "a"]), True),
+    "13 lowercase": (np.array(["abcdefghijklm", "zz", "abcdefghijklm", "a"]), False),
     "latin-1": (np.array(["é", "ÿa", "e", "ÿ", "é", "ÿa"]), True),
     "cjk": (np.array(["中文", "中", "文中", "中文", ""]), True),
     "astral": (np.array(["😀", "😀a", "a😀😀", "😀", "\U0010ffff"]), True),
@@ -276,11 +280,11 @@ class TestFactoriseRandom:
 
     @pytest.mark.parametrize("n, path", [(1, "pair"), (16, "pair"), (17, "unique"),
                                          (3000, "unique")])
-    def test_row_bits_beside_ten_digit_keys(self, sorts, n, path):
-        # Ten digits take 60 key bits: up to 16 rows (4 row bits) the keys
-        # go to _pair_sort, from 17 rows on to np.unique.
+    def test_row_bits_beside_fifteen_digit_keys(self, sorts, n, path):
+        # Fifteen digits, packed as offsets, take 60 key bits: up to 16 rows
+        # (4 row bits) the keys go to _pair_sort, from 17 rows on to np.unique.
         rng = np.random.default_rng(n)
-        labels = np.array([f"{k:010d}" for k in rng.integers(0, 10**10, n)])[
+        labels = np.array([f"{k:015d}" for k in rng.integers(0, 10**15, n)])[
             rng.integers(0, n, n)]
         for return_index in (False, True):
             expected = np.unique(labels, return_index=return_index,
@@ -288,6 +292,24 @@ class TestFactoriseRandom:
             sorts.clear()
             got = inference._factorise(labels, return_index=return_index)
             assert sorts == (["pair", "pair"] if path == "pair" else [np.dtype(np.uint64)])
+            for g, e in zip(got, expected):
+                assert g.dtype == e.dtype
+                np.testing.assert_array_equal(g, e)
+
+
+    def test_eight_digit_ids_at_2_17_rows(self, sorts):
+        # Raw code points would take 48 key bits beside 17 row bits; as
+        # offsets they take 32, so the rows stay on _pair_sort.
+        rng = np.random.default_rng(17)
+        pool = np.array([f"{k:08d}" for k in rng.integers(0, 10**8, 2**15)])
+        labels = pool[rng.integers(0, pool.size, 2**17)]
+        for return_index in (False, True):
+            expected = np.unique(labels, return_index=return_index,
+                                 return_inverse=True, return_counts=True)
+            sorts.clear()
+            got = inference._factorise(labels, return_index=return_index)
+            assert sorts == ["pair", "pair"]
+            assert len(got) == len(expected)
             for g, e in zip(got, expected):
                 assert g.dtype == e.dtype
                 np.testing.assert_array_equal(g, e)
