@@ -50,21 +50,25 @@ class DatasetError(Exception):
 # ---------------------------------------------------------------------------
 # dataset ingestion
 #
-# The file's bytes are read once for the head: their decode checks UTF-8
-# and gives the layout and the delimiter, from the first non-blank line, and
-# one vectorised scan of the bytes bounds the width of each label column.
-# NumPy's C reader then parses the file in bulk, labels straight into str
-# fields of those widths, so no Python object is made per row.  A
-# whitespace-only line makes that parse fail; only then are such lines
-# blanked for a second parse, and only when that fails too does a line scan
-# run, to name the bad lines.
+# The file's bytes are read once.  They are checked to be UTF-8 block by
+# block, and only the start of the file is decoded, as far as the first
+# non-blank line and the next one: that gives the layout and the
+# delimiter.  One vectorised scan of the bytes bounds the width of each
+# label column.  NumPy's C reader then parses the file in bulk, labels
+# straight into str fields of those widths, so no Python object is made per
+# row.  Each column is copied out of the parse, which is then freed, and a
+# label column is stripped only when a code point other than printable
+# ASCII could need it.  A whitespace-only line makes the parse fail; only
+# then are such lines blanked for a second parse, and only when that fails
+# too does a line scan run, to name the bad lines.
 
 _NON_BLANK = re.compile(r"\S")
 #: A whitespace-only line that follows a newline.
 _WHITESPACE_LINE = re.compile(r"\n[^\S\n]+$", re.MULTILINE)
 #: A line break in the raw bytes of a file.
 _LINE_BREAK = re.compile(rb"\r\n?|\n")
-#: Bytes per block of the label-width scan; its arrays then fit in cache.
+#: Bytes per block of the UTF-8 check and of the label-width scan, and code
+#: points per block of the label check; their arrays then fit in cache.
 _SCAN_BLOCK = 1 << 16
 
 
@@ -79,39 +83,72 @@ def _undecodable(path: str, data: bytes) -> str:
     return f"{path} is not valid UTF-8"
 
 
-def _text(data: bytes) -> str:
-    """The bytes decoded as UTF-8 without a leading byte-order mark, with
-    `\r\n` and `\r` line ends read as `\n`, as NumPy's reader reads them."""
-    text = data.decode("utf-8-sig")
-    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
+def _check_utf8(path: str, data: bytes) -> None:
+    """Raise a dataset error naming the line at fault unless the bytes are UTF-8.
+
+    An incremental decoder checks them block by block, carrying a character
+    that straddles two blocks over to the next, so no str of the whole file
+    is made.
+    """
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    with memoryview(data) as view:
+        try:
+            for start in range(0, len(data), _SCAN_BLOCK):
+                decoder.decode(view[start:start + _SCAN_BLOCK])
+            decoder.decode(b"", final=True)
+        except UnicodeDecodeError as exc:
+            raise DatasetError(_undecodable(path, data)) from exc
+
+
+def _text_blocks(data: bytes):
+    """UTF-8 bytes as text in blocks of whole lines: without a leading
+    byte-order mark, and with `\r\n` and `\r` line ends read as `\n`, as
+    NumPy's reader reads them.
+
+    Each block ends just after a line break, or at the end of the file, so
+    a `\r\n` is never split and the blocks join up to the whole text.
+    """
+    start = len(codecs.BOM_UTF8) if data.startswith(codecs.BOM_UTF8) else 0
+    while start < len(data):
+        brk = _LINE_BREAK.search(data, start + _SCAN_BLOCK)
+        stop = brk.end() if brk else len(data)
+        text = data[start:stop].decode("utf-8")
+        yield text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
+        start = stop
 
 
 def _read_head(path: str) -> tuple[bytes, int, str, list[str], bool]:
     """The file's bytes and its first non-blank line.
 
-    The bytes must decode as UTF-8, with or without a leading byte-order
-    mark; a file that does not is a dataset error naming the line at fault.
-    Returns them with the first non-blank line's 1-based physical line
-    number, the delimiter sniffed from that line, its trimmed cells, and
-    whether a non-blank line follows it.
+    The bytes must be UTF-8, with or without a leading byte-order mark; a
+    file that is not is a dataset error naming the line at fault.  Returns
+    them with the first non-blank line's 1-based physical line number, the
+    delimiter sniffed from that line, its trimmed cells, and whether a
+    non-blank line follows it.  Only the blocks of text up to that
+    following line are decoded.
     """
     try:
         data = Path(path).read_bytes()
     except OSError as exc:
         raise DatasetError(f"cannot read {path}: {exc}") from exc
-    try:
-        text = _text(data)
-    except UnicodeDecodeError as exc:
-        raise DatasetError(_undecodable(path, data)) from exc
-    found = _NON_BLANK.search(text)
-    if found is None:
+    _check_utf8(path, data)
+    blocks = _text_blocks(data)
+    lines = 0  # line breaks in the blocks before the current one
+    for text in blocks:
+        found = _NON_BLANK.search(text)
+        if found is not None:
+            break
+        lines += text.count("\n")
+    else:
         raise DatasetError(f"{path} contains no data")
     start = text.rfind("\n", 0, found.start()) + 1
     end = text.find("\n", start)
     line = text[start:] if end < 0 else text[start:end]
     delim = "\t" if "\t" in line else ","
-    more = end >= 0 and _NON_BLANK.search(text, end) is not None
-    return (data, text.count("\n", 0, start) + 1, delim,
+    # A line with no break after it in its block is the last of the file.
+    more = end >= 0 and (_NON_BLANK.search(text, end) is not None
+                         or any(_NON_BLANK.search(rest) for rest in blocks))
+    return (data, lines + text.count("\n", 0, start) + 1, delim,
             [c.strip() for c in line.split(delim)], more)
 
 
@@ -193,11 +230,13 @@ def _columns(path: str, data: bytes, skip: int, delim: str, numeric: tuple[int, 
              labels: tuple[int, ...], what: str) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """The rows below the first skip physical lines, parsed in bulk.
 
-    NumPy's reader returns the numeric columns as float arrays and each
-    label column as a str field as wide as its widest cell, which is then
-    trimmed and narrowed to its longest label.  A file that the reader
-    rejects, or that has a non-finite number, is reported with the
-    physical numbers of its bad lines and yields no data.
+    NumPy's reader returns the numeric columns as float fields and each
+    label column as a str field as wide as its widest cell.  Each column is
+    copied out of the parse, so the parse is freed on return, and each
+    label column is then trimmed and narrowed to its longest label
+    (``_trimmed``).  A file that the reader rejects, or that has a
+    non-finite number, is reported with the physical numbers of its bad
+    lines and yields no data.
     """
     names = [f"c{j}" for j in range(len(numeric) + len(labels))]
     dtype = list(zip(names, [float] * len(numeric)
@@ -215,17 +254,42 @@ def _columns(path: str, data: bytes, skip: int, delim: str, numeric: tuple[int, 
     if rows is None:
         # NumPy's reader takes a whitespace-only line for a row, and a row
         # of blanks never parses; blank such lines and parse again.
-        text, blanked = _WHITESPACE_LINE.subn("\n", _text(data))
+        text, blanked = _WHITESPACE_LINE.subn("\n", "".join(_text_blocks(data)))
         rows = parse(io.StringIO(text)) if blanked else None
     nums, labs = names[:len(numeric)], names[len(numeric):]
     if rows is None or not all(np.isfinite(rows[c]).all() for c in nums):
-        bad = _bad_lines(_text(data), skip, delim, numeric, max(numeric + labels))
+        bad = _bad_lines("".join(_text_blocks(data)), skip, delim, numeric,
+                         max(numeric + labels))
         raise DatasetError(_bad_lines_message(bad, what))
-    return [rows[c] for c in nums], [_trimmed(rows[c]) for c in labs]
+    return ([np.ascontiguousarray(rows[c]) for c in nums],
+            [_trimmed(np.ascontiguousarray(rows[c])) for c in labs])
 
 
 def _trimmed(labels: np.ndarray) -> np.ndarray:
-    """The labels without surrounding whitespace, as wide as the longest."""
+    """A contiguous str column without the whitespace around each label,
+    as wide as its longest label.
+
+    Whitespace is not printable ASCII, so a column of printable ASCII (33
+    to 126) and zero padding has nothing to strip; when a label also fills
+    the width, the column is returned as it is.  Any other column, and one
+    in non-native byte order, is stripped and narrowed.  The check runs in
+    blocks and stops at the first block that fails.
+    """
+    if labels.dtype.isnative:
+        width = labels.dtype.itemsize // 4
+        points = labels.view(np.uint32).reshape(-1, width)
+        step = max(1, _SCAN_BLOCK // width)
+        fills = False
+        for start in range(0, len(points), step):
+            block = points[start:start + step]
+            # Less 1, the zero padding wraps round to 2**32 - 1 and drops out
+            # of the minimum.
+            if block.max() > 126 or (block - np.uint32(1)).min() < 32:
+                break
+            fills = fills or bool(block[:, -1].any())
+        else:
+            if fills:
+                return labels
     labels = np.char.strip(labels)
     return labels.astype(f"U{int(np.char.str_len(labels).max(initial=1))}", copy=False)
 
@@ -265,6 +329,7 @@ def read_tscore_file(path: str) -> tuple[TScoreSample, bool]:
     (t,), sids = _columns(path, data, skip, delim, (t_idx,),
                           () if sid_idx is None else (sid_idx,),
                           "every row needs a finite numeric t")
+    del data  # freed before the sample is built
     return TScoreSample.from_scores(t, sids[0] if sids else None), bool(sids)
 
 
@@ -308,13 +373,15 @@ def read_grouped_file(path: str) -> GroupedEffects:
         path, data, skip, delim, (idx["effect"], idx["std_error"], idx["weight"]),
         (idx["group_id"],) + (() if lab_idx is None else (lab_idx,)),
         "every row needs finite numeric effect, std_error and weight")
+    del data  # freed before the groups are sorted
     _, first_row, inverse, counts = _factorise(gid, return_index=True)
     # Rows sorted by the first row of their group, and then by row: groups
     # in order of appearance, members in file order.  Both sort keys are
-    # row numbers, so r = bit_length(n - 1) bits hold each.
+    # row numbers, so r = bit_length(n - 1) bits hold each, and they keep
+    # their values in the views between intp and uint64.
     r = (gid.size - 1).bit_length()
-    rows = _pair_sort(first_row[inverse].astype(np.uint64),
-                      np.arange(gid.size, dtype=np.uint64), r)[1]
+    rows = _pair_sort(first_row[inverse].view(np.uint64),
+                      np.arange(gid.size, dtype=np.uint64), r)[1].view(np.intp)
     effects, std_errors, weights = (col[rows] for col in nums)
     return GroupedEffects(effects=effects, std_errors=std_errors, weights=weights,
                           sizes=counts[np.argsort(first_row)],

@@ -56,11 +56,13 @@ _GRID_PREFIX = 1024
 
 def _grid_keys(a: np.ndarray, scale: float) -> np.ndarray | None:
     """k = rint(a * scale) if k / scale gives back every entry of a exactly, else None."""
-    k = np.rint(a * scale)
+    k = np.multiply(a, scale)
+    np.rint(k, out=k)
     return k if np.array_equal(k / scale, a) else None
 
 
-def _score_table(t: np.ndarray) -> tuple[float | None, np.ndarray, np.ndarray, np.ndarray]:
+def _score_table(t: np.ndarray) -> tuple[float | None, np.ndarray,
+                                          np.ndarray | None, np.ndarray | None]:
     """The distinct |t| of a rounded sample and where each score sits among them.
 
     Returns ``(step, table, index, counts)`` with ``table[index] == |t|``
@@ -71,7 +73,7 @@ def _score_table(t: np.ndarray) -> tuple[float | None, np.ndarray, np.ndarray, n
     ``bincount`` of k.  A sample on none of these grids, or one whose
     largest k is not below n (so a single far outlier cannot make the
     ``bincount`` outgrow the sample), has step None, and its table is |t|
-    itself with the identity index.
+    itself, with no index and no counts.
     """
     a = np.abs(t)
     with np.errstate(over="ignore"):
@@ -89,7 +91,7 @@ def _score_table(t: np.ndarray) -> tuple[float | None, np.ndarray, np.ndarray, n
             present = np.flatnonzero(counts)
             rank = np.cumsum(counts > 0) - 1  # of each present key among them
             return 10.0 ** -d, present / scale, rank[k], counts[present]
-    return None, a, np.arange(a.size), np.ones(a.size, dtype=np.intp)
+    return None, a, None, None
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,8 +108,9 @@ class TScoreSample:
     rounding grid, the coarsest decimal step g in {0.1, 0.01, 0.001} that
     every score lies on (``_score_table``).  The estimators then evaluate
     each distinct |t| once and gather the values back to the scores by an
-    integer index; a sample on no grid is its own table.  Either way the
-    estimates are the same, bit for bit.  ``_grid_step`` is g, or None.
+    integer index; a sample on no grid is its own table, with index and
+    counts None.  Either way the estimates are the same, bit for bit.
+    ``_grid_step`` is g, or None.
     ``==`` is identity: the array fields have no single truth value.
     """
 
@@ -117,8 +120,8 @@ class TScoreSample:
     _cluster_sizes: np.ndarray = field(init=False, repr=False)
     _grid_step: float | None = field(init=False, repr=False)
     _table: np.ndarray = field(init=False, repr=False)
-    _table_index: np.ndarray = field(init=False, repr=False)
-    _table_counts: np.ndarray = field(init=False, repr=False)
+    _table_index: np.ndarray | None = field(init=False, repr=False)
+    _table_counts: np.ndarray | None = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         t = np.asarray(self.t, dtype=float).ravel()
@@ -219,13 +222,19 @@ class RowEstimates:
     status: np.ndarray
 
 
+def _gathered(values: np.ndarray, index) -> np.ndarray:
+    """Each row's table values at its n scores, or the values when index is None."""
+    return values if index is None else np.take(values, index, axis=1)
+
+
 def _estimate_rows(kernels, index, codes, caliper, alpha) -> list[RowEstimates]:
     """The one estimation core: R samples of n scores, row-wise, for each kernel.
 
     Each row holds its scores as a table of K values, and ``index`` (n,)
-    takes each score to its table entry (the identity when the table is
-    the scores themselves).  ``kernels`` has shape (G, R, K): G kernels'
-    values S on the table; every row shares the n cluster ``codes``.
+    takes each score to its table entry; ``index=None`` means that the
+    table is the scores themselves, and nothing is gathered.  ``kernels``
+    has shape (G, R, K): G kernels' values S on the table; every row
+    shares the n cluster ``codes``.
     ``caliper`` is ``pubbias.caliper_tail``'s ``(theta, tail)`` of the
     table: the kernel mean of each row is reweighted by its caliper
     estimate theta_hat and the SE comes from the influence function.
@@ -245,7 +254,7 @@ def _estimate_rows(kernels, index, codes, caliper, alpha) -> list[RowEstimates]:
     else:
         theta, tail = caliper
         omega = np.where(tail.insignificant, 1.0, theta[:, None])
-    omega = np.take(omega, index, axis=1)
+    omega = _gathered(omega, index)
     wsum = omega.sum(axis=1)
     failed = np.zeros(R, dtype=bool)
     if caliper is not None:
@@ -259,11 +268,11 @@ def _estimate_rows(kernels, index, codes, caliper, alpha) -> list[RowEstimates]:
     for S in kernels:
         # A failing row's inf or NaN stays in that row, down to its variance.
         with np.errstate(divide="ignore", invalid="ignore"):
-            scores = np.take(S, index, axis=1)
+            scores = _gathered(S, index)
             delta = np.einsum("ij,ij->i", scores, omega) / wsum
             delta[failed] = np.nan
             if caliper is not None:
-                scores = np.take(_inference.influence(S, theta, tail, index), index, axis=1)
+                scores = _gathered(_inference.influence(S, theta, tail, index), index)
             v = np.where(status == ROW_OK, _inference.variance_hat(scores, codes), np.nan)
             se = np.sqrt(v)
             ci_low, ci_high = _inference.confidence_interval(delta, v, alpha)
@@ -384,8 +393,7 @@ def delta_hat_pb_rows(
     t = np.asarray(t, dtype=float)
     if t.ndim != 2 or t.size == 0:
         raise ValueError(f"need a non-empty (R, n) array of scores, got shape {t.shape}")
-    identity = np.arange(t.shape[1])
-    return _estimate_rows(_spectrum.kernel_S(t, b)[None], identity, identity,
+    return _estimate_rows(_spectrum.kernel_S(t, b)[None], None, np.arange(t.shape[1]),
                           _pubbias.caliper_tail(t, epsilon, b.cv), alpha)[0]
 
 

@@ -24,6 +24,9 @@ import numpy as np
 
 from . import basis as _basis
 
+#: Rows per block when labels are packed into integer keys.
+_KEY_BLOCK = 1 << 16
+
 
 def _column(x) -> np.ndarray:
     """Per-row values as a column that broadcasts against the row masks."""
@@ -128,10 +131,15 @@ def _factorise(labels, return_index: bool = False) -> tuple[np.ndarray, ...]:
             points = points - np.uint32(off) * (points != 0)
         bits = (hi - off).bit_length()
         if width * bits <= 64:
-            keys = np.zeros(n, dtype=np.uint64)
-            for j in range(width):
-                keys <<= np.uint64(bits)
-                keys |= points[:, j]
+            keys = np.empty(n, dtype=np.uint64)
+            # Packed a block of rows at a time, so that the block's keys stay
+            # in cache over its columns.
+            for start in range(0, n, _KEY_BLOCK):
+                block, key = points[start:start + _KEY_BLOCK], keys[start:start + _KEY_BLOCK]
+                key[:] = block[:, 0]
+                for j in range(1, width):
+                    key <<= np.uint64(bits)
+                    key |= block[:, j]
             if width * bits + r > 64:
                 _, first, *rest = np.unique(keys, return_index=True,
                                             return_inverse=True, return_counts=True)
@@ -146,8 +154,9 @@ def _factorise(labels, return_index: bool = False) -> tuple[np.ndarray, ...]:
                 codes = np.cumsum(head, dtype=np.uint64)
                 codes -= np.uint64(1)
                 codes = _pair_sort(rows, codes, (starts.size - 1).bit_length())[1]
-                first = rows[starts].astype(np.intp)
-                rest = [codes.astype(np.intp), np.diff(starts, append=n)]
+                # The uint64 rows and codes are below n: viewed as intp, they keep their values.
+                first = rows[starts].view(np.intp)
+                rest = [codes.view(np.intp), np.diff(starts, append=n)]
             # Each unique label is the label at its first row.
             return (arr[first], *([first] if return_index else []), *rest)
     return np.unique(arr, return_index=return_index, return_inverse=True, return_counts=True)

@@ -67,7 +67,8 @@ def caliper_tail(t, epsilon: float, cutoff: float = 1.96,
     ``counts`` gives each entry of the last axis a multiplicity, so a
     table of distinct scores counts as the sample it stands for; the sums
     are then integer sums of the multiplicities under each mask, equal to
-    the counts over the sample.  By default every entry counts once.
+    the counts over the sample.  By default every entry counts once, and
+    the sums are the numbers of scores under each mask.
     The estimate is deliberately not clamped to [0, 1].  An empty lower
     bin gives theta_hat = 0; an empty upper bin leaves the ratio undefined
     and gives NaN, which the estimator reports as a ``CaliperError``.
@@ -76,17 +77,21 @@ def caliper_tail(t, epsilon: float, cutoff: float = 1.96,
     if epsilon <= 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     arr = np.abs(np.asarray(t, dtype=float))
-    counts = np.ones(arr.shape[-1], dtype=np.intp) if counts is None else np.asarray(counts)
     insignificant = ~significant(arr, cutoff)
     lower = insignificant & (arr > cutoff - epsilon)
     upper = ~insignificant & (arr <= cutoff + epsilon)
-    below = lower @ counts
-    above = upper @ counts
-    n = int(counts.sum())
+    if counts is None:
+        n = arr.shape[-1]
+        below, above, insig = (np.count_nonzero(m, axis=-1)
+                               for m in (lower, upper, insignificant))
+    else:
+        counts = np.asarray(counts)
+        n = int(counts.sum())
+        below, above, insig = (m @ counts for m in (lower, upper, insignificant))
     with np.errstate(divide="ignore", invalid="ignore"):
         theta = np.where(above > 0, below / above, np.nan)
     tail = EmpiricalTail(insignificant=insignificant, lower=lower, upper=upper,
-                         F_hat=(insignificant @ counts) / n,
+                         F_hat=insig / n,
                          B_plus=above / n, B_minus=below / n,
                          count_above=above, count_below=below, n=n)
     return theta, tail

@@ -4,8 +4,10 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -192,7 +194,9 @@ class TestReadGroupedFile:
     (read_tscore_file, "estimate", b"t\n1.5\n\xff\n"),
     (read_grouped_file, "conditional",
      b"group_id,effect,std_error,weight\r\ng1,1,1,1\r\ng\xe9,1,1,1\r\n"),
-], ids=["tscore", "grouped"])
+    (read_tscore_file, "estimate", b"t\n1." + b"5" * cli._SCAN_BLOCK + b"\n\xff\n"),
+    (read_tscore_file, "estimate", b"t\n1.5\n\xe6\x97"),
+], ids=["tscore", "grouped", "past the first block", "cut at the end"])
 def test_undecodable_byte_is_dataset_error(tmp_path, capsys, reader, command, data):
     p = tmp_path / "d.csv"
     p.write_bytes(data)
@@ -202,6 +206,75 @@ def test_undecodable_byte_is_dataset_error(tmp_path, capsys, reader, command, da
     captured = capsys.readouterr()
     assert captured.out == ""
     assert str(p) in captured.err and "line 3 " in captured.err
+
+
+def reference_head(data: bytes):
+    """The first non-blank line of the whole decoded text: its physical line
+    number, the delimiter, its trimmed cells and whether a non-blank line
+    follows; None for a file with no such line."""
+    text = data.decode("utf-8-sig").replace("\r\n", "\n").replace("\r", "\n")
+    found = re.search(r"\S", text)
+    if found is None:
+        return None
+    start = text.rfind("\n", 0, found.start()) + 1
+    end = text.find("\n", start)
+    line = text[start:] if end < 0 else text[start:end]
+    delim = "\t" if "\t" in line else ","
+    more = end >= 0 and re.search(r"\S", text[end:]) is not None
+    return text.count("\n", 0, start) + 1, delim, [c.strip() for c in line.split(delim)], more
+
+
+HEADS = [
+    "t,study_id\n1.5,a\n",
+    "\ufeff\n \r\n\t\r t\tstudy_id \r\n\u00a0\r\n1.5\ta\r\n",
+    "\u3000\n\u2028\n\x85\n\x1c x ,日本\u00a0,é\n\u00a0\n\u3000 \n",
+    "\n\n 2.5",
+    "t\n\r\n\r\r\n\u00a0 \n\u3000\n-1\n",
+    "\ufeff\ufeffhead\n",  # only the leading byte-order mark is dropped
+    "a,\u00a0b\u00a0\r\ufeff\n",
+    " \n\t\n",
+    "",
+]
+
+
+class TestReadHead:
+    """The head is found from blocks of text; the result is that of the whole text."""
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 5, 1 << 16])
+    @pytest.mark.parametrize("text", HEADS)
+    def test_matches_the_whole_text(self, tmp_path, monkeypatch, text, block):
+        monkeypatch.setattr(cli, "_SCAN_BLOCK", block)
+        p = tmp_path / "d.csv"
+        p.write_bytes(text.encode())
+        want = reference_head(text.encode())
+        if want is None:
+            with pytest.raises(DatasetError, match="contains no data"):
+                cli._read_head(str(p))
+        else:
+            assert cli._read_head(str(p))[1:] == want
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 5])
+    def test_multibyte_characters_across_blocks(self, tmp_path, monkeypatch, block):
+        p = tmp_path / "d.csv"
+        p.write_bytes("\ufeffT,study_id\n1.5,日本\n\u3000\n-2,é\U0001d11e\n0.5,日本\n".encode())
+        monkeypatch.setattr(cli, "_SCAN_BLOCK", block)
+        sample, has_sid = read_tscore_file(str(p))
+        np.testing.assert_array_equal(sample.t, [1.5, -2.0, 0.5])
+        assert sample.study_id.tolist() == ["日本", "é\U0001d11e", "日本"]
+        np.testing.assert_array_equal(sample._cluster_codes, [1, 0, 1])
+
+    @pytest.mark.parametrize("block", [1, 1 << 16])
+    @pytest.mark.parametrize("reader, header", [
+        (read_tscore_file, "t,study_id"),
+        (read_grouped_file, "group_id,effect,std_error,weight"),
+    ], ids=["tscore", "grouped"])
+    def test_header_and_whitespace_lines_only(self, tmp_path, monkeypatch, reader, header,
+                                              block):
+        monkeypatch.setattr(cli, "_SCAN_BLOCK", block)
+        p = tmp_path / "d.csv"
+        p.write_bytes(f"\n{header}\r\n \n\t\r\u00a0\n\u3000 \n".encode())
+        with pytest.raises(DatasetError, match="has a header but no data rows"):
+            reader(str(p))
 
 
 # t-score files: (text, t, study labels or None).
@@ -336,6 +409,11 @@ def python_columns(data: bytes, names: tuple[str, ...]) -> dict[str, list[str]]:
     return {n: [row[i].strip() for row in rows] for n, i in zip(names, idx)}
 
 
+def reference_dtype(labels: list[str]) -> np.dtype:
+    """A str dtype as wide as the longest label, and at least 1."""
+    return np.dtype(f"U{max(1, max(map(len, labels)))}")
+
+
 def layout(rows, *, delim=",", header=True, bom=False, lead=False, gap="", end="\n"):
     """File bytes for rows of cells, the first being the header: a leading
     empty cell on every line (lead), whitespace-only lines between rows
@@ -354,8 +432,14 @@ PARITY_CASES = {
     "no final newline": (dict(end=""), LABELS[:-1] + ["a" * 40]),
     "labels padded with spaces or U+00A0": (
         {}, [" a", "b  ", "\u00a0a\u00a0 ", " c\u00a0", "\u00a0 b", "a "]),
+    "labels padded with spaces or tabs": ({}, [" a", "b\t", "\ta ", "c  ", " \tb", "a"]),
+    "U+3000 around a label": ({}, ["\u3000a", "b\u3000", "a", "\u3000c\u3000", "b", "a"]),
     "non-ASCII labels": ({}, ["é", "日本", "é", "e", "日本", "日"]),
     "longest label on the last line": ({}, LABELS[:-1] + ["a" * 40]),
+    # Printable ASCII ids have nothing to strip; a space in or around a label does.
+    "ASCII ids": ({}, ["s17", "s2", "x-9", "s17", "#1", "s2"]),
+    "internal spaces": ({}, ["a b", " a b ", "c  d", "a b", "c  d", "e"]),
+    "widest cell padded": ({}, ["ab", "c", "   ab   ", "ab", "c", "d"]),
 }
 
 
@@ -377,14 +461,19 @@ class TestReaderParity:
             return real_factorise(labels, **kwargs)
 
         monkeypatch.setattr(inference, "_factorise", recording_factorise)
+        stripped, real_strip = [], np.char.strip
+        monkeypatch.setattr(np.char, "strip", lambda a: stripped.append(a) or real_strip(a))
         sample, has_sid = read_tscore_file(str(p))
         ref = python_columns(data, ("t", "study_id"))
+        # Only a column with a code point other than printable ASCII is stripped.
+        assert bool(stripped) == any(not 33 <= ord(ch) <= 126 for lab in labels for ch in lab)
         _, codes, sizes = np.unique(ref["study_id"], return_inverse=True, return_counts=True)
         assert has_sid and factorised == ["U"]
         np.testing.assert_array_equal(sample.t, [float(x) for x in ref["t"]])
         assert sample.study_id.tolist() == ref["study_id"]
         np.testing.assert_array_equal(sample._cluster_codes, codes)
         np.testing.assert_array_equal(sample._cluster_sizes, sizes)
+        assert sample.study_id.dtype == reference_dtype(ref["study_id"])
         assert label_widths(loadtxt_dtypes)[-1] <= max(len(c.encode()) for c in labels)
 
     @pytest.mark.parametrize("name", list(PARITY_CASES))
@@ -409,7 +498,8 @@ class TestReaderParity:
         order = list(dict.fromkeys(ref["group_id"]))
         members = sorted(range(len(ref["group_id"])), key=lambda i: order.index(ref["group_id"][i]))
         (gid,) = factorised
-        assert gid.dtype.kind == "U" and effects.labels.dtype.kind == "U"
+        assert gid.dtype == reference_dtype(ref["group_id"])
+        assert effects.labels.dtype == reference_dtype(ref["lab_id"])
         assert gid.tolist() == ref["group_id"]
         np.testing.assert_array_equal(real_factorise(gid)[1],
                                       np.unique(ref["group_id"], return_inverse=True)[1])
@@ -419,6 +509,56 @@ class TestReaderParity:
         np.testing.assert_array_equal(real_factorise(effects.labels)[1],
                                       np.unique([ref["lab_id"][i] for i in members],
                                                 return_inverse=True)[1])
+
+
+class TestParseLifetime:
+    """Each column is copied out of the bulk parse, which is freed before the
+    sample or the groups are built: no array that the readers return is a
+    view of it."""
+
+    @pytest.fixture
+    def parses(self, monkeypatch):
+        refs, real_loadtxt = [], np.loadtxt
+
+        def recording_loadtxt(*args, **kwargs):
+            rows = real_loadtxt(*args, **kwargs)
+            refs.append(weakref.ref(rows))
+            return rows
+
+        monkeypatch.setattr(np, "loadtxt", recording_loadtxt)
+        return refs
+
+    @pytest.mark.parametrize("labels", [["a", "b"], [" a", "b"]], ids=["ascii", "padded"])
+    def test_tscore_file(self, tmp_path, monkeypatch, parses, labels):
+        alive, real_from_scores = [], cli.TScoreSample.from_scores
+
+        def checking_from_scores(t, study_id=None):
+            alive.extend(ref() is not None for ref in parses)
+            return real_from_scores(t, study_id)
+
+        monkeypatch.setattr(cli.TScoreSample, "from_scores", checking_from_scores)
+        p = tmp_path / "d.csv"
+        p.write_text("t,study_id\n" + "".join(f"{k},{lab}\n" for k, lab in enumerate(labels)))
+        sample, _ = read_tscore_file(str(p))
+        assert alive == [False]
+        assert sample.study_id.tolist() == ["a", "b"]
+        for column in (sample.t, sample.study_id):
+            assert (column if column.base is None else column.base).flags.owndata
+
+    def test_grouped_file(self, tmp_path, monkeypatch, parses):
+        alive, real_factorise = [], cli._factorise
+
+        def checking_factorise(labels, **kwargs):
+            alive.extend(ref() is not None for ref in parses)
+            return real_factorise(labels, **kwargs)
+
+        monkeypatch.setattr(cli, "_factorise", checking_factorise)
+        p = tmp_path / "g.csv"
+        p.write_text("group_id,effect,std_error,weight,lab_id\nb,1,1,1,x\na,2,1,1,y\nb,3,1,1,x\n")
+        groups = read_grouped_file(str(p))
+        assert alive == [False]
+        np.testing.assert_array_equal(groups.effects, [1.0, 3.0, 2.0])
+        assert groups.labels.tolist() == ["x", "x", "y"]
 
 
 class TestCellWidths:

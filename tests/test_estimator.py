@@ -309,9 +309,13 @@ class TestScoreTable:
         sample = TScoreSample.from_scores(t, study_id)
         assert sample._grid_step == step
         a = np.abs(sample.t)
-        assert np.array_equal(sample._table[sample._table_index], a)
-        assert sample._table_counts.sum() == sample.n
-        if step is not None:
+        if step is None:
+            # The sample is its own table: nothing to gather or to count.
+            assert sample._table_index is None and sample._table_counts is None
+            assert np.array_equal(sample._table, a)
+        else:
+            assert np.array_equal(sample._table[sample._table_index], a)
+            assert sample._table_counts.sum() == sample.n
             assert sample._table.size == np.unique(a).size
         cfg = make_config()
         J, eps = spectrum.select_tuning(make_config(n_effective=sample.n))
