@@ -50,105 +50,63 @@ class DatasetError(Exception):
 # ---------------------------------------------------------------------------
 # dataset ingestion
 #
-# The file's bytes are read once.  They are checked to be UTF-8 block by
-# block, and only the start of the file is decoded, as far as the first
-# non-blank line and the next one: that gives the layout and the
-# delimiter.  One vectorised scan of the bytes bounds the width of each
-# label column.  NumPy's C reader then parses the file in bulk, labels
-# straight into str fields of those widths, so no Python object is made per
-# row.  Each column is copied out of the parse, which is then freed, and a
-# label column is stripped only when a code point other than printable
-# ASCII could need it.  A whitespace-only line makes the parse fail; only
-# then are such lines blanked for a second parse, and only when that fails
-# too does a line scan run, to name the bad lines.
+# The file's bytes are read once and decoded once, to check that they are
+# UTF-8 and to find the first non-blank line, which gives the layout and
+# the delimiter; that text is freed before the bulk parse.  One vectorised
+# scan of the bytes bounds the width of each label column.  NumPy's C
+# reader then parses the file in bulk, labels straight into str fields of
+# those widths, so no Python object is made per row.  Each column is
+# copied out of the parse, which is then freed, and a label column is
+# stripped only when a code point other than printable ASCII could need
+# it.  A whitespace-only line makes the parse fail; only then are such
+# lines blanked for a second parse, and only when that fails too does a
+# line scan run, to name the bad lines.
 
 _NON_BLANK = re.compile(r"\S")
 #: A whitespace-only line that follows a newline.
 _WHITESPACE_LINE = re.compile(r"\n[^\S\n]+$", re.MULTILINE)
 #: A line break in the raw bytes of a file.
 _LINE_BREAK = re.compile(rb"\r\n?|\n")
-#: Bytes per block of the UTF-8 check and of the label-width scan, and code
-#: points per block of the label check; their arrays then fit in cache.
+#: Bytes per block of the label-width scan, and code points per block of
+#: the label check; their arrays then fit in cache.
 _SCAN_BLOCK = 1 << 16
 
 
-def _undecodable(path: str, data: bytes) -> str:
-    """Where the file's bytes first break UTF-8, by physical line."""
-    try:
-        data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line = len(_LINE_BREAK.findall(data, 0, exc.start)) + 1
-        return (f"{path} is not valid UTF-8: line {line} has the undecodable "
-                f"byte 0x{data[exc.start]:02x}")
-    return f"{path} is not valid UTF-8"
-
-
-def _check_utf8(path: str, data: bytes) -> None:
-    """Raise a dataset error naming the line at fault unless the bytes are UTF-8.
-
-    An incremental decoder checks them block by block, carrying a character
-    that straddles two blocks over to the next, so no str of the whole file
-    is made.
-    """
-    decoder = codecs.getincrementaldecoder("utf-8")()
-    with memoryview(data) as view:
-        try:
-            for start in range(0, len(data), _SCAN_BLOCK):
-                decoder.decode(view[start:start + _SCAN_BLOCK])
-            decoder.decode(b"", final=True)
-        except UnicodeDecodeError as exc:
-            raise DatasetError(_undecodable(path, data)) from exc
-
-
-def _text_blocks(data: bytes):
-    """UTF-8 bytes as text in blocks of whole lines: without a leading
-    byte-order mark, and with `\r\n` and `\r` line ends read as `\n`, as
-    NumPy's reader reads them.
-
-    Each block ends just after a line break, or at the end of the file, so
-    a `\r\n` is never split and the blocks join up to the whole text.
-    """
-    start = len(codecs.BOM_UTF8) if data.startswith(codecs.BOM_UTF8) else 0
-    while start < len(data):
-        brk = _LINE_BREAK.search(data, start + _SCAN_BLOCK)
-        stop = brk.end() if brk else len(data)
-        text = data[start:stop].decode("utf-8")
-        yield text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
-        start = stop
+def _text(data: bytes) -> str:
+    """UTF-8 bytes as text: without a leading byte-order mark, and with
+    `\r\n` and `\r` line ends read as `\n`, as NumPy's reader reads them."""
+    text = data.decode("utf-8").removeprefix("\ufeff")
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 
 
 def _read_head(path: str) -> tuple[bytes, int, str, list[str], bool]:
     """The file's bytes and its first non-blank line.
 
     The bytes must be UTF-8, with or without a leading byte-order mark; a
-    file that is not is a dataset error naming the line at fault.  Returns
-    them with the first non-blank line's 1-based physical line number, the
-    delimiter sniffed from that line, its trimmed cells, and whether a
-    non-blank line follows it.  Only the blocks of text up to that
-    following line are decoded.
+    file that is not is a dataset error naming the physical line of the
+    first undecodable byte.  Returns them with the first non-blank line's
+    1-based physical line number, the delimiter sniffed from that line, its
+    trimmed cells, and whether a non-blank line follows it.
     """
     try:
         data = Path(path).read_bytes()
     except OSError as exc:
         raise DatasetError(f"cannot read {path}: {exc}") from exc
-    _check_utf8(path, data)
-    blocks = _text_blocks(data)
-    lines = 0  # line breaks in the blocks before the current one
-    for text in blocks:
-        found = _NON_BLANK.search(text)
-        if found is not None:
-            break
-        lines += text.count("\n")
-    else:
+    try:
+        text = _text(data)
+    except UnicodeDecodeError as exc:
+        line = len(_LINE_BREAK.findall(data, 0, exc.start)) + 1
+        raise DatasetError(f"{path} is not valid UTF-8: line {line} has the undecodable "
+                           f"byte 0x{data[exc.start]:02x}") from exc
+    found = _NON_BLANK.search(text)
+    if found is None:
         raise DatasetError(f"{path} contains no data")
     start = text.rfind("\n", 0, found.start()) + 1
     end = text.find("\n", start)
     line = text[start:] if end < 0 else text[start:end]
     delim = "\t" if "\t" in line else ","
-    # A line with no break after it in its block is the last of the file.
-    more = end >= 0 and (_NON_BLANK.search(text, end) is not None
-                         or any(_NON_BLANK.search(rest) for rest in blocks))
-    return (data, lines + text.count("\n", 0, start) + 1, delim,
+    more = end >= 0 and _NON_BLANK.search(text, end) is not None
+    return (data, text.count("\n", 0, start) + 1, delim,
             [c.strip() for c in line.split(delim)], more)
 
 
@@ -254,12 +212,11 @@ def _columns(path: str, data: bytes, skip: int, delim: str, numeric: tuple[int, 
     if rows is None:
         # NumPy's reader takes a whitespace-only line for a row, and a row
         # of blanks never parses; blank such lines and parse again.
-        text, blanked = _WHITESPACE_LINE.subn("\n", "".join(_text_blocks(data)))
+        text, blanked = _WHITESPACE_LINE.subn("\n", _text(data))
         rows = parse(io.StringIO(text)) if blanked else None
     nums, labs = names[:len(numeric)], names[len(numeric):]
     if rows is None or not all(np.isfinite(rows[c]).all() for c in nums):
-        bad = _bad_lines("".join(_text_blocks(data)), skip, delim, numeric,
-                         max(numeric + labels))
+        bad = _bad_lines(_text(data), skip, delim, numeric, max(numeric + labels))
         raise DatasetError(_bad_lines_message(bad, what))
     return ([np.ascontiguousarray(rows[c]) for c in nums],
             [_trimmed(np.ascontiguousarray(rows[c])) for c in labs])
@@ -271,25 +228,24 @@ def _trimmed(labels: np.ndarray) -> np.ndarray:
 
     Whitespace is not printable ASCII, so a column of printable ASCII (33
     to 126) and zero padding has nothing to strip; when a label also fills
-    the width, the column is returned as it is.  Any other column, and one
-    in non-native byte order, is stripped and narrowed.  The check runs in
-    blocks and stops at the first block that fails.
+    the width, the column is returned as it is.  Any other column is
+    stripped and narrowed.  The check runs in blocks and stops at the first
+    block that fails.
     """
-    if labels.dtype.isnative:
-        width = labels.dtype.itemsize // 4
-        points = labels.view(np.uint32).reshape(-1, width)
-        step = max(1, _SCAN_BLOCK // width)
-        fills = False
-        for start in range(0, len(points), step):
-            block = points[start:start + step]
-            # Less 1, the zero padding wraps round to 2**32 - 1 and drops out
-            # of the minimum.
-            if block.max() > 126 or (block - np.uint32(1)).min() < 32:
-                break
-            fills = fills or bool(block[:, -1].any())
-        else:
-            if fills:
-                return labels
+    width = labels.dtype.itemsize // 4
+    points = labels.view(np.uint32).reshape(-1, width)
+    step = max(1, _SCAN_BLOCK // width)
+    fills = False
+    for start in range(0, len(points), step):
+        block = points[start:start + step]
+        # Less 1, the zero padding wraps round to 2**32 - 1 and drops out of
+        # the minimum.
+        if block.max() > 126 or (block - np.uint32(1)).min() < 32:
+            break
+        fills = fills or bool(block[:, -1].any())
+    else:
+        if fills:
+            return labels
     labels = np.char.strip(labels)
     return labels.astype(f"U{int(np.char.str_len(labels).max(initial=1))}", copy=False)
 
@@ -465,8 +421,7 @@ def _digest(path: str) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def _manifest(args: argparse.Namespace, dataset: str | None,
-              uses_scipy: bool = False) -> dict:
+def _manifest(args: argparse.Namespace) -> dict:
     """Command, flags, versions and dataset digest of one run.
 
     The SciPy version is listed only for the commands that load SciPy
@@ -476,7 +431,7 @@ def _manifest(args: argparse.Namespace, dataset: str | None,
     echo = {k: v for k, v in sorted(vars(args).items())
             if k not in ("func",) and not k.startswith("_")}
     versions = {"powergain": __version__, "numpy": np.__version__}
-    if uses_scipy:
+    if args.command in ("simulate", "conditional"):
         import scipy
 
         versions["scipy"] = scipy.__version__
@@ -487,6 +442,7 @@ def _manifest(args: argparse.Namespace, dataset: str | None,
         "versions": versions,
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
+    dataset = getattr(args, "dataset", None)
     if dataset is not None:
         man["dataset"] = {"path": dataset, "sha256": _digest(dataset)}
     return man
@@ -501,19 +457,35 @@ def _null_non_finite(x):
     return None if isinstance(x, float) and not math.isfinite(x) else x
 
 
-def _emit(args: argparse.Namespace, text: str, payload: dict) -> None:
-    """Write the rendered output and, for file output, a manifest sidecar."""
-    if args.out == "json":
-        body = json.dumps(_null_non_finite(payload), indent=2, allow_nan=False)
-    else:
-        body = text
-    if getattr(args, "output", None):
-        Path(args.output).write_text(body + "\n")
-        Path(args.output + ".manifest.json").write_text(
-            json.dumps(_null_non_finite(payload["manifest"]), indent=2,
-                       allow_nan=False) + "\n")
-    else:
+def _json(x) -> str:
+    return json.dumps(_null_non_finite(x), indent=2, allow_nan=False)
+
+
+def _emit(args: argparse.Namespace, key: str, result, render) -> int:
+    """Write a command's result; the exit code is 0.
+
+    The payload holds the command, the result under `key` (a report, or a
+    list of points or rows) and the run's manifest.  `--out json` writes
+    the payload, `csv` the result as a table, and `text` what `render`
+    makes of it.  The text is rendered for JSON output too, so the
+    benchmark's traced `cli.render` span times every command.  Output goes
+    to stdout, or with `--output PATH` to PATH and the manifest to
+    PATH.manifest.json; a path that cannot be written is a flag error.
+    """
+    rows = result if isinstance(result, list) else [result]
+    payload = {"command": args.command, key: result, "manifest": _manifest(args)}
+    text = _csv_table(rows, list(rows[0])) if args.out == "csv" else render(result)
+    body = _json(payload) if args.out == "json" else text
+    if not args.output:
         print(body)
+        return 0
+    for path, content in ((args.output, body),
+                          (args.output + ".manifest.json", _json(payload["manifest"]))):
+        try:
+            Path(path).write_text(content + "\n")
+        except OSError as exc:
+            raise ValueError(f"cannot write --output {path}: {exc.strerror or exc}") from exc
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -553,14 +525,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     cfg = _tuning_from_args(args, _n_effective(args, sample))
     report = estimate(sample, cfg, pb=not args.no_pb,
                       clamp_ci=args.clamp_ci_at_zero).to_dict()
-    payload = {"command": "estimate", "report": report,
-               "manifest": _manifest(args, args.dataset)}
-    if args.out == "csv":
-        text = _csv_table([report], list(report))
-    else:
-        text = render_estimate_text(report)
-    _emit(args, text, payload)
-    return 0
+    return _emit(args, "report", report, render_estimate_text)
 
 
 def _parse_grid(raw: str) -> list[float]:
@@ -587,15 +552,7 @@ def cmd_curve(args: argparse.Namespace) -> int:
     points = [{"c2": c2, "delta": r.delta, "se": r.se, "ci_low": r.ci_low,
                "ci_high": r.ci_high, "flags": list(r.flags)}
               for c2, r in zip(grid_c2, reports)]
-
-    payload = {"command": "curve", "points": points,
-               "manifest": _manifest(args, args.dataset)}
-    if args.out == "csv":
-        text = _csv_table(points, list(points[0]))
-    else:
-        text = render_curve_text(points)
-    _emit(args, text, payload)
-    return 0
+    return _emit(args, "points", points, render_curve_text)
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -609,7 +566,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     dgps = list(PRIORS) if args.dgp == "all" else [args.dgp]
 
     rows = []
-    stream_text = args.out == "text" and not getattr(args, "output", None)
+    stream_text = args.out == "text" and not args.output
     header_done = False
     cell = 0
     for n in ns:
@@ -625,31 +582,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                 print(text if not header_done else text.splitlines()[1])
                 header_done = True
                 sys.stdout.flush()
-
-    payload = {"command": "simulate", "rows": rows,
-               "manifest": _manifest(args, None, uses_scipy=True)}
-    if stream_text:
-        return 0
-    if args.out == "csv":
-        text = _csv_table(rows, list(rows[0]))
-    else:
-        text = render_simulate_text(rows)
-    _emit(args, text, payload)
-    return 0
+    return 0 if stream_text else _emit(args, "rows", rows, render_simulate_text)
 
 
 def cmd_conditional(args: argparse.Namespace) -> int:
     groups = read_grouped_file(args.dataset)
     report = conditional_delta(groups, c=_c_from_args(args), cv=args.cv,
                                se_mode=args.se).to_dict()
-    payload = {"command": "conditional", "report": report,
-               "manifest": _manifest(args, args.dataset, uses_scipy=True)}
-    if args.out == "csv":
-        text = _csv_table([report], list(report))
-    else:
-        text = render_conditional_text(report)
-    _emit(args, text, payload)
-    return 0
+    return _emit(args, "report", report, render_conditional_text)
 
 
 # ---------------------------------------------------------------------------

@@ -81,7 +81,6 @@ class DgpSpec:
     theta0: float = 0.9
     cv: float = 1.96
     c: float = math.sqrt(2.0)
-    fitted_masses: tuple = FITTED_MASSES
 
     def __post_init__(self) -> None:
         if self.prior not in PRIORS:
@@ -96,10 +95,6 @@ class DgpSpec:
             raise ValueError(f"cv must be finite and positive, got {self.cv}")
         if not 1.0 <= self.c < math.inf:
             raise ValueError(f"counterfactual scale c must be finite and >= 1, got {self.c}")
-        masses = tuple(float(m) for m in self.fitted_masses)
-        if any(m < 0 for m in masses) or abs(sum(masses) - 1.0) > 1e-9:
-            raise ValueError("fitted_masses must be non-negative and sum to 1")
-        object.__setattr__(self, "fitted_masses", masses)
 
 
 def _draw_prior(spec: DgpSpec, rng: np.random.Generator, m: int) -> np.ndarray:
@@ -117,7 +112,7 @@ def _draw_prior(spec: DgpSpec, rng: np.random.Generator, m: int) -> np.ndarray:
                         rng.normal(comps[1][1], comps[1][2], m))
     if spec.prior == "uniform":
         return rng.uniform(-3.0, 3.0, m)
-    return rng.choice(FITTED_SUPPORT, size=m, p=np.asarray(spec.fitted_masses))
+    return rng.choice(FITTED_SUPPORT, size=m, p=np.asarray(FITTED_MASSES))
 
 
 def _draw_noise(noise: str, rng: np.random.Generator, m: int) -> np.ndarray:
@@ -248,8 +243,7 @@ def oracle_power(spec: DgpSpec, scale: float) -> float:
     if spec.prior == "truenull":
         return float(pw(0.0))
     if spec.prior == "fitted":
-        masses = np.asarray(spec.fitted_masses)
-        return float(np.dot(masses, pw(FITTED_SUPPORT)))
+        return float(np.dot(np.asarray(FITTED_MASSES), pw(FITTED_SUPPORT)))
     if spec.prior == "cauchy":
         return _integrate(lambda u: pw(np.tan(u)) / math.pi, -math.pi / 2, math.pi / 2)
     if spec.prior == "uniform":

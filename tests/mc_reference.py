@@ -31,7 +31,7 @@ def mc_powers(spec: simulate.DgpSpec, scales: tuple, draws: int = MC_DRAWS) -> l
     key = json.dumps({
         "v": 1,
         "prior": spec.prior,
-        "masses": spec.fitted_masses if spec.prior == "fitted" else None,
+        "masses": simulate.FITTED_MASSES if spec.prior == "fitted" else None,
         "noise": spec.noise,
         "cv": spec.cv,
         "scales": [float(s) for s in scales],

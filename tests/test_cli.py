@@ -238,7 +238,7 @@ HEADS = [
 
 
 class TestReadHead:
-    """The head is found from blocks of text; the result is that of the whole text."""
+    """The head is that of the whole decoded text, whatever the scan block size."""
 
     @pytest.mark.parametrize("block", [1, 2, 3, 5, 1 << 16])
     @pytest.mark.parametrize("text", HEADS)
@@ -952,6 +952,55 @@ class TestConditionalCommand:
         assert "lab" in capsys.readouterr().err.lower()
 
 
+def quick_argv(tmp_path, command):
+    """A small, fast run of one command."""
+    if command == "conditional":
+        data = tmp_path / "g.csv"
+        data.write_text("group_id,effect,std_error,weight\nstudy,2.8016,1.0,1.0\n")
+        return [command, str(data)]
+    if command == "simulate":
+        return [command, "--dgp", "truenull", "--n", "50", "--reps", "2"]
+    return [command, write_balanced(tmp_path / "d.csv")]
+
+
+class TestOutputFile:
+    @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+    @pytest.mark.parametrize("command", ["estimate", "curve", "simulate", "conditional"])
+    def test_same_as_stdout(self, tmp_path, capsys, command, fmt):
+        argv = quick_argv(tmp_path, command) + ["--out", fmt]
+        assert main(argv) == 0
+        printed = capsys.readouterr().out
+        out = tmp_path / "r.out"
+        assert main(argv + ["--output", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        written = out.read_text()
+        sidecar = json.loads((tmp_path / "r.out.manifest.json").read_text())
+        if fmt == "json":
+            printed, written = json.loads(printed), json.loads(written)
+            assert written["manifest"] == sidecar
+            # Only the run's time and the echoed --output may differ.
+            for payload in (printed, written):
+                payload["manifest"].pop("timestamp")
+                payload["manifest"]["config"].pop("output")
+        assert written == printed
+        assert sidecar["command"] == command
+
+    @pytest.mark.parametrize("target", ["missing directory", "directory", "sidecar directory"])
+    @pytest.mark.parametrize("command", ["estimate", "simulate"])
+    def test_unwritable_path_is_exit_two(self, tmp_path, capsys, command, target):
+        path = {"missing directory": tmp_path / "missing" / "r.json",
+                "directory": tmp_path,
+                "sidecar directory": tmp_path / "r.json"}[target]
+        if target == "sidecar directory":
+            (tmp_path / "r.json.manifest.json").mkdir()
+        argv = quick_argv(tmp_path, command) + ["--out", "json", "--output", str(path)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write --output {path}")
+        assert captured.err.count("\n") == 1
+
+
 #: One non-finite value per tuning flag, and a phrase of its error message.
 INFINITE_FLAGS = [
     (("estimate", "--c2", "inf"), "counterfactual scale c must be finite"),
@@ -982,15 +1031,7 @@ class TestParser:
         ("conditional", "--c2", "-1"),
     ])
     def test_nan_flag_is_exit_two(self, tmp_path, capsys, flags):
-        if flags[0] == "conditional":
-            data = tmp_path / "g.csv"
-            data.write_text("group_id,effect,std_error,weight\nstudy,2.8016,1.0,1.0\n")
-            argv = [flags[0], str(data), *flags[1:]]
-        elif flags[0] == "simulate":
-            argv = [*flags, "--dgp", "truenull", "--n", "50", "--reps", "2"]
-        else:
-            argv = [flags[0], write_balanced(tmp_path / "d.csv"), *flags[1:]]
-        assert main(argv) == 2
+        assert main(quick_argv(tmp_path, flags[0]) + list(flags[1:])) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert flags[-1] in captured.err
@@ -1000,15 +1041,7 @@ class TestParser:
     @pytest.mark.parametrize("flags, message", INFINITE_FLAGS,
                              ids=[" ".join(f) for f, _ in INFINITE_FLAGS])
     def test_infinite_flag_is_exit_two(self, tmp_path, capsys, flags, message):
-        if flags[0] == "conditional":
-            data = tmp_path / "g.csv"
-            data.write_text("group_id,effect,std_error,weight\nstudy,2.8016,1.0,1.0\n")
-            argv = [flags[0], str(data), *flags[1:]]
-        elif flags[0] == "simulate":
-            argv = [*flags, "--dgp", "truenull", "--n", "50", "--reps", "2"]
-        else:
-            argv = [flags[0], write_balanced(tmp_path / "d.csv"), *flags[1:]]
-        assert main(argv) == 2
+        assert main(quick_argv(tmp_path, flags[0]) + list(flags[1:])) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and message in captured.err

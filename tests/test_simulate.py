@@ -54,8 +54,6 @@ class TestDgpSpec:
             DgpSpec(theta0=1.5)
         with pytest.raises(ValueError):
             DgpSpec(c=0.9)
-        with pytest.raises(ValueError):
-            DgpSpec(prior="fitted", fitted_masses=(0.5, 0.4))
         for field in ("theta0", "cv", "c"):
             with pytest.raises(ValueError, match=field):
                 DgpSpec(**{field: math.nan})
