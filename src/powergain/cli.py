@@ -13,10 +13,12 @@ from __future__ import annotations
 import argparse
 import codecs
 import csv
+import errno
 import hashlib
 import io
 import json
 import math
+import os
 import re
 import sys
 from datetime import datetime, timezone
@@ -488,6 +490,23 @@ def _emit(args: argparse.Namespace, key: str, result, render) -> int:
     return 0
 
 
+def _check_output(path: str) -> None:
+    """Refuse, before any computation, an `--output` that surely cannot be written.
+
+    Its directory must exist, and neither it nor its `.manifest.json`
+    may be a directory.  The message is the one the write would give;
+    other OS errors still surface when `_emit` writes.
+    """
+    for target in (path, path + ".manifest.json"):
+        if Path(target).is_dir():
+            code = errno.EISDIR
+        elif not Path(target).parent.is_dir():
+            code = errno.ENOTDIR if Path(target).parent.exists() else errno.ENOENT
+        else:
+            continue
+        raise ValueError(f"cannot write --output {target}: {os.strerror(code)}")
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -693,6 +712,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.output:
+            _check_output(args.output)
         return args.func(args)
     except DatasetError as exc:
         print(f"error: {exc}", file=sys.stderr)

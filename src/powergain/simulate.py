@@ -44,6 +44,9 @@ NOISES = ("normal", "t30", "lognormal")
 #: point masses on the integers 0..6.
 FITTED_SUPPORT = np.arange(7.0)
 FITTED_MASSES = (0.02, 0.47, 0.01, 0.27, 0.14, 0.00, 0.09)
+#: The CDF that ``Generator.choice`` builds from FITTED_MASSES.
+_FITTED_CDF = np.cumsum(FITTED_MASSES)
+_FITTED_CDF /= _FITTED_CDF[-1]
 
 #: Normal-mixture priors as (weight, mean, sd) components.
 _NORMAL_MIXTURES = {
@@ -112,7 +115,9 @@ def _draw_prior(spec: DgpSpec, rng: np.random.Generator, m: int) -> np.ndarray:
                         rng.normal(comps[1][1], comps[1][2], m))
     if spec.prior == "uniform":
         return rng.uniform(-3.0, 3.0, m)
-    return rng.choice(FITTED_SUPPORT, size=m, p=np.asarray(FITTED_MASSES))
+    # What rng.choice(FITTED_SUPPORT, size=m, p=FITTED_MASSES) computes
+    # after its argument checks.
+    return FITTED_SUPPORT[_FITTED_CDF.searchsorted(rng.random(m), side="right")]
 
 
 def _draw_noise(noise: str, rng: np.random.Generator, m: int) -> np.ndarray:
@@ -131,20 +136,138 @@ def draw_population(spec: DgpSpec, n: int, seed) -> np.ndarray:
     significant scores (|t| > cv) always survive, insignificant ones
     survive with probability theta0.  Draws continue until n scores are
     retained, so n counts published scores.  ``seed`` may be anything
-    accepted by ``numpy.random.default_rng``, including a Generator.
+    accepted by ``numpy.random.default_rng``; a Generator is used as it
+    is and its stream continues.  This is the one-row case of the draws
+    behind ``run_coverage``.
     """
     if n < 1:
         raise ValueError(f"need n >= 1 retained scores, got {n}")
-    rng = np.random.default_rng(seed)
-    kept: list[np.ndarray] = []
-    have = 0
-    while have < n:
-        m = 2 * (n - have) + 32
-        t = _draw_prior(spec, rng, m) + _draw_noise(spec.noise, rng, m)
-        keep = significant(t, spec.cv) | (rng.random(m) < spec.theta0)
-        kept.append(t[keep])
-        have += int(keep.sum())
-    return np.concatenate(kept)[:n]
+    return _draw_rows(spec, n, [np.random.default_rng(seed)])[0]
+
+
+def _draw_rows(spec: DgpSpec, n: int, rngs) -> np.ndarray:
+    """n published t-scores from each Generator in rngs, one row each.
+
+    Each generator first draws 2n + 32 effects, noises and thinning
+    uniforms into its row of a block, and the block is thinned at once:
+    its first n kept scores are the row.  A row that keeps fewer than n
+    draws further rounds of 2 * (n - kept) + 32 from its own generator
+    until it has n.  Row r is therefore the same, bit for bit, whether
+    rngs[r] is drawn alone or in a block.
+    """
+    m = 2 * n + 32
+    t, u = np.empty((len(rngs), m)), np.empty((len(rngs), m))
+    for r, rng in enumerate(rngs):
+        np.add(_draw_prior(spec, rng, m), _draw_noise(spec.noise, rng, m), out=t[r])
+        rng.random(out=u[r])
+    keep = significant(t, spec.cv) | (u < spec.theta0)
+    have = np.cumsum(keep, axis=1)
+    keep &= have <= n
+    for r in np.flatnonzero(have[:, -1] < n):
+        rng, kept, got = rngs[r], [t[r, keep[r]]], int(have[r, -1])
+        while got < n:
+            m = 2 * (n - got) + 32
+            more = _draw_prior(spec, rng, m) + _draw_noise(spec.noise, rng, m)
+            more = more[significant(more, spec.cv) | (rng.random(m) < spec.theta0)]
+            kept.append(more)
+            got += more.size
+        t[r, :n] = np.concatenate(kept)[:n]
+        keep[r] = False
+        keep[r, :n] = True
+    return t[keep].reshape(len(rngs), n)
+
+
+#: Constants of NumPy's SeedSequence hash (numpy/random/bit_generator.pyx),
+#: which NumPy's reproducibility policy (NEP 19) keeps fixed.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_M32 = 0xFFFFFFFF
+
+
+def _hash_constants(h: int, mult: int):
+    """SeedSequence's running hash constant: (h, next h) for each hash, forever."""
+    while True:
+        nxt = h * mult & _M32
+        yield h, nxt
+        h = nxt
+
+
+def _hash(value, h, nxt):
+    """SeedSequence's hashmix of value with the constant h, whose next one is nxt.
+
+    Arguments are Python ints below 2**32 or uint32 arrays, which
+    broadcast; all arithmetic is mod 2**32.
+    """
+    value = (value ^ h) * nxt & _M32
+    return value ^ value >> 16
+
+
+def _mix(x, y):
+    """SeedSequence's mix of two pool words (ints or uint32 arrays)."""
+    value = (_MIX_L * x & _M32) - (_MIX_R * y & _M32) & _M32
+    return value ^ value >> 16
+
+
+def _spawned_words(entropy: int, pool_size: int, start: int, stop: int) -> np.ndarray:
+    """PCG64 seed words of children start .. stop - 1 of a SeedSequence.
+
+    Row k is ``SeedSequence(entropy, pool_size=pool_size).spawn(stop)
+    [start + k].generate_state(4, np.uint64)``, computed the way NumPy
+    computes it for one child, but for every child at once.  A child's
+    entropy is the root's 32-bit words, padded with zeros to the pool
+    size, then its index.  Only the index differs between children, so
+    the pool is mixed in Python ints up to it, and from it on in one
+    uint32 array of every child's pool.
+    """
+    if stop > 1 << 32:
+        raise ValueError(f"at most 2**32 replications are seeded, got {stop}")
+    words = []
+    while entropy or not words:
+        words.append(entropy & _M32)
+        entropy >>= 32
+    words += [0] * (pool_size - len(words))
+    hc = _hash_constants(_INIT_A, _MULT_A)
+    pool = [_hash(word, *next(hc)) for word in words[:pool_size]]
+    for src in range(pool_size):
+        for dst in range(pool_size):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hash(pool[src], *next(hc)))
+    for word in words[pool_size:]:
+        for dst in range(pool_size):
+            pool[dst] = _mix(pool[dst], _hash(word, *next(hc)))
+    # The index meets each pool word with the next constant in turn.
+    h, nxt = np.array([next(hc) for _ in range(pool_size)], dtype=np.uint32).T
+    index = np.arange(start, stop, dtype=np.uint32)[:, None]
+    pool = _mix(np.array(pool, dtype=np.uint32), _hash(index, h, nxt))
+    # generate_state(4, np.uint64) hashes out 8 words, cycling over the pool.
+    hc = _hash_constants(_INIT_B, _MULT_B)
+    h, nxt = np.array([next(hc) for _ in range(8)], dtype=np.uint32).T
+    state = _hash(pool[:, np.arange(8) % pool_size], h, nxt)
+    # Little-endian word pairs, as SeedSequence.generate_state forms them.
+    return state.astype("<u4", order="C").view("<u8").astype(np.uint64)
+
+
+@functools.cache
+def _seeded_generator():
+    """A function from one row of ``_spawned_words`` to its Generator.
+
+    The words reach NumPy's own PCG64 through a seed sequence that hands
+    them over as they are, so PCG64 still does its 128-bit seeding and
+    the Generator is the one ``default_rng`` makes from that child.
+    Built on first use, so importing powergain loads no numpy.random.
+    """
+    from numpy.random import PCG64, Generator
+    from numpy.random.bit_generator import ISeedSequence
+
+    class Words(ISeedSequence):
+        def __init__(self, words):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words  # PCG64 asks for (4, np.uint64)
+
+    return lambda words: Generator(PCG64(Words(words)))
 
 
 @functools.cache
@@ -321,14 +444,19 @@ def run_coverage(spec: DgpSpec, n: int, reps: int,
     tallied as failures.  Deterministic given (spec, n, reps, cfg, seed);
     substreams make the replication loop order-independent.
 
-    The draws are stacked into blocks of ``max(1, _CHUNK // n)``
-    replications, and each block is estimated by one
-    ``delta_hat_pb_rows`` call, the row core behind ``delta_hat_pb``.
+    Replication i draws from child i of ``SeedSequence(seed).spawn(reps)``.
+    Replications run in blocks of ``max(1, _CHUNK // n)``: a block's
+    children are seeded together (``_spawned_words``), drawn and thinned
+    together (``_draw_rows``), and estimated by one ``delta_hat_pb_rows``
+    call, the row core behind ``delta_hat_pb``.  Every replication's
+    scores are those of ``draw_population(spec, n, child)``.
     """
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
     if cfg.c != spec.c or cfg.cv != spec.cv:
         raise ValueError("tuning config and DGP disagree on c or cv")
+    root = np.random.SeedSequence(seed)
+    entropy = int(root.entropy)
     if cfg.n_effective is None:
         cfg = replace(cfg, n_effective=n)
     J, epsilon = _spectrum.select_tuning(cfg)
@@ -336,11 +464,13 @@ def run_coverage(spec: DgpSpec, n: int, reps: int,
     truth = oracle_delta(spec)
     unc = oracle_power(spec, 1.0)
 
-    streams = np.random.SeedSequence(seed).spawn(reps)
     block = max(1, _spectrum._CHUNK // n)
+    generator = _seeded_generator()
     deltas, ses, covered = [], [], 0
     for start in range(0, reps, block):
-        t = np.stack([draw_population(spec, n, s) for s in streams[start:start + block]])
+        stop = min(start + block, reps)
+        words = _spawned_words(entropy, root.pool_size, start, stop)
+        t = _draw_rows(spec, n, [generator(w) for w in words])
         rows = delta_hat_pb_rows(t, b, epsilon, alpha=cfg.alpha)
         good = np.isfinite(rows.se)
         deltas.append(rows.delta[good])

@@ -887,14 +887,15 @@ def test_simulate_loads_neither_scipy_stats_nor_integrate(tmp_path):
 
 
 def test_estimate_and_curve_load_no_scipy(tmp_path):
-    # Nor numpy.polynomial, which NumPy before 2.0 loads on its own import,
-    # so only a load after `import numpy` counts.
+    # Nor numpy.polynomial or numpy.random, which NumPy before 2.0 loads on
+    # its own import, so only a load after `import numpy` counts.
     script = (
         "import json, sys\n"
         "import numpy\n"
         "numpy_loads = set(sys.modules)\n"
-        "steps = []\n"
+        "steps, random = [], []\n"
         "def loaded():\n"
+        "    random.append('numpy.random' in set(sys.modules) - numpy_loads)\n"
         "    return [m for m in ('scipy', 'scipy.special', 'scipy.stats',\n"
         "                        'scipy.integrate') if m in sys.modules]\n"
         "import powergain\n"
@@ -908,15 +909,16 @@ def test_estimate_and_curve_load_no_scipy(tmp_path):
         "polynomial = 'numpy.polynomial' in set(sys.modules) - numpy_loads\n"
         "codes.append(cli.main(['conditional', sys.argv[3], '--output', out]))\n"
         "steps.append(loaded())\n"
-        "print(json.dumps([codes, steps, polynomial]))\n")
+        "print(json.dumps([codes, steps, polynomial, random[:3]]))\n")
     data = write_balanced(tmp_path / "d.csv")
     grouped = tmp_path / "g.csv"
     grouped.write_text("group_id,effect,std_error,weight\nstudy,2.8016,1.0,1.0\n")
-    codes, steps, polynomial = _last_json_line_of_fresh_interpreter(
+    codes, steps, polynomial, random = _last_json_line_of_fresh_interpreter(
         script, data, str(tmp_path / "r.json"), str(grouped))
     assert codes == [0, 0, 0]
     assert steps == [[], [], [], ["scipy", "scipy.special"]]
     assert not polynomial
+    assert random == [False, False, False]
 
 
 class TestConditionalCommand:
@@ -999,6 +1001,31 @@ class TestOutputFile:
         assert captured.out == ""
         assert captured.err.startswith(f"error: cannot write --output {path}")
         assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("target", ["missing directory", "directory",
+                                        "sidecar directory", "file as directory"])
+    def test_unwritable_path_fails_before_the_run(self, tmp_path, capsys, monkeypatch, target):
+        path = {"missing directory": tmp_path / "missing" / "r.tsv",
+                "directory": tmp_path,
+                "sidecar directory": tmp_path / "r.tsv",
+                "file as directory": tmp_path / "f" / "r.tsv"}[target]
+        if target == "sidecar directory":
+            (tmp_path / "r.tsv.manifest.json").mkdir()
+        if target == "file as directory":
+            (tmp_path / "f").write_text("")
+        argv = quick_argv(tmp_path, "simulate") + ["--out", "csv", "--output", str(path)]
+        # The message is the one the write itself gives.
+        monkeypatch.setattr(cli, "_check_output", lambda path: None)
+        assert main(argv) == 2
+        at_write = capsys.readouterr()
+        monkeypatch.undo()
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("run_coverage ran before --output was checked")
+
+        monkeypatch.setattr(cli, "run_coverage", no_run)
+        assert main(argv) == 2
+        assert capsys.readouterr() == at_write
 
 
 #: One non-finite value per tuning flag, and a phrase of its error message.

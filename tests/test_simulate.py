@@ -9,6 +9,7 @@ from scipy import integrate, stats
 
 from mc_reference import MC_DRAWS, lognormal_pool_means, mc_powers
 from powergain import estimator, simulate, spectrum
+from powergain.cli import main
 from powergain.pubbias import CaliperError
 from powergain.simulate import DgpSpec
 
@@ -410,6 +411,136 @@ class TestBatchedReplications:
         assert row.coverage == coverage
         np.testing.assert_allclose([row.mean_delta, row.sd_delta, row.mean_se],
                                    [mean_d, sd_d, mean_se], rtol=1e-12, atol=0)
+
+
+def reference_draw(spec, n, rng):
+    """Published scores drawn round by round from one generator.
+
+    The thinning loop in its plainest form, with ``Generator.choice`` for
+    the fitted prior: the draws that every replication must reproduce.
+    """
+    kept, have = [], 0
+    while have < n:
+        m = 2 * (n - have) + 32
+        if spec.prior == "fitted":
+            h = rng.choice(simulate.FITTED_SUPPORT, size=m, p=simulate.FITTED_MASSES)
+        else:
+            h = simulate._draw_prior(spec, rng, m)
+        t = h + simulate._draw_noise(spec.noise, rng, m)
+        keep = (np.abs(t) > spec.cv) | (rng.random(m) < spec.theta0)
+        kept.append(t[keep])
+        have += int(keep.sum())
+    return np.concatenate(kept)[:n]
+
+
+def block_rows(spec, n, seed, start, stop):
+    """Rows start .. stop - 1 of a run_coverage block, drawn from seed's children."""
+    root = np.random.SeedSequence(seed)
+    words = simulate._spawned_words(root.entropy, root.pool_size, start, stop)
+    generator = simulate._seeded_generator()
+    return simulate._draw_rows(spec, n, [generator(w) for w in words])
+
+
+class TestSpawnedSeeds:
+    @pytest.mark.parametrize("start, stop", [(0, 1), (0, 7), (5, 12), (1000, 1003)])
+    @pytest.mark.parametrize("entropy", [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**100 + 7])
+    def test_words_and_state_match_numpy(self, entropy, start, stop):
+        children = np.random.SeedSequence(entropy).spawn(stop)[start:]
+        words = simulate._spawned_words(entropy, 4, start, stop)
+        assert words.dtype == np.uint64 and words.shape == (stop - start, 4)
+        np.testing.assert_array_equal(
+            words, [child.generate_state(4, np.uint64) for child in children])
+        generator = simulate._seeded_generator()
+        for child, row in zip(children, words):
+            rng = generator(row)
+            assert rng.bit_generator.state == np.random.PCG64(child).state
+            np.testing.assert_array_equal(rng.random(3), np.random.default_rng(child).random(3))
+
+    @pytest.mark.parametrize("pool_size", [5, 9])
+    def test_other_pool_sizes_and_long_entropy(self, pool_size):
+        # 2**300 + 9 has 10 words, more than either pool holds.
+        for entropy in (3, 2**300 + 9):
+            root = np.random.SeedSequence(entropy, pool_size=pool_size)
+            np.testing.assert_array_equal(
+                simulate._spawned_words(entropy, pool_size, 2, 6),
+                [child.generate_state(4, np.uint64) for child in root.spawn(6)[2:]])
+
+    def test_unseeded_run_reads_one_entropy(self, monkeypatch):
+        # With seed None the root draws fresh entropy once; every block
+        # must seed from that same root.
+        entropies = []
+        spawned = simulate._spawned_words
+
+        def recording(entropy, *args):
+            entropies.append(entropy)
+            return spawned(entropy, *args)
+
+        monkeypatch.setattr(simulate, "_spawned_words", recording)
+        cfg = spectrum.TuningConfig(c=SQRT2)
+        simulate.run_coverage(DgpSpec(prior="bimodal"), 4000, 5, cfg, None)  # blocks of 2
+        assert len(entropies) == 3 and len(set(entropies)) == 1
+
+    def test_too_many_children(self):
+        with pytest.raises(ValueError, match="2\\*\\*32"):
+            simulate._spawned_words(0, 4, 2**32 - 1, 2**32 + 1)
+
+    def test_negative_seed_is_numpys_error(self, capsys):
+        with pytest.raises(ValueError) as numpy_error:
+            np.random.SeedSequence(-1)
+        cfg = spectrum.TuningConfig(c=SQRT2)
+        with pytest.raises(ValueError) as ours:
+            simulate.run_coverage(DgpSpec(), 50, 2, cfg, -1)
+        assert str(ours.value) == str(numpy_error.value)
+        assert main(["simulate", "--dgp", "truenull", "--n", "50", "--reps", "2",
+                     "--seed", "-1"]) == 2
+        assert capsys.readouterr().err == f"error: {numpy_error.value}\n"
+
+
+class TestBlockDraws:
+    @pytest.mark.parametrize("n", [1, 50, 500])
+    @pytest.mark.parametrize("noise", simulate.NOISES)
+    @pytest.mark.parametrize("prior", simulate.PRIORS)
+    def test_rows_are_the_single_draws(self, prior, noise, n):
+        spec = DgpSpec(prior=prior, noise=noise)
+        rows = block_rows(spec, n, 11, 2, 6)
+        assert rows.shape == (4, n)
+        for child, row in zip(np.random.SeedSequence(11).spawn(6)[2:], rows):
+            np.testing.assert_array_equal(row, simulate.draw_population(spec, n, child))
+            np.testing.assert_array_equal(row, reference_draw(spec, n, np.random.default_rng(child)))
+
+    @pytest.mark.parametrize("theta0, continued", [(0.01, {6}), (0.35, {1, 2, 3, 4, 5})])
+    def test_short_rows_continue_their_own_stream(self, monkeypatch, theta0, continued):
+        # At theta0 = 0.01 about 8 of the 132 first-round draws are kept, so
+        # every row draws more; at 0.35 about 50, so some rows do.
+        spec, n = DgpSpec(prior="truenull", theta0=theta0), 50
+        calls = []
+        draw_noise = simulate._draw_noise
+
+        def recording(noise, rng, m):
+            calls.append((rng, m))
+            return draw_noise(noise, rng, m)
+
+        monkeypatch.setattr(simulate, "_draw_noise", recording)
+        rows = block_rows(spec, n, 4, 0, 6)
+        assert [m for _, m in calls[:6]] == [2 * n + 32] * 6
+        assert len({id(rng) for rng, _ in calls[6:]}) in continued
+        for child, row in zip(np.random.SeedSequence(4).spawn(6), rows):
+            np.testing.assert_array_equal(row, reference_draw(spec, n, np.random.default_rng(child)))
+
+    @pytest.mark.parametrize("m", [1, 132, 5000])
+    def test_fitted_prior_is_generator_choice(self, m):
+        ours, numpys = np.random.default_rng(8), np.random.default_rng(8)
+        h = simulate._draw_prior(DgpSpec(prior="fitted"), ours, m)
+        np.testing.assert_array_equal(
+            h, numpys.choice(simulate.FITTED_SUPPORT, size=m, p=simulate.FITTED_MASSES))
+        assert ours.bit_generator.state == numpys.bit_generator.state
+
+    def test_generator_stream_continues(self):
+        spec = DgpSpec(prior="bimodal", theta0=0.5)
+        ours, ref = np.random.default_rng(12), np.random.default_rng(12)
+        for _ in range(3):
+            np.testing.assert_array_equal(simulate.draw_population(spec, 40, ours),
+                                          reference_draw(spec, 40, ref))
 
 
 class TestTablePresets:
