@@ -182,68 +182,52 @@ def _draw_rows(spec: DgpSpec, n: int, rngs) -> np.ndarray:
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_M32 = 0xFFFFFFFF
 
 
-def _hash_constants(h: int, mult: int):
-    """SeedSequence's running hash constant: (h, next h) for each hash, forever."""
-    while True:
-        nxt = h * mult & _M32
-        yield h, nxt
-        h = nxt
+def _hash_constants(init: int, mult: int, skip: int, count: int) -> np.ndarray:
+    """SeedSequence's hash constants init * mult**k mod 2**32, k = skip .. skip + count - 1."""
+    return np.array([init * pow(mult, k, 1 << 32) % (1 << 32) for k in range(skip, skip + count)],
+                    dtype=np.uint32)
 
 
-def _hash(value, h, nxt):
-    """SeedSequence's hashmix of value with the constant h, whose next one is nxt.
+def _hash(value, h):
+    """SeedSequence's hashmix of value with the constants h[:-1], each then advanced to h[1:].
 
-    Arguments are Python ints below 2**32 or uint32 arrays, which
-    broadcast; all arithmetic is mod 2**32.
+    Arguments are uint32 arrays, which broadcast and wrap mod 2**32.
     """
-    value = (value ^ h) * nxt & _M32
+    value = (value ^ h[:-1]) * h[1:]
     return value ^ value >> 16
 
 
 def _mix(x, y):
-    """SeedSequence's mix of two pool words (ints or uint32 arrays)."""
-    value = (_MIX_L * x & _M32) - (_MIX_R * y & _M32) & _M32
+    """SeedSequence's mix of two uint32 arrays of pool words."""
+    value = _MIX_L * x - _MIX_R * y
     return value ^ value >> 16
 
 
-def _spawned_words(entropy: int, pool_size: int, start: int, stop: int) -> np.ndarray:
-    """PCG64 seed words of children start .. stop - 1 of a SeedSequence.
+#: The constants with which ``generate_state`` hashes out 8 words.
+_STATE_HASH = _hash_constants(_INIT_B, _MULT_B, 0, 9)
 
-    Row k is ``SeedSequence(entropy, pool_size=pool_size).spawn(stop)
-    [start + k].generate_state(4, np.uint64)``, computed the way NumPy
-    computes it for one child, but for every child at once.  A child's
-    entropy is the root's 32-bit words, padded with zeros to the pool
-    size, then its index.  Only the index differs between children, so
-    the pool is mixed in Python ints up to it, and from it on in one
-    uint32 array of every child's pool.
+
+def _spawned_words(root: np.random.SeedSequence, start: int, stop: int) -> np.ndarray:
+    """PCG64 seed words of children start .. stop - 1 of a fresh SeedSequence.
+
+    Row k is ``root.spawn(stop)[start + k].generate_state(4, np.uint64)``,
+    computed the way NumPy computes it for one child, but for every child
+    at once; indices must be below 2**32.  A child's entropy is the
+    root's 32-bit words, padded with zeros to the pool size, then its
+    index, and NumPy mixes them in order, so each child's pool before
+    the index is ``root.pool``.  What is left is mixing in the index,
+    with the hash constants after the pool_size * max(pool_size, words)
+    that the root used up, and hashing the pool out.
     """
-    if stop > 1 << 32:
-        raise ValueError(f"at most 2**32 replications are seeded, got {stop}")
-    words = []
-    while entropy or not words:
-        words.append(entropy & _M32)
-        entropy >>= 32
-    words += [0] * (pool_size - len(words))
-    hc = _hash_constants(_INIT_A, _MULT_A)
-    pool = [_hash(word, *next(hc)) for word in words[:pool_size]]
-    for src in range(pool_size):
-        for dst in range(pool_size):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _hash(pool[src], *next(hc)))
-    for word in words[pool_size:]:
-        for dst in range(pool_size):
-            pool[dst] = _mix(pool[dst], _hash(word, *next(hc)))
-    # The index meets each pool word with the next constant in turn.
-    h, nxt = np.array([next(hc) for _ in range(pool_size)], dtype=np.uint32).T
+    pool_size = root.pool_size
+    words = max(1, -(-int(root.entropy).bit_length() // 32))
+    h = _hash_constants(_INIT_A, _MULT_A, pool_size * max(pool_size, words), pool_size + 1)
     index = np.arange(start, stop, dtype=np.uint32)[:, None]
-    pool = _mix(np.array(pool, dtype=np.uint32), _hash(index, h, nxt))
+    pool = _mix(root.pool, _hash(index, h))
     # generate_state(4, np.uint64) hashes out 8 words, cycling over the pool.
-    hc = _hash_constants(_INIT_B, _MULT_B)
-    h, nxt = np.array([next(hc) for _ in range(8)], dtype=np.uint32).T
-    state = _hash(pool[:, np.arange(8) % pool_size], h, nxt)
+    state = _hash(pool[:, np.arange(8) % pool_size], _STATE_HASH)
     # Little-endian word pairs, as SeedSequence.generate_state forms them.
     return state.astype("<u4", order="C").view("<u8").astype(np.uint64)
 
@@ -444,19 +428,19 @@ def run_coverage(spec: DgpSpec, n: int, reps: int,
     tallied as failures.  Deterministic given (spec, n, reps, cfg, seed);
     substreams make the replication loop order-independent.
 
-    Replication i draws from child i of ``SeedSequence(seed).spawn(reps)``.
-    Replications run in blocks of ``max(1, _CHUNK // n)``: a block's
-    children are seeded together (``_spawned_words``), drawn and thinned
+    Replication i draws from child i of ``SeedSequence(seed).spawn(reps)``,
+    so at most 2**32 replications can run.  Replications run in blocks of
+    ``max(1, _CHUNK // n)``: a block's children are seeded together from
+    the root's pool (``_spawned_words``), drawn and thinned
     together (``_draw_rows``), and estimated by one ``delta_hat_pb_rows``
     call, the row core behind ``delta_hat_pb``.  Every replication's
     scores are those of ``draw_population(spec, n, child)``.
     """
-    if reps < 1:
-        raise ValueError(f"reps must be >= 1, got {reps}")
+    if not 1 <= reps <= 1 << 32:
+        raise ValueError(f"reps must be between 1 and 2**32, got {reps}")
     if cfg.c != spec.c or cfg.cv != spec.cv:
         raise ValueError("tuning config and DGP disagree on c or cv")
     root = np.random.SeedSequence(seed)
-    entropy = int(root.entropy)
     if cfg.n_effective is None:
         cfg = replace(cfg, n_effective=n)
     J, epsilon = _spectrum.select_tuning(cfg)
@@ -469,7 +453,7 @@ def run_coverage(spec: DgpSpec, n: int, reps: int,
     deltas, ses, covered = [], [], 0
     for start in range(0, reps, block):
         stop = min(start + block, reps)
-        words = _spawned_words(entropy, root.pool_size, start, stop)
+        words = _spawned_words(root, start, stop)
         t = _draw_rows(spec, n, [generator(w) for w in words])
         rows = delta_hat_pb_rows(t, b, epsilon, alpha=cfg.alpha)
         good = np.isfinite(rows.se)

@@ -63,7 +63,9 @@ class TuningConfig:
             raise ValueError("tuning constants C and D must be finite and positive, "
                              f"got C={self.C}, D={self.D}")
         if self.n_effective is not None and self.n_effective < 2:
-            raise ValueError(f"n_effective must be at least 2, got {self.n_effective}")
+            raise ValueError("tuning needs at least 2 t-scores, studies (--scale-by studies) "
+                             "or retained scores per replication (simulate --n); "
+                             f"got {self.n_effective}")
 
 
 @dataclass(frozen=True, eq=False)

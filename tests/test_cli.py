@@ -832,6 +832,25 @@ class TestCurveNotes:
         assert all(ln.split(": ")[2] == kind for ln in lines[4:])
 
 
+class TestTooSmallToTune:
+    """The error names the count the user controls, not the tuning field."""
+
+    @pytest.mark.parametrize("text, argv, got", [
+        ("2.5\n", ["estimate"], 1),
+        ("t,study_id\n1.5,a\n-2,a\n3,a\n", ["estimate", "--scale-by", "studies"], 1),
+        (None, ["simulate", "--dgp", "truenull", "--n", "1", "--reps", "2"], 1),
+    ], ids=["scores", "studies", "simulate"])
+    def test_exits_two(self, tmp_path, capsys, text, argv, got):
+        if text is not None:
+            p = tmp_path / "d.csv"
+            p.write_text(text)
+            argv = argv[:1] + [str(p)] + argv[1:]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.endswith(
+            "tuning needs at least 2 t-scores, studies (--scale-by studies) "
+            f"or retained scores per replication (simulate --n); got {got}\n")
+
+
 class TestSimulateCommand:
     def test_deterministic_under_seed(self, tmp_path, capsys):
         argv = ["simulate", "--dgp", "truenull", "--n", "40", "--reps", "2",

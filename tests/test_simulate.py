@@ -390,6 +390,7 @@ class TestBatchedReplications:
         ("cauchy", 30, 60, 5, [60]),           # both failure kinds, one block
         ("bimodal", 500, 37, 8, [16, 16, 5]),  # reps not a multiple of the block
         ("bimodal", 9000, 3, 2, [1, 1, 1]),    # n > _CHUNK: one replication a block
+        ("bimodal", 50, 20, 2**128 + 1, [20]),  # five entropy words, more than the pool
     ])
     def test_matches_scalar_loop(self, monkeypatch, prior, n, reps, seed, blocks):
         spec = DgpSpec(prior=prior)
@@ -436,7 +437,7 @@ def reference_draw(spec, n, rng):
 def block_rows(spec, n, seed, start, stop):
     """Rows start .. stop - 1 of a run_coverage block, drawn from seed's children."""
     root = np.random.SeedSequence(seed)
-    words = simulate._spawned_words(root.entropy, root.pool_size, start, stop)
+    words = simulate._spawned_words(root, start, stop)
     generator = simulate._seeded_generator()
     return simulate._draw_rows(spec, n, [generator(w) for w in words])
 
@@ -446,7 +447,7 @@ class TestSpawnedSeeds:
     @pytest.mark.parametrize("entropy", [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**100 + 7])
     def test_words_and_state_match_numpy(self, entropy, start, stop):
         children = np.random.SeedSequence(entropy).spawn(stop)[start:]
-        words = simulate._spawned_words(entropy, 4, start, stop)
+        words = simulate._spawned_words(np.random.SeedSequence(entropy), start, stop)
         assert words.dtype == np.uint64 and words.shape == (stop - start, 4)
         np.testing.assert_array_equal(
             words, [child.generate_state(4, np.uint64) for child in children])
@@ -462,7 +463,7 @@ class TestSpawnedSeeds:
         for entropy in (3, 2**300 + 9):
             root = np.random.SeedSequence(entropy, pool_size=pool_size)
             np.testing.assert_array_equal(
-                simulate._spawned_words(entropy, pool_size, 2, 6),
+                simulate._spawned_words(root, 2, 6),
                 [child.generate_state(4, np.uint64) for child in root.spawn(6)[2:]])
 
     def test_unseeded_run_reads_one_entropy(self, monkeypatch):
@@ -471,18 +472,26 @@ class TestSpawnedSeeds:
         entropies = []
         spawned = simulate._spawned_words
 
-        def recording(entropy, *args):
-            entropies.append(entropy)
-            return spawned(entropy, *args)
+        def recording(root, *args):
+            entropies.append(root.entropy)
+            return spawned(root, *args)
 
         monkeypatch.setattr(simulate, "_spawned_words", recording)
         cfg = spectrum.TuningConfig(c=SQRT2)
         simulate.run_coverage(DgpSpec(prior="bimodal"), 4000, 5, cfg, None)  # blocks of 2
         assert len(entropies) == 3 and len(set(entropies)) == 1
 
-    def test_too_many_children(self):
+    def test_too_many_children(self, monkeypatch, capsys):
+        # Refused before the first block is drawn, not at child 2**32.
+        def no_draws(*args):
+            raise AssertionError("drew a block")
+
+        monkeypatch.setattr(simulate, "_draw_rows", no_draws)
+        cfg = spectrum.TuningConfig(c=SQRT2)
         with pytest.raises(ValueError, match="2\\*\\*32"):
-            simulate._spawned_words(0, 4, 2**32 - 1, 2**32 + 1)
+            simulate.run_coverage(DgpSpec(), 500, 2**32 + 1, cfg, 1)
+        assert main(["simulate", "--table", "1", "--reps", str(2**32 + 1)]) == 2
+        assert "2**32" in capsys.readouterr().err
 
     def test_negative_seed_is_numpys_error(self, capsys):
         with pytest.raises(ValueError) as numpy_error:
