@@ -424,20 +424,11 @@ def _digest(path: str) -> str:
 
 
 def _manifest(args: argparse.Namespace) -> dict:
-    """Command, flags, versions and dataset digest of one run.
-
-    The SciPy version is listed only for the commands that load SciPy
-    (``simulate`` and ``conditional``), so ``estimate`` and ``curve`` never
-    import it just to name it.
-    """
+    """Command, flags, versions and dataset digest of one run."""
     echo = {k: v for k, v in sorted(vars(args).items())
             if k not in ("func",) and not k.startswith("_")}
-    versions = {"powergain": __version__, "numpy": np.__version__}
-    if args.command in ("simulate", "conditional"):
-        import scipy
-
-        versions["scipy"] = scipy.__version__
-    versions["python"] = sys.version.split()[0]
+    versions = {"powergain": __version__, "numpy": np.__version__,
+                "python": sys.version.split()[0]}
     man = {
         "command": args.command,
         "config": echo,
@@ -729,6 +720,11 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader closed stdout (`powergain ... | head`).  Point stdout at
+        # devnull so the flush at interpreter exit cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

@@ -584,11 +584,6 @@ class ConditionalReport:
         return asdict(self)
 
 
-def _power_slope(x, cv: float):
-    """d/dx of the two-sided power function: phi(cv - x) - phi(cv + x)."""
-    return _basis.gaussian_pdf(cv - x) - _basis.gaussian_pdf(cv + x)
-
-
 def conditional_delta(
     data: GroupedEffects,
     c: float,
@@ -626,9 +621,10 @@ def conditional_delta(
     wnorm = data.weights / np.bincount(g, data.weights, n_groups)[g]
     b_bar = np.bincount(g, wnorm * data.effects, n_groups)
     ratios = b_bar[g] / se
-    gains = _basis.conditional_power(c * ratios, cv) - _basis.conditional_power(ratios, cv)
-    delta = float(np.sum(gains)) / n_members
-    slope = (c * _power_slope(c * ratios, cv) - _power_slope(ratios, cv)) / se
+    power_c, slope_c = _basis.conditional_power(c * ratios, cv, slope=True)
+    power_1, slope_1 = _basis.conditional_power(ratios, cv, slope=True)
+    delta = float(np.sum(power_c - power_1)) / n_members
+    slope = (c * slope_c - slope_1) / se
     gradients = np.bincount(g, slope, n_groups) / n_members  # d(delta)/d(b_bar)
 
     if se_mode == "iid":

@@ -271,17 +271,46 @@ def _lognormal_mean_cdf():
     inverse-CDF draws.  Built on first use (two arrays of 500,000 floats)
     and kept for the life of the process.
     """
-    from scipy import special
-
     h = _LOGNORMAL_STEP
     cells = int(round(_LOGNORMAL_TOP / h))
     bounds = (np.arange(cells + 1) - 0.5) * h
     bounds[0] = 0.0
     # The LN(0, 1) CDF at b > 0 is Phi(log b); bounds[0] = 0 has CDF 0.
-    pmf = np.diff(special.ndtr(np.log(bounds[1:])), prepend=0.0)
+    pmf = np.diff(_basis._ndtr(np.log(bounds[1:])), prepend=0.0)
     pool = np.fft.irfft(np.fft.rfft(pmf) ** _LOGNORMAL_POOL, cells)
     edges = (bounds[1:] / _LOGNORMAL_POOL - _LOGNORMAL_MEAN) / _LOGNORMAL_SD
     return edges, np.cumsum(pool)
+
+
+#: a_j = C(2j, j) / 4^j, the Taylor coefficients of (1 - x)^(-1/2) that
+#: ``_t30_cdf`` sums: the first 15 near 0, the next 60 in the tails.
+_T30_SERIES = np.array([math.comb(2 * j, j) / 4 ** j for j in range(75)])
+
+
+def _t30_cdf(t):
+    """CDF of Student's t with 30 degrees of freedom, in plain NumPy.
+
+    With x = 30 / (30 + t^2), the closed form for even degrees of freedom
+    is F(t) = 1/2 + t / (2 sqrt(30 + t^2)) * sum_{j<15} a_j x^j.  As the
+    whole series sums to (1 - x)^(-1/2), the lower tail is also
+    F(-|t|) = sqrt(1 - x) / 2 * sum_{j>=15} a_j x^j, the incomplete-beta
+    tail I_x(15, 1/2) / 2, which keeps its relative accuracy; it is used
+    where x < 1/2, and its first 60 terms leave a relative error below
+    2^-59.  Against a 50-digit evaluation the absolute error is at most
+    3.5e-16 on [-45, 45] (SciPy's ``stdtr``: 2.2e-16).
+    """
+    t = np.asarray(t, dtype=float)
+    t2 = t * t
+    x = 30.0 / (30.0 + t2)
+    out = np.empty(t.shape)
+    near = x >= 0.5
+    sums = np.polyval(_T30_SERIES[14::-1], x[near])
+    out[near] = 0.5 + 0.5 * t[near] / np.sqrt(30.0 + t2[near]) * sums
+    tail = ~near
+    xt = x[tail]
+    lower = 0.5 * np.sqrt(1.0 - xt) * xt ** 15 * np.polyval(_T30_SERIES[:14:-1], xt)
+    out[tail] = np.where(t[tail] > 0.0, 1.0 - lower, lower)
+    return out
 
 
 def _power_given_effect(h, noise: str, cv: float):
@@ -290,9 +319,7 @@ def _power_given_effect(h, noise: str, cv: float):
     if noise == "normal":
         return _basis.conditional_power(h, cv)
     if noise == "t30":
-        from scipy import special
-
-        return special.stdtr(30, h - cv) + special.stdtr(30, -cv - h)
+        return _t30_cdf(h - cv) + _t30_cdf(-cv - h)
     edges, cdf = _lognormal_mean_cdf()
     return 1.0 - np.interp(cv - h, edges, cdf) + np.interp(-cv - h, edges, cdf)
 

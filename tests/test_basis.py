@@ -1,6 +1,7 @@
 """Tests for the Hermite basis and the normal-distribution helpers."""
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate, special
@@ -154,6 +155,39 @@ class TestNormalHelpers:
             basis.normal_quantile(p)
 
 
+class TestNdtr:
+    """The NumPy normal CDF that replaced ``scipy.special.ndtr``."""
+
+    # Both of Cody's range edges, |x| = 0.46875 sqrt 2 and 4 sqrt 2, lie inside.
+    GRID = np.linspace(-38.0, 9.0, 4701)
+
+    def test_within_2e16_of_a_50_digit_reference(self):
+        with mpmath.workdps(50):
+            ref = np.array([float(mpmath.ncdf(x)) for x in self.GRID.tolist()])
+        assert np.max(np.abs(basis._ndtr(self.GRID) - ref)) <= 2e-16
+
+    def test_within_2e16_of_scipy(self):
+        assert np.max(np.abs(basis._ndtr(self.GRID) - special.ndtr(self.GRID))) <= 2e-16
+
+    def test_relative_accuracy_in_the_lower_tail(self):
+        x = np.linspace(-37.0, -6.0, 311)
+        assert np.all(np.abs(basis._ndtr(x) / special.ndtr(x) - 1.0) <= 1e-12)
+
+    def test_shapes_and_limits(self):
+        assert basis._ndtr(0.0).shape == ()
+        assert basis._ndtr(np.zeros((3, 4))).shape == (3, 4)
+        assert basis._ndtr(np.empty(0)).shape == (0,)
+        x = np.array([-np.inf, -1e300, -0.0, 0.0, 1e300, np.inf])
+        assert basis._ndtr(x).tolist() == [0.0, 0.0, 0.5, 0.5, 1.0, 1.0]
+        assert np.isnan(basis._ndtr(np.nan))
+
+    def test_blocks_do_not_change_values(self, monkeypatch):
+        x = np.random.default_rng(3).normal(0.0, 4.0, 5000)
+        whole = basis._ndtr(x)
+        monkeypatch.setattr(basis, "_NDTR_BLOCK", 333)
+        assert np.array_equal(basis._ndtr(x), whole)
+
+
 class TestConditionalPower:
     def test_frozen_values(self):
         np.testing.assert_allclose(basis.conditional_power(0.0),
@@ -175,6 +209,17 @@ class TestConditionalPower:
         h = np.linspace(0.0, 6.0, 100)
         p = basis.conditional_power(h)
         assert np.all(np.diff(p) > 0)
+
+    @pytest.mark.parametrize("cv", [0.5, 1.96])
+    def test_slope_is_the_derivative(self, cv):
+        h = np.linspace(-9.0, 9.0, 1801)
+        p, slope = basis.conditional_power(h, cv, slope=True)
+        assert np.array_equal(p, basis.conditional_power(h, cv))
+        # Each density is within an ulp or two of 0.4 at most.
+        expected = basis.gaussian_pdf(cv - h) - basis.gaussian_pdf(cv + h)
+        np.testing.assert_allclose(slope, expected, rtol=0.0, atol=2e-16)
+        p0, s0 = basis.conditional_power(1.0, cv, slope=True)
+        assert (p0, s0) == (p[1000], slope[1000])
 
 
 class TestIntegrateBasis:

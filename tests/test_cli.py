@@ -876,33 +876,89 @@ class TestSimulateCommand:
         assert row["dgp"] == "truenull" and row["noise"] == "normal"
         assert row["true_delta"] == 0.0
         assert set(payload["manifest"]["versions"]) == {"powergain", "numpy",
-                                                        "scipy", "python"}
+                                                        "python"}
 
 
-def _last_json_line_of_fresh_interpreter(script, *argv):
+def _fresh_env(*first_on_path):
+    """The environment with ``first_on_path`` and this checkout's src on PYTHONPATH."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    path = (*first_on_path, src, os.environ.get("PYTHONPATH"))
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+
+
+def _last_json_line_of_fresh_interpreter(script, *argv, first_on_path=()):
     """Run ``script`` in a fresh interpreter on this checkout; its last stdout line as JSON.
 
     A fresh interpreter, because this test session itself imports SciPy.
     """
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    proc = subprocess.run([sys.executable, "-c", script, *argv], env=env,
+    proc = subprocess.run([sys.executable, "-c", script, *argv],
+                          env=_fresh_env(*first_on_path),
                           capture_output=True, text=True, timeout=300, check=True)
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-def test_simulate_loads_neither_scipy_stats_nor_integrate(tmp_path):
+def test_simulate_loads_no_scipy(tmp_path):
     script = (
         "import json, sys\n"
         "from powergain import cli\n"
-        "code = cli.main(['simulate', '--table', '2', '--reps', '3', '--seed', '1',\n"
-        "                 '--output', sys.argv[1]])\n"
-        "print(json.dumps([code, [m for m in ('scipy.stats', 'scipy.integrate')\n"
-        "                         if m in sys.modules]]))\n")
-    out = tmp_path / "table2.tsv"
-    assert _last_json_line_of_fresh_interpreter(script, str(out)) == [0, []]
-    assert len(out.read_text().splitlines()) == 1 + 7
+        "codes = [cli.main(['simulate', '--table', '2', '--reps', '3', '--seed', '1',\n"
+        "                   '--output', sys.argv[1]]),\n"
+        "         cli.main(['simulate', '--noise', 'lognormal', '--dgp', 'bimodal',\n"
+        "                   '--n', '60', '--reps', '2', '--output', sys.argv[2]])]\n"
+        "print(json.dumps([codes, [m for m in sys.modules\n"
+        "                          if m == 'scipy' or m.startswith('scipy.')]]))\n")
+    table2, lognormal = tmp_path / "table2.tsv", tmp_path / "lognormal.tsv"
+    assert _last_json_line_of_fresh_interpreter(script, str(table2), str(lognormal)) \
+        == [[0, 0], []]
+    assert len(table2.read_text().splitlines()) == 1 + 7
+    assert len(lognormal.read_text().splitlines()) == 1 + 1
+
+
+def test_every_command_runs_with_scipy_blocked(tmp_path):
+    stub = tmp_path / "stub" / "scipy"
+    stub.mkdir(parents=True)
+    (stub / "__init__.py").write_text("raise ImportError('scipy is blocked')\n")
+    script = (
+        "import json, sys\n"
+        "try:\n"
+        "    import scipy\n"
+        "    blocked = False\n"
+        "except ImportError:\n"
+        "    blocked = True\n"
+        "from powergain import cli\n"
+        "data, grouped, out = sys.argv[1:]\n"
+        "cell = ['--dgp', 'bimodal', '--n', '60', '--reps', '2', '--output', out]\n"
+        "codes = [cli.main(['estimate', data, '--output', out]),\n"
+        "         cli.main(['curve', data, '--output', out]),\n"
+        "         cli.main(['conditional', grouped, '--se', 'worstcase', '--output', out])]\n"
+        "codes += [cli.main(['simulate', '--noise', noise] + cell)\n"
+        "          for noise in ('normal', 't30', 'lognormal')]\n"
+        "print(json.dumps([blocked, codes]))\n")
+    data = write_balanced(tmp_path / "d.csv")
+    grouped = tmp_path / "g.csv"
+    grouped.write_text("group_id,effect,std_error,weight,lab_id\n"
+                       "g1,2.8016,1.0,1.0,L1\ng1,2.5,0.9,2.0,L2\ng2,0.4,0.5,1.0,L1\n")
+    assert _last_json_line_of_fresh_interpreter(
+        script, data, str(grouped), str(tmp_path / "out.txt"),
+        first_on_path=(str(tmp_path / "stub"),)) == [True, [0] * 6]
+
+
+def test_closed_pipe_exits_1_without_a_traceback():
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "powergain.cli", "simulate", "--table", "1", "--reps", "20"],
+        env=_fresh_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    try:
+        lines = [proc.stdout.readline() for _ in range(2)]
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=120)
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()
+    assert code == 1
+    assert lines[0].startswith("n\tdgp\t") and lines[1].startswith("50\ttruenull\t")
+    assert "Traceback" not in err and "BrokenPipeError" not in err
 
 
 def test_estimate_and_curve_load_no_scipy(tmp_path):
@@ -935,7 +991,7 @@ def test_estimate_and_curve_load_no_scipy(tmp_path):
     codes, steps, polynomial, random = _last_json_line_of_fresh_interpreter(
         script, data, str(tmp_path / "r.json"), str(grouped))
     assert codes == [0, 0, 0]
-    assert steps == [[], [], [], ["scipy", "scipy.special"]]
+    assert steps == [[], [], [], []]
     assert not polynomial
     assert random == [False, False, False]
 
@@ -951,7 +1007,7 @@ class TestConditionalCommand:
         report = payload["report"]
         np.testing.assert_allclose(report["delta"], 0.178, atol=1e-3)
         assert set(payload["manifest"]["versions"]) == {"powergain", "numpy",
-                                                        "scipy", "python"}
+                                                        "python"}
         assert main(["conditional", str(p)]) == 0
         assert "0.177" in capsys.readouterr().out
 

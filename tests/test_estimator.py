@@ -667,7 +667,8 @@ class TestConditionalDelta:
         calls = []
         power = basis.conditional_power
         monkeypatch.setattr(basis, "conditional_power",
-                            lambda h, cv=1.96: calls.append(np.size(h)) or power(h, cv))
+                            lambda h, cv=1.96, **kw: calls.append(np.size(h))
+                            or power(h, cv, **kw))
         groups = GroupedEffects(
             effects=np.concatenate([[0.5 + k, 1.0 + k] for k in range(4)]),
             std_errors=np.tile([1.0, 0.5], 4), weights=np.tile([1.0, 2.0], 4),

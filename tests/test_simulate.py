@@ -1,14 +1,17 @@
 """Tests for the data generators, truth oracles, and coverage driver."""
+import functools
 import math
 from collections import Counter
 from dataclasses import replace
+from decimal import Decimal, localcontext
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate, stats
 
 from mc_reference import MC_DRAWS, lognormal_pool_means, mc_powers
-from powergain import estimator, simulate, spectrum
+from powergain import basis, estimator, simulate, spectrum
 from powergain.cli import main
 from powergain.pubbias import CaliperError
 from powergain.simulate import DgpSpec
@@ -211,20 +214,53 @@ class TestQuadratureOracle:
                 assert abs(got - quadpack_power(spec, scale)) <= tol, (prior, scale)
 
     def test_t30_power_is_the_scipy_t_law(self):
-        h = np.linspace(-40.0, 40.0, 20_001)
-        for cv in (1.0, 1.96, 2.58):
-            old = stats.t.sf(cv - h, 30) + stats.t.cdf(-cv - h, 30)
-            assert np.array_equal(simulate._power_given_effect(h, "t30", cv), old)
+        # A 50-digit reference from the closed form for even degrees of
+        # freedom, itself checked against mpmath's incomplete beta function.
+        # -cv - h at h is h - cv at -h, so each argument is evaluated once.
+        @functools.cache
+        def cdf(t):
+            t = Decimal(t)
+            t2 = t * t
+            x = 30 / (30 + t2)
+            total = Decimal(0)
+            for j in reversed(range(15)):
+                total = total * x + Decimal(math.comb(2 * j, j)) / 4 ** j
+            return Decimal("0.5") + t / (2 * (30 + t2).sqrt()) * total
+
+        with localcontext() as ctx, mpmath.workdps(50):
+            ctx.prec = 50
+            for t in (-40.0, -5.5, -1.0):
+                beta = mpmath.betainc(15, 0.5, 0, 30 / (30 + mpmath.mpf(t) ** 2),
+                                      regularized=True) / 2
+                assert abs(cdf(t) - Decimal(str(beta))) < Decimal("1e-45")
+            h = np.linspace(-40.0, 40.0, 20_001)
+            for cv in (1.0, 1.96, 2.58):
+                got = simulate._power_given_effect(h, "t30", cv)
+                ref = [float(cdf(a) + cdf(b))
+                       for a, b in zip((h - cv).tolist(), (-cv - h).tolist())]
+                assert np.max(np.abs(got - ref)) <= 1e-15, cv
+                old = stats.t.sf(cv - h, 30) + stats.t.cdf(-cv - h, 30)
+                assert np.max(np.abs(got - old)) <= 1e-15, cv
 
     def test_lognormal_law_is_built_from_the_scipy_masses(self):
         step = simulate._LOGNORMAL_STEP
         cells = int(round(simulate._LOGNORMAL_TOP / step))
         bounds = (np.arange(cells + 1) - 0.5) * step
         bounds[0] = 0.0
-        pmf = np.diff(stats.lognorm.cdf(bounds, 1.0))
-        pool = np.fft.irfft(np.fft.rfft(pmf) ** simulate._LOGNORMAL_POOL, cells)
+        cell_cdf = np.concatenate([[0.0], basis._ndtr(np.log(bounds[1:]))])
+        scipy_cdf = stats.lognorm.cdf(bounds, 1.0)
+        assert np.max(np.abs(cell_cdf - scipy_cdf)) <= 2e-16
+
+        def law(cell_cdf):
+            pool = np.fft.irfft(np.fft.rfft(np.diff(cell_cdf)) ** simulate._LOGNORMAL_POOL,
+                                cells)
+            return np.cumsum(pool)
+
         edges, cdf = simulate._lognormal_mean_cdf()
-        assert np.array_equal(cdf, np.cumsum(pool))
+        assert np.array_equal(cdf, law(cell_cdf))
+        # One draw's CDFs differ by at most 2 * 2e-16, and a 185-fold
+        # convolution multiplies a CDF distance by at most 185.
+        assert np.max(np.abs(cdf - law(scipy_cdf))) <= simulate._LOGNORMAL_POOL * 4e-16
 
 
 class TestMonteCarloOracle:
