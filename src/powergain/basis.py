@@ -29,14 +29,17 @@ J_MAX = 64
 #:   y > 4:             erfc(y) = exp(-y^2) / y * (1/sqrt(pi) - P(u) / Q(u)),
 #:                      u = 1 / y^2, and P has a trailing factor u
 #: Each numerator is halved (exactly), so the ranges give erf/2 and erfc/2.
-_HALVE_NUMERATOR = np.array([[0.5], [1.0]])
-_CODY_ERF = _HALVE_NUMERATOR * np.array([
+def _halve_numerators(rows):
+    return tuple((0.5 * p, q) for p, q in rows)
+
+
+_CODY_ERF = _halve_numerators([
     [1.85777706184603153e-1, 1.0],
     [3.16112374387056560e00, 2.36012909523441209e01],
     [1.13864154151050156e02, 2.44024637934444173e02],
     [3.77485237685302021e02, 1.28261652607737228e03],
-    [3.20937758913846947e03, 2.84423683343917062e03]])[:, :, None]
-_CODY_ERFC = _HALVE_NUMERATOR * np.array([
+    [3.20937758913846947e03, 2.84423683343917062e03]])
+_CODY_ERFC = _halve_numerators([
     [2.15311535474403846e-8, 1.0],
     [5.64188496988670089e-1, 1.57449261107098347e01],
     [8.88314979438837594e00, 1.17693950891312499e02],
@@ -45,14 +48,14 @@ _CODY_ERFC = _HALVE_NUMERATOR * np.array([
     [8.81952221241769090e02, 3.29079923573345963e03],
     [1.71204761263407058e03, 4.36261909014324716e03],
     [2.05107837782607147e03, 3.43936767414372164e03],
-    [1.23033935479799725e03, 1.23033935480374942e03]])[:, :, None]
-_CODY_ERFC_FAR = _HALVE_NUMERATOR * np.array([
+    [1.23033935479799725e03, 1.23033935480374942e03]])
+_CODY_ERFC_FAR = _halve_numerators([
     [1.63153871373020978e-2, 1.0],
     [3.05326634961232344e-1, 2.56852019228982242e00],
     [3.60344899949804439e-1, 1.87295284992346725e00],
     [1.25781726111229246e-1, 5.27905102951428412e-1],
     [1.60837851487422766e-2, 6.05183413124413191e-2],
-    [6.58749161529837803e-4, 2.33520497626869185e-3]])[:, :, None]
+    [6.58749161529837803e-4, 2.33520497626869185e-3]])
 _ERF_TOP, _ERFC_MID_TOP = 0.46875, 4.0
 #: Elements per pass of ``_ndtr``: a few buffers of this size stay in cache.
 _NDTR_BLOCK = 16384
@@ -130,18 +133,22 @@ def normal_quantile(p: float) -> float:
     return statistics.NormalDist().inv_cdf(float(p))
 
 
-def _rational(y, coef, buf, out) -> None:
-    """P(y) / Q(y) for the (rows, 2, 1) coefficient table ``coef``, into out.
+def _rational(y, coef, num, den, out) -> None:
+    """P(y) / Q(y) for the coefficient rows ``coef``, into out.
 
-    One Horner sweep carries numerator and denominator together in the
-    (2, len(y)) buffer ``buf``, in place; ``out`` may be ``buf[0]``.
+    Horner steps run in place in the buffers ``num`` and ``den``, with
+    scalar coefficients; ``out`` may be ``num``.
     """
-    np.multiply(coef[0], y, out=buf)
-    for row in coef[1:-1]:
-        buf += row
-        buf *= y
-    buf += coef[-1]
-    np.divide(buf[0], buf[1], out=out)
+    np.multiply(y, coef[0][0], out=num)
+    np.multiply(y, coef[0][1], out=den)
+    for p, q in coef[1:-1]:
+        num += p
+        num *= y
+        den += q
+        den *= y
+    num += coef[-1][0]
+    den += coef[-1][1]
+    np.divide(num, den, out=out)
 
 
 def _sf_block(a, out, pdf, buf) -> None:
@@ -151,17 +158,17 @@ def _sf_block(a, out, pdf, buf) -> None:
     ``pdf``; ``buf`` is a (4, len(a)) scratch array.  Every element gets
     Cody's middle range first; those in his outer ranges are then replaced.
     """
-    y, s, ratio = buf[0], buf[1], buf[2:]
+    y, s, num, den = buf
     np.multiply(a, math.sqrt(0.5), out=y)
     near = np.flatnonzero(y <= _ERF_TOP)
     far = np.flatnonzero(y > _ERFC_MID_TOP)
     np.minimum(y, _ERFC_MID_TOP, out=s)
-    _rational(s, _CODY_ERFC, ratio, out)
+    _rational(s, _CODY_ERFC, num, den, out)
     if far.size:
         yf = y[far]
         u = 1.0 / (yf * yf)
         r = np.empty((2, far.size))
-        _rational(u, _CODY_ERFC_FAR, r, r[0])
+        _rational(u, _CODY_ERFC_FAR, r[0], r[1], r[0])
         r[0] *= u
         out[far] = (0.5 / math.sqrt(math.pi) - r[0]) / yf
     # exp(-y^2) as exp(-a^2 / 2): squaring a rather than the rounded y
@@ -175,44 +182,49 @@ def _sf_block(a, out, pdf, buf) -> None:
     if near.size:
         yn = y[near]
         r = np.empty((2, near.size))
-        _rational(yn * yn, _CODY_ERF, r, r[0])
+        _rational(yn * yn, _CODY_ERF, r[0], r[1], r[0])
         r[0] *= yn
         out[near] = 0.5 - r[0]
 
 
-def _ndtr_block(x, out, pdf, buf) -> None:
-    """Phi(x) into out, and phi(x) into pdf unless it is None, for one block.
+def _cdf_from_sf(sf, heaviside, sign) -> None:
+    """Turn sf = Q(|x|) into Phi(x) in place, given heaviside = [x > 0].
 
-    ``buf`` is a (5, len(x)) scratch array.  Phi(x) = Q(|x|) for x <= 0
-    and 1 - Q(|x|) for x > 0, that is H + (1 - 2H) Q(|x|) with H = [x > 0];
-    1 - 2H is -1 or 1, so the sign costs one rounding at most.
+    Phi(x) = Q(|x|) for x <= 0 and 1 - Q(|x|) for x > 0, that is
+    H + (1 - 2H) Q(|x|); 1 - 2H is -1 or 1, so the sign costs one rounding
+    at most.  ``sign`` is scratch of the same length.
     """
+    np.multiply(heaviside, -2.0, out=sign)
+    sign += 1.0
+    sf *= sign
+    sf += heaviside
+
+
+def _ndtr_block(x, out, buf) -> None:
+    """Phi(x) into out for one block; ``buf`` is a (5, len(x)) scratch array."""
     a = buf[0]
     np.abs(x, out=a)
-    _sf_block(a, out, pdf, buf[1:])
-    heaviside = np.greater(x, 0.0, out=a)
-    sign = np.multiply(heaviside, -2.0, out=buf[1])
-    sign += 1.0
-    out *= sign
-    out += heaviside
+    _sf_block(a, out, None, buf[1:])
+    _cdf_from_sf(out, np.greater(x, 0.0, out=a), buf[1])
 
 
-def _blockwise(kernel, x, *outs, rows: int) -> None:
+def _blockwise(kernel, x, *outs, rows: int, width: int = 1) -> None:
     """Run ``kernel(x, *outs, buf)`` over blocks of ``_NDTR_BLOCK`` elements.
 
     ``outs`` are arrays of the shape of ``x`` (or None, passed on as
-    None); ``buf`` is a (rows, block) scratch array, reused by every block.
+    None); ``buf`` is a scratch array of ``rows`` contiguous rows of
+    ``width`` elements per element of the block, reused by every block.
     """
     flat_x = x.reshape(-1)
     flat_outs = [None if o is None else o.reshape(-1) for o in outs]
-    buf = np.empty((rows, min(flat_x.size, _NDTR_BLOCK)))
+    buf = np.empty((rows, width * min(flat_x.size, _NDTR_BLOCK)))
     # x^2 overflows beyond |x| = 1.3e154, where erfc is 0 all the same.
     with np.errstate(over="ignore"):
         for start in range(0, flat_x.size, _NDTR_BLOCK):
             block = slice(start, start + _NDTR_BLOCK)
             xb = flat_x[block]
             kernel(xb, *(None if o is None else o[block] for o in flat_outs),
-                   buf[:, :xb.size])
+                   buf[:, :width * xb.size])
 
 
 def _ndtr(x) -> np.ndarray:
@@ -227,23 +239,30 @@ def _ndtr(x) -> np.ndarray:
     """
     arr = np.asarray(x, dtype=float)
     out = np.empty(arr.shape)
-    _blockwise(_ndtr_block, arr, out, None, rows=5)
+    _blockwise(_ndtr_block, arr, out, rows=5)
     return out
 
 
 def _power_block(h, out, slope, buf, *, cv: float) -> None:
-    """``conditional_power`` (and its slope unless None) for one block."""
-    x, sf, pdf, scratch = buf[0], buf[1], buf[2], buf[3:]
-    np.abs(h, out=x)
-    x -= cv
-    _ndtr_block(x, out, slope, scratch)
-    np.abs(h, out=x)
-    x += cv
-    _sf_block(x, sf, None if slope is None else pdf, scratch[:4])
-    out += sf
+    """``conditional_power`` (and its slope unless None) for one block.
+
+    One ``_sf_block`` call takes both terms, on the 2k arguments
+    ||h| - cv| and |h| + cv; ``buf`` has 7 rows of 2k elements.
+    """
+    k = h.size
+    arg, sf, pdf, scratch = buf[0], buf[1], buf[2], buf[3:]
+    lo, hi = arg[:k], arg[k:]
+    np.abs(h, out=hi)
+    np.subtract(hi, cv, out=lo)
+    hi += cv
+    heaviside = np.greater(lo, 0.0, out=out)  # until the sum below
+    np.abs(lo, out=lo)
+    _sf_block(arg, sf, None if slope is None else pdf, scratch)
+    _cdf_from_sf(sf[:k], heaviside, lo)
+    np.add(sf[:k], sf[k:], out=out)
     if slope is not None:
         # phi(|h| - cv) >= phi(|h| + cv); the slope takes the sign of h.
-        slope -= pdf
+        np.subtract(pdf[:k], pdf[k:], out=slope)
         np.copysign(slope, h, out=slope)
 
 
@@ -278,7 +297,7 @@ def conditional_power(h, cv: float = 1.96, *, slope: bool = False):
     h = np.asarray(h, dtype=float)
     out = np.empty(h.shape)
     deriv = np.empty(h.shape) if slope else None
-    _blockwise(functools.partial(_power_block, cv=cv), h, out, deriv, rows=8)
+    _blockwise(functools.partial(_power_block, cv=cv), h, out, deriv, rows=7, width=2)
     if not slope:
         return out if h.ndim else float(out)
     return (out, deriv) if h.ndim else (float(out), float(deriv))
