@@ -661,9 +661,9 @@ class TestConditionalDelta:
         with pytest.raises(ValueError, match="finite"):
             GroupedEffects(**cols, sizes=[2])
 
-    def test_conditional_power_called_twice(self, monkeypatch):
-        # Every group is estimated in one pass: one power call at c * b/s
-        # and one at b/s, however many groups there are.
+    def test_conditional_power_called_once(self, monkeypatch):
+        # Every group is estimated in one pass: one power call on c * b/s
+        # and b/s stacked, however many groups there are.
         calls = []
         power = basis.conditional_power
         monkeypatch.setattr(basis, "conditional_power",
@@ -676,7 +676,7 @@ class TestConditionalDelta:
         for mode in ("iid", "worstcase"):
             calls.clear()
             estimator.conditional_delta(groups, c=SQRT2, se_mode=mode)
-            assert calls == [8, 8]
+            assert calls == [16]
 
     # group_id, effect, std_error, weight, lab_id.  Labs are shared across
     # groups, one lab appears twice in a group, and the lab ids are in no
