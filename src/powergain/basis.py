@@ -20,6 +20,12 @@ import numpy as np
 #: sample, so this cap only guards against pathological configuration.
 J_MAX = 64
 
+
+def _halve_numerators(rows):
+    """Coefficient rows with each numerator coefficient halved (exactly)."""
+    return tuple((0.5 * p, q) for p, q in rows)
+
+
 #: W. J. Cody's rational Chebyshev approximations to erf and erfc (Math.
 #: Comp. 23 (1969) 631-637, with the coefficients of his CALERF), one per
 #: range of y, as rows of (numerator, denominator) coefficients from the
@@ -29,10 +35,6 @@ J_MAX = 64
 #:   y > 4:             erfc(y) = exp(-y^2) / y * (1/sqrt(pi) - P(u) / Q(u)),
 #:                      u = 1 / y^2, and P has a trailing factor u
 #: Each numerator is halved (exactly), so the ranges give erf/2 and erfc/2.
-def _halve_numerators(rows):
-    return tuple((0.5 * p, q) for p, q in rows)
-
-
 _CODY_ERF = _halve_numerators([
     [1.85777706184603153e-1, 1.0],
     [3.16112374387056560e00, 2.36012909523441209e01],
@@ -57,7 +59,8 @@ _CODY_ERFC_FAR = _halve_numerators([
     [1.60837851487422766e-2, 6.05183413124413191e-2],
     [6.58749161529837803e-4, 2.33520497626869185e-3]])
 _ERF_TOP, _ERFC_MID_TOP = 0.46875, 4.0
-#: Elements per pass of ``_ndtr``: a few buffers of this size stay in cache.
+#: Elements per pass of ``_ndtr`` and ``conditional_power``: a few buffers
+#: of this size stay in cache.
 _NDTR_BLOCK = 16384
 
 
