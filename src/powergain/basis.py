@@ -2,10 +2,12 @@
 
 The estimator expands everything in *normalized probabilists'* Hermite
 polynomials He_j (orthonormal under the standard normal weight).  This
-module provides their stable evaluation by one three-term recurrence, the
-Gaussian pdf, CDF and quantile used throughout, and the two-sided
-conditional power function.  Integrals of He_j need no quadrature: He'_{j+1} =
-sqrt(j+1) He_j, so ``spectrum.build_basis`` reads them off the same sweep.
+module provides their stable evaluation by one three-term recurrence (and
+the coefficients of two of its steps composed, which the kernel runs over
+the even degrees), the Gaussian pdf, CDF and quantile used throughout, and
+the two-sided conditional power function.  Integrals of He_j need no
+quadrature: He'_{j+1} = sqrt(j+1) He_j, so ``spectrum.build_basis`` reads
+them off the same sweep.
 """
 from __future__ import annotations
 
@@ -104,6 +106,28 @@ def hermite_sequence(x, jmax: int) -> np.ndarray:
     for j in range(1, jmax):
         out[j + 1] = (arr * out[j] - math.sqrt(j) * out[j - 1]) / math.sqrt(j + 1)
     return out
+
+
+@functools.cache
+def hermite_even_steps(jmax: int) -> tuple[tuple[int, int, float, float], ...]:
+    """Coefficients of the recurrence over the even degrees only, in z = x^2.
+
+    Two steps of ``hermite_sequence``'s recurrence, composed, give
+
+        He_{n+2} = ((z - (2n+1)) He_n - sqrt(n (n-1)) He_{n-2}) / sqrt((n+1)(n+2)).
+
+    The steps to n + 1 and to n + 2 give
+    sqrt((n+1)(n+2)) He_{n+2} = (z - (n+1)) He_n - sqrt(n) x He_{n-1}, and
+    the step to n gives sqrt(n) x He_{n-1} = n He_n + sqrt(n (n-1)) He_{n-2}.
+    Even He_n are polynomials in x^2 (DLMF 18.7.19), so these steps, from
+    He_0 = 1 and He_{-2} = 0, give every even degree and no odd one.
+
+    Returns ``(n, 2n + 1, sqrt(n (n-1)), sqrt((n+1)(n+2)))`` for the steps
+    n = 0, 2, ... that reach every even degree up to ``jmax``.
+    """
+    jmax = _check_degree(jmax)
+    return tuple((n, 2 * n + 1, math.sqrt(n * (n - 1)), math.sqrt((n + 1) * (n + 2)))
+                 for n in range(0, jmax - 1, 2))
 
 
 def gaussian_pdf(x, variance: float = 1.0):

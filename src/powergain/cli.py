@@ -81,19 +81,22 @@ def _text(data: bytes) -> str:
     return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 
 
-def _read_head(path: str) -> tuple[bytes, int, str, list[str], bool]:
+def _read_head(path: str, digest=None) -> tuple[bytes, int, str, list[str], bool]:
     """The file's bytes and its first non-blank line.
 
     The bytes must be UTF-8, with or without a leading byte-order mark; a
     file that is not is a dataset error naming the physical line of the
     first undecodable byte.  Returns them with the first non-blank line's
     1-based physical line number, the delimiter sniffed from that line, its
-    trimmed cells, and whether a non-blank line follows it.
+    trimmed cells, and whether a non-blank line follows it.  A ``hashlib``
+    object passed as ``digest`` is updated with the bytes as read.
     """
     try:
         data = Path(path).read_bytes()
     except OSError as exc:
         raise DatasetError(f"cannot read {path}: {exc}") from exc
+    if digest is not None:
+        digest.update(data)
     try:
         text = _text(data)
     except UnicodeDecodeError as exc:
@@ -252,7 +255,7 @@ def _trimmed(labels: np.ndarray) -> np.ndarray:
     return labels.astype(f"U{int(np.char.str_len(labels).max(initial=1))}", copy=False)
 
 
-def read_tscore_file(path: str) -> tuple[TScoreSample, bool]:
+def read_tscore_file(path: str, *, digest=None) -> tuple[TScoreSample, bool]:
     """Parse a delimited file of t-scores.
 
     Column layout: a required `t` column and an optional `study_id`
@@ -261,9 +264,11 @@ def read_tscore_file(path: str) -> tuple[TScoreSample, bool]:
     (t, study_id).  The layout and the delimiter (comma or tab) come from
     the first non-blank line.  Every row needs a finite t; otherwise the
     bad rows are reported by physical line number.  Returns the sample and
-    whether study labels were found.
+    whether study labels were found.  A ``hashlib`` object passed as
+    ``digest`` is updated with the file's bytes, so nothing reads them
+    twice.
     """
-    data, lineno, delim, first, more = _read_head(path)
+    data, lineno, delim, first, more = _read_head(path, digest)
     lowered = [c.lower() for c in first]
     if "t" in lowered:
         if not more:
@@ -294,7 +299,7 @@ def read_tscore_file(path: str) -> tuple[TScoreSample, bool]:
 _GROUP_COLUMNS = ("group_id", "effect", "std_error", "weight")
 
 
-def read_grouped_file(path: str) -> GroupedEffects:
+def read_grouped_file(path: str, *, digest=None) -> GroupedEffects:
     """Parse grouped effect data for the conditional estimator.
 
     Required columns: group_id, effect, std_error, weight; optional
@@ -303,9 +308,10 @@ def read_grouped_file(path: str) -> GroupedEffects:
     effect, std_error or weight is not a finite number are rejected with
     their line numbers.  Returns the member columns as one
     ``GroupedEffects``: groups in order of first appearance, members in
-    file order, with no per-group object built.
+    file order, with no per-group object built.  ``digest`` is as for
+    ``read_tscore_file``.
     """
-    data, lineno, delim, first, more = _read_head(path)
+    data, lineno, delim, first, more = _read_head(path, digest)
     first = [c.lower() for c in first]
     if any(c in _GROUP_COLUMNS or c == "lab_id" for c in first):
         missing = [c for c in _GROUP_COLUMNS if c not in first]
@@ -419,12 +425,12 @@ def _csv_table(rows: list[dict], columns: list[str]) -> str:
 # ---------------------------------------------------------------------------
 # manifests and output plumbing
 
-def _digest(path: str) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-
-
 def _manifest(args: argparse.Namespace) -> dict:
-    """Command, flags, versions and dataset digest of one run."""
+    """Command, flags, versions and dataset digest of one run.
+
+    The digest is the one the reader took of the bytes it parsed
+    (``args._sha256``, set by the command).
+    """
     echo = {k: v for k, v in sorted(vars(args).items())
             if k not in ("func",) and not k.startswith("_")}
     versions = {"powergain": __version__, "numpy": np.__version__,
@@ -437,7 +443,7 @@ def _manifest(args: argparse.Namespace) -> dict:
     }
     dataset = getattr(args, "dataset", None)
     if dataset is not None:
-        man["dataset"] = {"path": dataset, "sha256": _digest(dataset)}
+        man["dataset"] = {"path": dataset, "sha256": args._sha256}
     return man
 
 
@@ -517,7 +523,9 @@ def _tuning_from_args(args: argparse.Namespace, n_effective: int | None = None) 
 
 
 def _load_sample(args: argparse.Namespace) -> TScoreSample:
-    sample, has_sid = read_tscore_file(args.dataset)
+    digest = hashlib.sha256()
+    sample, has_sid = read_tscore_file(args.dataset, digest=digest)
+    args._sha256 = digest.hexdigest()
     if not has_sid:
         print("warning: no study_id column found; treating every t-score as "
               "its own cluster. Standard errors assume full independence — "
@@ -596,7 +604,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_conditional(args: argparse.Namespace) -> int:
-    groups = read_grouped_file(args.dataset)
+    digest = hashlib.sha256()
+    groups = read_grouped_file(args.dataset, digest=digest)
+    args._sha256 = digest.hexdigest()
     report = conditional_delta(groups, c=_c_from_args(args), cv=args.cv,
                                se_mode=args.se).to_dict()
     return _emit(args, "report", report, render_conditional_text)

@@ -196,7 +196,7 @@ def status_quo_power(t, cv: float = 1.96) -> float:
 
 
 #: Row statuses of the estimation core: why a row has no interval.
-ROW_OK, ROW_EMPTY_UPPER_BIN, ROW_ZERO_WEIGHTS, ROW_NO_SE = 0, 1, 2, 3
+ROW_OK, ROW_EMPTY_UPPER_BIN, ROW_ZERO_WEIGHTS, ROW_NO_SE, ROW_ZERO_KERNEL = 0, 1, 2, 3, 4
 
 _ZERO_WEIGHTS = ("estimator undefined: selection weights sum to zero "
                  "(theta = 0 with every score significant)")
@@ -210,8 +210,11 @@ class RowEstimates:
     (the caliper ratio is undefined) and ``ROW_ZERO_WEIGHTS`` (theta_hat
     = 0 with every score significant) leave every field NaN;
     ``ROW_NO_SE`` (no score just below the cutoff, so theta_hat = 0) keeps
-    delta and leaves the SE and the interval NaN.  ``theta`` is None
-    without the publication-bias correction.
+    delta and leaves the SE and the interval NaN.  ``ROW_ZERO_KERNEL``
+    (the kernel is 0 at every score of the row although its basis has a
+    coefficient a_j != 0: it underflowed) leaves delta, the SE and the
+    interval NaN.  Only this status depends on the kernel.  ``theta`` is
+    None without the publication-bias correction.
     """
 
     delta: np.ndarray
@@ -227,23 +230,24 @@ def _gathered(values: np.ndarray, index) -> np.ndarray:
     return values if index is None else np.take(values, index, axis=1)
 
 
-def _estimate_rows(kernels, index, codes, caliper, alpha) -> list[RowEstimates]:
+def _estimate_rows(kernels, bases, index, codes, caliper, alpha) -> list[RowEstimates]:
     """The one estimation core: R samples of n scores, row-wise, for each kernel.
 
     Each row holds its scores as a table of K values, and ``index`` (n,)
     takes each score to its table entry; ``index=None`` means that the
     table is the scores themselves, and nothing is gathered.  ``kernels``
-    has shape (G, R, K): G kernels' values S on the table; every row
-    shares the n cluster ``codes``.
+    has shape (G, R, K): the values S on the table of the G ``bases``;
+    every row shares the n cluster ``codes``.
     ``caliper`` is ``pubbias.caliper_tail``'s ``(theta, tail)`` of the
     table: the kernel mean of each row is reweighted by its caliper
     estimate theta_hat and the SE comes from the influence function.
     With ``caliper=None`` every weight is 1 and the SE is the cluster
-    sandwich of the kernel values.  The weights and the row statuses do not
-    depend on the kernel and are formed once; W, X and m are formed on the
-    table.  Every sum over a row (the weighted kernel mean, the mean in Q
-    and the variance) runs over its n gathered scores in score order, so
-    the estimates do not depend on how the scores are tabled.  Returns one
+    sandwich of the kernel values.  The weights and the caliper's row
+    statuses do not depend on the kernel and are formed once; W, X and m
+    are formed on the table.  Every sum over a row (the weighted kernel
+    mean, the mean in Q and the variance) runs over its n gathered scores
+    in score order, so the estimates do not depend on how the scores are
+    tabled.  Returns one
     ``RowEstimates`` per kernel.
     """
     R, K = kernels.shape[1:]
@@ -265,19 +269,27 @@ def _estimate_rows(kernels, index, codes, caliper, alpha) -> list[RowEstimates]:
         failed = empty_upper | zero_weights
 
     out = []
-    for S in kernels:
+    for S, b in zip(kernels, bases):
         # A failing row's inf or NaN stays in that row, down to its variance.
         with np.errstate(divide="ignore", invalid="ignore"):
             scores = _gathered(S, index)
             delta = np.einsum("ij,ij->i", scores, omega) / wsum
-            delta[failed] = np.nan
+            row_status, row_failed = status, failed
+            # A kernel that is 0 at every score gives delta = 0, and only at
+            # c = 1, where every a_j is 0, is that exact.
+            zero = delta == 0.0
+            if zero.any() and b.a.any():
+                zero &= ~failed & ~S.any(axis=1)
+                row_status = np.where(zero, np.int8(ROW_ZERO_KERNEL), status)
+                row_failed = failed | zero
+            delta[row_failed] = np.nan
             if caliper is not None:
                 scores = _gathered(_inference.influence(S, theta, tail, index), index)
-            v = np.where(status == ROW_OK, _inference.variance_hat(scores, codes), np.nan)
+            v = np.where(row_status == ROW_OK, _inference.variance_hat(scores, codes), np.nan)
             se = np.sqrt(v)
             ci_low, ci_high = _inference.confidence_interval(delta, v, alpha)
         out.append(RowEstimates(delta=delta, se=se, ci_low=ci_low, ci_high=ci_high,
-                                theta=theta, status=status))
+                                theta=theta, status=row_status))
     return out
 
 
@@ -292,8 +304,8 @@ def _reports(
     """Point estimate, cluster SE and interval of one sample on each basis.
 
     The bases share J, cv and sigma_T^2 and differ only in c, so the
-    caliper (with ``pb``), the status-quo power and the Hermite blocks of
-    the kernel are computed once; the row core then runs on the sample as
+    caliper (with ``pb``), the status-quo power and the kernel's Hermite
+    recurrence are computed once; the row core then runs on the sample as
     one row per basis.  All of it is evaluated on the sample's table of
     distinct |t| values (``TScoreSample``): the kernel, the caliper masks
     (whose counts sum the table's multiplicities) and the influence terms
@@ -303,12 +315,13 @@ def _reports(
     influence function; without it every weight is 1 and the standard
     error is the cluster sandwich of the kernel values.  The row status
     decides the errors: ``CaliperError`` for an empty upper caliper bin,
-    ``EstimationError`` for selection weights summing to zero, and
-    ``EstimationError`` for an estimate or SE that is not finite (the
-    kernel overflows when sigma_T^2 or D drives J too high).  A flag and
-    a NaN standard error and interval mark the two cases with an estimate
-    but no SE: no score just below the cutoff, and (at c > 1) a sample
-    whose scores all share one cluster.
+    ``EstimationError`` for selection weights summing to zero, for a
+    kernel that underflows to 0 at every score (at c > 1), and for an
+    estimate or SE that is not finite (the kernel overflows when
+    sigma_T^2 or D drives J too high).  A flag and a NaN standard error
+    and interval mark the two cases with an estimate but no SE: no score
+    just below the cutoff, and (at c > 1) a sample whose scores all share
+    one cluster.
     """
     t, cv = sample.t, bases[0].cv
     table = sample._table
@@ -320,13 +333,17 @@ def _reports(
         # is raised below as an EstimationError.
         kernels = _spectrum.kernel_S_grid(table, bases)[:, None]
     reports = []
-    for b, rows in zip(bases, _estimate_rows(kernels, sample._table_index,
+    for b, rows in zip(bases, _estimate_rows(kernels, bases, sample._table_index,
                                              sample._cluster_codes, caliper, alpha)):
         status = rows.status[0]
         if status == ROW_EMPTY_UPPER_BIN:
             raise _pubbias.CaliperError.empty_upper_bin(epsilon, cv)
         if status == ROW_ZERO_WEIGHTS:
             raise EstimationError(_ZERO_WEIGHTS)
+        if status == ROW_ZERO_KERNEL:
+            raise EstimationError(
+                f"the spectral kernel is 0 at every score: it underflows at J = {b.J} "
+                f"with sigma_T^2 = {b.sigmaT2:g}; use a larger --sigma-t2 or --const-D")
         delta, se = float(rows.delta[0]), float(rows.se[0])
         if not (math.isfinite(delta) and (status == ROW_NO_SE or math.isfinite(se))):
             raise EstimationError(
@@ -393,7 +410,10 @@ def delta_hat_pb_rows(
     t = np.asarray(t, dtype=float)
     if t.ndim != 2 or t.size == 0:
         raise ValueError(f"need a non-empty (R, n) array of scores, got shape {t.shape}")
-    return _estimate_rows(_spectrum.kernel_S(t, b)[None], None, np.arange(t.shape[1]),
+    with np.errstate(over="ignore", invalid="ignore"):
+        # A kernel that overflows leaves its row's estimate and SE not finite.
+        kernel = _spectrum.kernel_S(t, b)
+    return _estimate_rows(kernel[None], [b], None, np.arange(t.shape[1]),
                           _pubbias.caliper_tail(t, epsilon, b.cv), alpha)[0]
 
 
@@ -495,8 +515,8 @@ def power_gain_curve(
 
     Returns one ``EstimateReport`` per c, flags included.  J and epsilon
     come from the tuning rule once — they do not depend on c — and so do
-    theta_hat, the caliper tail and the status-quo power.  Each Hermite
-    block is built once and contracted with every grid point's
+    theta_hat, the caliper tail and the status-quo power.  One pass of
+    the kernel's Hermite recurrence serves every grid point's
     coefficients, and each point then runs the row core on its own, so a
     one-point grid is exactly ``estimate``.  The c = 1 point is exactly
     zero with zero variance (every contrast coefficient vanishes).

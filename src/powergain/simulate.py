@@ -150,10 +150,11 @@ def _draw_rows(spec: DgpSpec, n: int, rngs) -> np.ndarray:
 
     Each generator first draws 2n + 32 effects, noises and thinning
     uniforms into its row of a block, and the block is thinned at once:
-    its first n kept scores are the row.  A row that keeps fewer than n
-    draws further rounds of 2 * (n - kept) + 32 from its own generator
-    until it has n.  Row r is therefore the same, bit for bit, whether
-    rngs[r] is drawn alone or in a block.
+    its first n kept scores are the row, gathered from the flat positions
+    of every kept draw.  A row that keeps fewer than n draws further rounds
+    of 2 * (n - kept) + 32 from its own generator until it has n.  Row r is
+    therefore the same, bit for bit, whether rngs[r] is drawn alone or in
+    a block.
     """
     m = 2 * n + 32
     t, u = np.empty((len(rngs), m)), np.empty((len(rngs), m))
@@ -161,20 +162,21 @@ def _draw_rows(spec: DgpSpec, n: int, rngs) -> np.ndarray:
         np.add(_draw_prior(spec, rng, m), _draw_noise(spec.noise, rng, m), out=t[r])
         rng.random(out=u[r])
     keep = significant(t, spec.cv) | (u < spec.theta0)
-    have = np.cumsum(keep, axis=1)
-    keep &= have <= n
-    for r in np.flatnonzero(have[:, -1] < n):
-        rng, kept, got = rngs[r], [t[r, keep[r]]], int(have[r, -1])
+    kept = np.count_nonzero(keep, axis=1)
+    at = np.flatnonzero(keep)  # row after row
+    full = kept >= n
+    out = np.empty((len(rngs), n))
+    # Row r's kept draws start at entry sum(kept[:r]) of at.
+    out[full] = t.reshape(-1)[at[(np.cumsum(kept) - kept)[full, None] + np.arange(n)]]
+    for r in np.flatnonzero(~full):
+        rng, more, got = rngs[r], [t[r, keep[r]]], int(kept[r])
         while got < n:
             m = 2 * (n - got) + 32
-            more = _draw_prior(spec, rng, m) + _draw_noise(spec.noise, rng, m)
-            more = more[significant(more, spec.cv) | (rng.random(m) < spec.theta0)]
-            kept.append(more)
-            got += more.size
-        t[r, :n] = np.concatenate(kept)[:n]
-        keep[r] = False
-        keep[r, :n] = True
-    return t[keep].reshape(len(rngs), n)
+            draws = _draw_prior(spec, rng, m) + _draw_noise(spec.noise, rng, m)
+            more.append(draws[significant(draws, spec.cv) | (rng.random(m) < spec.theta0)])
+            got += more[-1].size
+        out[r] = np.concatenate(more)[:n]
+    return out
 
 
 #: Constants of NumPy's SeedSequence hash (numpy/random/bit_generator.pyx),
@@ -409,8 +411,8 @@ class CoverageRow:
     Column order of the delimited form follows the published layout:
     sample size, prior, true power, true gain, then the Monte Carlo
     mean/SD of the estimate, mean standard error, and coverage of the
-    nominal 95% interval.  ``failures`` counts replications where the
-    caliper ratio was unavailable (empty bin) — those are excluded from
+    nominal 95% interval.  ``failures`` counts replications without a
+    finite standard error (see ``run_coverage``) — those are excluded from
     the averages but reported, never silently dropped.
     """
 
@@ -450,10 +452,12 @@ def run_coverage(spec: DgpSpec, n: int, reps: int,
     correction, and checks whether the nominal 95% interval contains the
     oracle gain.  Tuning is selected once from n (the retained count is
     exactly n by construction).  Replications whose caliper bin is empty,
-    whose selection weights sum to zero, or where no score lands just
-    below the cutoff (point estimate fine but no standard error), are
-    tallied as failures.  Deterministic given (spec, n, reps, cfg, seed);
-    substreams make the replication loop order-independent.
+    whose selection weights sum to zero, whose kernel is 0 at every score
+    (it underflowed), or where no score lands just below the cutoff (point
+    estimate fine but no standard error), are tallied as failures, as is
+    one whose estimate or SE is not finite.  Deterministic given (spec, n,
+    reps, cfg, seed); substreams make the replication loop
+    order-independent.
 
     Replication i draws from child i of ``SeedSequence(seed).spawn(reps)``,
     so at most 2**32 replications can run.  Replications run in blocks of

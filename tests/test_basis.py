@@ -111,6 +111,24 @@ class TestHermiteSequence:
         gram = (table * weights) @ table.T
         np.testing.assert_allclose(gram, np.eye(21), atol=1e-8)
 
+    @pytest.mark.parametrize("jmax", [0, 1, 2, 13, 40, basis.J_MAX])
+    def test_even_steps_give_the_even_rows(self, jmax):
+        x = np.linspace(-12.0, 12.0, 481)
+        steps = basis.hermite_even_steps(jmax)
+        assert [n for n, *_ in steps] == list(range(0, jmax - 1, 2))
+        lower, upper = np.zeros_like(x), np.ones_like(x)
+        rows = [upper]
+        for n, shift, back, scale in steps:
+            assert (shift, back ** 2, scale ** 2) == pytest.approx(
+                (2 * n + 1, n * (n - 1), (n + 1) * (n + 2)), rel=1e-15)
+            lower, upper = upper, ((x * x - shift) * upper - back * lower) / scale
+            rows.append(upper)
+        even = basis.hermite_sequence(x, jmax)[::2]
+        assert len(rows) == len(even)
+        # Within 64 ulp of each row's largest value.
+        scale = np.abs(even).max(axis=1, keepdims=True)
+        assert (np.abs(np.array(rows) - even) <= 64 * np.finfo(float).eps * scale).all()
+
 
 class TestNormalHelpers:
     def test_gaussian_pdf_frozen(self):

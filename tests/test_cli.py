@@ -1,5 +1,6 @@
 """Tests for file ingestion, rendering, and the command-line entry point."""
 import csv
+import hashlib
 import io
 import json
 import math
@@ -8,6 +9,7 @@ import re
 import subprocess
 import sys
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -861,6 +863,18 @@ class TestSimulateCommand:
         assert capsys.readouterr().out == first
         assert first.splitlines()[0].startswith("n\tdgp\tunc_power")
 
+    @pytest.mark.parametrize("const_d", ["0.05", "1e-300"])
+    def test_zero_kernel_replications_fail(self, tmp_path, const_d):
+        # sigma_T^2 = 1e-12: at D = 0.05 (J = 0) the kernel is 0 at every
+        # score; at D = 1e-300 (J = 50) a_j He_j overflows and it is NaN.
+        out = tmp_path / "s.json"
+        assert main(["simulate", "--dgp", "bimodal", "--n", "500", "--reps", "4",
+                     "--sigma-t2", "1e-12", "--const-D", const_d,
+                     "--out", "json", "--output", str(out)]) == 0
+        row = json.loads(out.read_text())["rows"][0]
+        assert row["failures"] == row["reps"] == 4
+        assert row["mean_delta"] is None and row["coverage"] is None
+
     def test_table_conflicts_with_noise(self, capsys):
         assert main(["simulate", "--table", "1", "--noise", "t30",
                      "--reps", "1"]) == 2
@@ -1041,6 +1055,24 @@ def quick_argv(tmp_path, command):
 
 
 class TestOutputFile:
+    @pytest.mark.parametrize("command", ["estimate", "curve", "conditional"])
+    def test_manifest_hashes_the_one_read(self, tmp_path, monkeypatch, command):
+        argv = quick_argv(tmp_path, command)
+        data = Path(argv[1])
+        want = hashlib.sha256(data.read_bytes()).hexdigest()
+        reads = []
+        read_bytes = Path.read_bytes
+
+        def counting(path):
+            reads.append(str(path))
+            return read_bytes(path)
+
+        monkeypatch.setattr(Path, "read_bytes", counting)
+        out = tmp_path / "r.json"
+        assert main(argv + ["--out", "json", "--output", str(out)]) == 0
+        assert reads == [str(data)]
+        assert json.loads(out.read_text())["manifest"]["dataset"]["sha256"] == want
+
     @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
     @pytest.mark.parametrize("command", ["estimate", "curve", "simulate", "conditional"])
     def test_same_as_stdout(self, tmp_path, capsys, command, fmt):
@@ -1179,6 +1211,21 @@ class TestParser:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ")
+        assert "--sigma-t2" in captured.err and "--const-D" in captured.err
+
+    @pytest.mark.parametrize("command", ["estimate", "curve"])
+    def test_underflowing_kernel_is_exit_four(self, tmp_path, capsys, command):
+        # sigma_T^2 = 1e-12 keeps J = 0, and phi(t; sigma_T^2), so the
+        # kernel, underflows to 0 wherever |t| > 4e-5: every score here.
+        rng = np.random.default_rng(5)
+        t = rng.normal(np.where(rng.random(20000) < 0.5, 0.0, 2.8), 1.4)
+        assert np.abs(t).min() > 1e-4
+        p = tmp_path / "d.csv"
+        p.write_text("t\n" + "".join(f"{x!r}\n" for x in t.tolist()))
+        assert main([command, str(p), "--sigma-t2", "1e-12"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1].startswith("error: the spectral kernel is 0")
         assert "--sigma-t2" in captured.err and "--const-D" in captured.err
 
     def test_invalid_choice_is_exit_two(self, capsys):

@@ -253,6 +253,28 @@ class TestRowCore:
             assert math.isnan(rep.se) == (k == 2)
         assert rows.se[3] == rep.se
 
+    def test_zero_kernel_rows_fail(self):
+        # At sigma_T^2 = 1e-12 the density phi(t; sigma_T^2), and so S,
+        # underflows to 0 wherever |t| > 4e-5.  epsilon 0.3 as above.
+        t = np.array([[1.8, 2.0, 0.3],    # S = 0 at every score
+                      [0.5, 2.0, 0.1],    # theta 0 as well
+                      [1.8, 2.0, 0.0],    # S(0) > 0
+                      [0.5, 1.0, 0.1]])   # upper bin empty
+        b = make_basis(J=0, sigmaT2=1e-12)
+        rows = estimator.delta_hat_pb_rows(t, b, 0.3)
+        assert rows.status.tolist() == [estimator.ROW_ZERO_KERNEL, estimator.ROW_ZERO_KERNEL,
+                                        estimator.ROW_OK, estimator.ROW_EMPTY_UPPER_BIN]
+        for field in (rows.delta, rows.se, rows.ci_low, rows.ci_high):
+            assert np.isnan(field[[0, 1, 3]]).all() and np.isfinite(field[2])
+        for k in (0, 1):
+            with pytest.raises(EstimationError, match="--sigma-t2 or --const-D"):
+                estimator.delta_hat_pb(TScoreSample.from_scores(t[k]), b, 0.3)
+        # At c = 1 every a_j is 0, so the zero kernel is exact.
+        exact = estimator.delta_hat_pb_rows(t, make_basis(J=0, sigmaT2=1e-12, c=1.0), 0.3)
+        assert exact.status.tolist() == [estimator.ROW_OK, estimator.ROW_NO_SE,
+                                         estimator.ROW_OK, estimator.ROW_EMPTY_UPPER_BIN]
+        assert (exact.delta[:3] == 0.0).all() and exact.se[0] == exact.se[2] == 0.0
+
     def test_rejects_flat_input(self):
         with pytest.raises(ValueError, match="R, n"):
             estimator.delta_hat_pb_rows(np.ones(4), make_basis(J=4), 0.3)
@@ -284,7 +306,7 @@ def _direct_rows(sample, bases, epsilon, pb=True, alpha=0.05):
     """
     t, identity = sample.t, np.arange(sample.n)
     caliper = pubbias.caliper_tail(t[None], epsilon, bases[0].cv) if pb else None
-    rows = estimator._estimate_rows(spectrum.kernel_S_grid(t, bases)[:, None], identity,
+    rows = estimator._estimate_rows(spectrum.kernel_S_grid(t, bases)[:, None], bases, identity,
                                     sample._cluster_codes, caliper, alpha)
     return np.array([[r.delta[0], r.se[0], r.ci_low[0], r.ci_high[0],
                       r.theta[0] if pb else np.nan] for r in rows])

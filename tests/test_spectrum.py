@@ -2,6 +2,7 @@
 import itertools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from test_basis import a_by_quadrature
@@ -158,6 +159,37 @@ class TestKernelS:
         t = rng.normal(0.0, 2.0, size=100)
         np.testing.assert_allclose(spectrum.kernel_S(t, b),
                                    spectrum.kernel_S(-t, b), rtol=1e-12)
+
+    @pytest.mark.parametrize("J", [12, 40, 64])
+    def test_even_and_block_free_bit_for_bit(self, monkeypatch, J):
+        b = spectrum.build_basis(default_config(c=2.0), J)
+        t = np.random.default_rng(J).normal(0.0, 3.0, size=1000)
+        whole = spectrum.kernel_S(t, b)
+        assert spectrum.kernel_S(-t, b).tolist() == whole.tolist()
+        assert [spectrum.kernel_S(x, b) for x in t[:50]] == whole[:50].tolist()
+        for chunk in (1, 7, 333):
+            monkeypatch.setattr(spectrum, "_CHUNK", chunk)
+            assert spectrum.kernel_S(t, b).tolist() == whole.tolist()
+
+    def test_within_5e14_of_a_50_digit_reference(self):
+        # The basis's own a_j are the coefficients, so this is the error of
+        # the kernel's sum alone, relative to max |S| on |t| <= 12.
+        t = np.linspace(0.0, 12.0, 25)
+        for c2, s2, J in itertools.product((1.5, 2.0, 4.0, 8.0), (0.5, 1.0, 2.0),
+                                           (12, 26, 40, 64)):
+            b = spectrum.build_basis(default_config(c=math.sqrt(c2), sigmaT2=s2), J)
+            with mpmath.workdps(50):
+                ref = []
+                for x in t.tolist():
+                    x = mpmath.mpf(x) / mpmath.sqrt(s2)
+                    lower, upper, total = mpmath.mpf(1), x, mpmath.mpf(b.a[0])
+                    for j in range(1, J):
+                        lower, upper = upper, (x * upper - mpmath.sqrt(j) * lower) / mpmath.sqrt(j + 1)
+                        total += mpmath.mpf(b.a[j + 1]) * upper
+                    ref.append(float(total * mpmath.npdf(x) / mpmath.sqrt(s2)))
+            ref = np.array(ref)
+            err = np.max(np.abs(spectrum.kernel_S(t, b) - ref)) / np.max(np.abs(ref))
+            assert err <= 5e-14, f"c2={c2}, s2={s2}, J={J}: {err:.2e}"
 
     def test_scalar_input_returns_scalar(self):
         cfg = default_config()
