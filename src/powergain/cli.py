@@ -14,6 +14,7 @@ import argparse
 import codecs
 import csv
 import errno
+import functools
 import hashlib
 import io
 import json
@@ -709,9 +710,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: The parser ``main`` parses with: built on first use, then kept for the
+#: process.  Each parse fills a new namespace and leaves the parser as it was.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command line; returns its exit code (see the module docstring).
+
+    ``argv`` defaults to ``sys.argv[1:]``.  Every call in a process parses
+    with one parser, built by the first call, so a program that calls
+    ``main`` many times builds it once; ``build_parser`` still returns a
+    fresh one.  A flag error exits 2 through ``SystemExit``, as argparse
+    does.
+    """
+    args = _parser().parse_args(argv)
     try:
         if args.output:
             _check_output(args.output)

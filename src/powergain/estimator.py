@@ -196,7 +196,8 @@ def status_quo_power(t, cv: float = 1.96) -> float:
 
 
 #: Row statuses of the estimation core: why a row has no interval.
-ROW_OK, ROW_EMPTY_UPPER_BIN, ROW_ZERO_WEIGHTS, ROW_NO_SE, ROW_ZERO_KERNEL = 0, 1, 2, 3, 4
+(ROW_OK, ROW_EMPTY_UPPER_BIN, ROW_ZERO_WEIGHTS, ROW_NO_SE, ROW_ZERO_KERNEL,
+ ROW_KERNEL_OVERFLOW) = range(6)
 
 _ZERO_WEIGHTS = ("estimator undefined: selection weights sum to zero "
                  "(theta = 0 with every score significant)")
@@ -213,8 +214,12 @@ class RowEstimates:
     delta and leaves the SE and the interval NaN.  ``ROW_ZERO_KERNEL``
     (the kernel is 0 at every score of the row although its basis has a
     coefficient a_j != 0: it underflowed) leaves delta, the SE and the
-    interval NaN.  Only this status depends on the kernel.  ``theta`` is
-    None without the publication-bias correction.
+    interval NaN.  ``ROW_KERNEL_OVERFLOW`` (the kernel is not finite at
+    some score of the row, or its mean is not: a_j He_j overflowed) keeps
+    delta, which is then not finite, and leaves the SE and the interval
+    NaN.  A row that would be ``ROW_NO_SE`` gets this status instead.
+    Only these two statuses depend on the kernel.  ``theta`` is None
+    without the publication-bias correction.
     """
 
     delta: np.ndarray
@@ -283,6 +288,11 @@ def _estimate_rows(kernels, bases, index, codes, caliper, alpha) -> list[RowEsti
                 row_status = np.where(zero, np.int8(ROW_ZERO_KERNEL), status)
                 row_failed = failed | zero
             delta[row_failed] = np.nan
+            # Otherwise the weights are finite and their sum positive, so
+            # only the kernel makes the estimate not finite.
+            overflow = ~(np.isfinite(delta) | row_failed)
+            if overflow.any():
+                row_status = np.where(overflow, np.int8(ROW_KERNEL_OVERFLOW), row_status)
             if caliper is not None:
                 scores = _gathered(_inference.influence(S, theta, tail, index), index)
             v = np.where(row_status == ROW_OK, _inference.variance_hat(scores, codes), np.nan)
@@ -345,6 +355,8 @@ def _reports(
                 f"the spectral kernel is 0 at every score: it underflows at J = {b.J} "
                 f"with sigma_T^2 = {b.sigmaT2:g}; use a larger --sigma-t2 or --const-D")
         delta, se = float(rows.delta[0]), float(rows.se[0])
+        # A ROW_KERNEL_OVERFLOW row has a delta that is not finite; a finite
+        # kernel can still overflow in the SE.
         if not (math.isfinite(delta) and (status == ROW_NO_SE or math.isfinite(se))):
             raise EstimationError(
                 f"estimate not finite (delta {delta}, SE {se}): the spectral kernel "

@@ -455,8 +455,8 @@ def run_coverage(spec: DgpSpec, n: int, reps: int,
     whose selection weights sum to zero, whose kernel is 0 at every score
     (it underflowed), or where no score lands just below the cutoff (point
     estimate fine but no standard error), are tallied as failures, as is
-    one whose estimate or SE is not finite.  Deterministic given (spec, n,
-    reps, cfg, seed); substreams make the replication loop
+    one whose kernel overflows or whose SE is not finite.  Deterministic
+    given (spec, n, reps, cfg, seed); substreams make the replication loop
     order-independent.
 
     Replication i draws from child i of ``SeedSequence(seed).spawn(reps)``,

@@ -205,6 +205,22 @@ class TestNdtr:
         monkeypatch.setattr(basis, "_NDTR_BLOCK", 333)
         assert np.array_equal(basis._ndtr(x), whole)
 
+    @pytest.mark.parametrize("inner_share", [0.1, 0.5, 0.9])
+    def test_mixed_ranges_bit_for_bit(self, inner_share):
+        # Blocks that mix Cody's three ranges, the middle one holding most,
+        # half or little of the block, give each element the bits it gets
+        # alone.
+        rng = np.random.default_rng(11)
+        x = np.where(rng.random(600) < inner_share,
+                     rng.uniform(-0.66, 0.66, 600), rng.normal(0.0, 4.0, 600))
+        x[:4] = [0.46875 * math.sqrt(2.0), 4.0 * math.sqrt(2.0), -np.inf, 40.0]
+        alone = np.array([basis._ndtr(v) for v in x.tolist()])
+        assert np.array_equal(basis._ndtr(x), alone)
+        power, slope = basis.conditional_power(x + 1.96, slope=True)
+        for k, v in enumerate(x.tolist()):
+            p1, s1 = basis.conditional_power(v + 1.96, slope=True)
+            assert power[k] == p1 and slope[k] == s1
+
 
 class TestConditionalPower:
     def test_frozen_values(self):

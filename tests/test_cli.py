@@ -240,7 +240,9 @@ HEADS = [
 
 
 class TestReadHead:
-    """The head is that of the whole decoded text, whatever the scan block size."""
+    """``_read_head`` gives the first non-blank line of the whole decoded text
+    (``reference_head``), and the readers built on it read multibyte labels
+    and header-only files alike for every ``_SCAN_BLOCK`` of the label scan."""
 
     @pytest.mark.parametrize("block", [1, 2, 3, 5, 1 << 16])
     @pytest.mark.parametrize("text", HEADS)
@@ -1237,3 +1239,43 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+    def test_one_parser_per_process(self):
+        assert cli._parser() is cli._parser()
+        assert cli.build_parser() is not cli.build_parser()
+
+    def test_no_flag_carries_over(self, tmp_path):
+        p = write_balanced(tmp_path / "d.csv")
+        out = tmp_path / "r.json"
+
+        def payload(*flags):
+            assert main(["estimate", p, *flags, "--out", "json", "--output", str(out)]) == 0
+            result = json.loads(out.read_text())
+            del result["manifest"]["timestamp"]
+            return result
+
+        cli._parser.cache_clear()
+        first = payload()
+        assert payload("--no-pb", "--c2", "4") != first
+        assert payload() == first
+
+    @pytest.mark.parametrize("command", ["estimate", "curve", "simulate", "conditional", None])
+    def test_help_and_bad_flag_twice(self, capsys, command):
+        argv = [] if command is None else [command]
+        helps = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, "--help"])
+            assert exc.value.code == 0
+            helps.append(capsys.readouterr().out)
+        assert helps[0] == helps[1]
+        assert helps[0].startswith(f"usage: powergain {command or ''}".rstrip())
+        if command is None:
+            assert helps[0] == cli.build_parser().format_help()
+        errors = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, "--no-such-flag"])
+            assert exc.value.code == 2
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1] and errors[0].startswith("usage: powergain")

@@ -275,6 +275,27 @@ class TestRowCore:
                                          estimator.ROW_OK, estimator.ROW_EMPTY_UPPER_BIN]
         assert (exact.delta[:3] == 0.0).all() and exact.se[0] == exact.se[2] == 0.0
 
+    def test_overflowing_kernel_rows_fail(self):
+        # sigma_T^2 = 1e-12 and D = 1e-300 make the tuning rule pick J = 50
+        # at n = 500, where a_50 He_50 overflows and inf * phi is NaN.
+        cfg = make_config(sigmaT2=1e-12, D=1e-300, n_effective=500)
+        J, epsilon = spectrum.select_tuning(cfg)
+        assert J == 50
+        spec = simulate.DgpSpec(prior="bimodal", noise="normal", theta0=0.9, cv=1.96, c=SQRT2)
+        t = np.stack([simulate.draw_population(spec, 500, seed) for seed in range(4)])
+        # Row 3 has no score just below the cutoff, so it would be ROW_NO_SE;
+        # the overflow takes precedence.
+        below = (np.abs(t[3]) > 1.96 - epsilon) & (np.abs(t[3]) <= 1.96)
+        assert below.any()
+        t[3, below] = 0.0
+        _, tail = pubbias.caliper_tail(t, epsilon)
+        assert tail.count_below[3] == 0 and tail.count_above[3] > 0
+        rows = estimator.delta_hat_pb_rows(t, spectrum.build_basis(cfg, J), epsilon)
+        assert rows.status.tolist() == [estimator.ROW_KERNEL_OVERFLOW] * 4
+        assert not np.isfinite(rows.delta).any()
+        for field in (rows.se, rows.ci_low, rows.ci_high):
+            assert np.isnan(field).all()
+
     def test_rejects_flat_input(self):
         with pytest.raises(ValueError, match="R, n"):
             estimator.delta_hat_pb_rows(np.ones(4), make_basis(J=4), 0.3)
