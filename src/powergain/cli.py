@@ -36,7 +36,6 @@ from .estimator import (
     estimate,
     power_gain_curve,
 )
-from .inference import _factorise, _pair_sort
 from .pubbias import CaliperError
 from .simulate import NOISES, PRIORS, TABLE_PRESETS, CoverageRow, DgpSpec, run_coverage
 from .spectrum import TuningConfig
@@ -308,9 +307,9 @@ def read_grouped_file(path: str, *, digest=None) -> GroupedEffects:
     read positionally in the order above (lab_id fifth).  Rows whose
     effect, std_error or weight is not a finite number are rejected with
     their line numbers.  Returns the member columns as one
-    ``GroupedEffects``: groups in order of first appearance, members in
-    file order, with no per-group object built.  ``digest`` is as for
-    ``read_tscore_file``.
+    ``GroupedEffects``, in file order, with no per-group object built;
+    its group codes follow the sorted order of the group labels.
+    ``digest`` is as for ``read_tscore_file``.
     """
     data, lineno, delim, first, more = _read_head(path, digest)
     first = [c.lower() for c in first]
@@ -334,23 +333,13 @@ def read_grouped_file(path: str, *, digest=None) -> GroupedEffects:
         lab_idx = 4 if ncol == 5 else None
         skip = lineno - 1
 
-    nums, (gid, *lab) = _columns(
+    (effects, std_errors, weights), (gid, *lab) = _columns(
         path, data, skip, delim, (idx["effect"], idx["std_error"], idx["weight"]),
         (idx["group_id"],) + (() if lab_idx is None else (lab_idx,)),
         "every row needs finite numeric effect, std_error and weight")
-    del data  # freed before the groups are sorted
-    _, first_row, inverse, counts = _factorise(gid, return_index=True)
-    # Rows sorted by the first row of their group, and then by row: groups
-    # in order of appearance, members in file order.  Both sort keys are
-    # row numbers, so r = bit_length(n - 1) bits hold each, and they keep
-    # their values in the views between intp and uint64.
-    r = (gid.size - 1).bit_length()
-    rows = _pair_sort(first_row[inverse].view(np.uint64),
-                      np.arange(gid.size, dtype=np.uint64), r)[1].view(np.intp)
-    effects, std_errors, weights = (col[rows] for col in nums)
+    del data  # freed before the groups are factorised
     return GroupedEffects(effects=effects, std_errors=std_errors, weights=weights,
-                          sizes=counts[np.argsort(first_row)],
-                          labels=lab[0][rows] if lab else None)
+                          group_id=gid, labels=lab[0] if lab else None)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ rounded sample makes far shorter than the sample itself.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import InitVar, asdict, dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -451,11 +451,20 @@ def _weighted_basis_moments(
 ) -> np.ndarray:
     """Weighted sample moments sum_i psi_j(t_i) phi(t_i) w_i / sum_i w_i.
 
-    Accumulated block by block so memory stays bounded on large samples.
+    Degrees 0..J, odd ones included, accumulated a block of
+    ``spectrum._CHUNK`` scores at a time, so memory stays bounded on large
+    samples: each block's (J + 1) rows of He_j(t / sigma_T) *
+    gaussian_pdf(t, sigma_T^2) are contracted with its weights.  The kernel
+    needs only the even degrees and runs its own recurrence
+    (``spectrum.kernel_S_grid``).
     """
     num = np.zeros(J + 1)
-    for start, P in _spectrum._hermite_gaussian_blocks(t, J, sigmaT2):
-        num += P @ omega[start:start + P.shape[1]]
+    sigma_t = math.sqrt(sigmaT2)
+    for start in range(0, t.size, _spectrum._CHUNK):
+        chunk = t[start:start + _spectrum._CHUNK]
+        P = _basis.hermite_sequence(chunk / sigma_t, J)
+        P *= _basis.gaussian_pdf(chunk, sigmaT2)
+        num += P @ omega[start:start + _spectrum._CHUNK]
     return num / float(omega.sum())
 
 
@@ -549,42 +558,47 @@ def power_gain_curve(
 class GroupedEffects:
     """Every effect group of a replication design, stored as member columns.
 
-    Each group holds replicated estimates of one true effect.
-    ``effects``, ``std_errors`` and ``weights`` (and ``labels``, if given)
-    hold the members group after group, in member order within a group;
-    ``sizes[k]`` is the member count of group k.  ``effects`` are the
-    reported effect sizes, ``std_errors`` their (true) standard errors,
-    ``weights`` the averaging weights within a group (typically sample
-    sizes).  ``labels`` optionally identify the lab or site of each member;
-    only the worst-case correlated standard error needs them.  ``==`` is
-    identity: the array fields have no single truth value.
+    Each group holds replicated estimates of one true effect.  ``effects``,
+    ``std_errors``, ``weights`` and ``group_id`` (and ``labels``, if given)
+    hold one entry per member, in any order: ``group_id`` names the group
+    of each member.  ``effects`` are the reported effect sizes,
+    ``std_errors`` their (true) standard errors, ``weights`` the averaging
+    weights within a group (typically sample sizes).  The group labels are
+    factorised once, at construction, into group codes (in sorted-label
+    order) and group sizes, as ``TScoreSample`` factorises study labels;
+    the labels themselves are not kept.  ``labels`` optionally identify
+    the lab or site of each member; only the worst-case correlated
+    standard error needs them.  ``==`` is identity: the array fields have
+    no single truth value.
     """
 
     effects: np.ndarray
     std_errors: np.ndarray
     weights: np.ndarray
-    sizes: np.ndarray
+    group_id: InitVar[np.ndarray]
     labels: np.ndarray | None = None
+    _group_codes: np.ndarray = field(init=False, repr=False)
+    _group_sizes: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self) -> None:
-        # Of the std_error and weight checks, the one failing in the
-        # earliest group is raised.
+    def __post_init__(self, group_id) -> None:
+        # Of the std_error and weight checks, the one failing in the group
+        # with the lowest code is raised.
         eff = np.asarray(self.effects, dtype=float).ravel()
         se = np.asarray(self.std_errors, dtype=float).ravel()
         w = np.asarray(self.weights, dtype=float).ravel()
-        sizes = np.asarray(self.sizes, dtype=np.intp).ravel()
-        if eff.size == 0 or np.any(sizes <= 0):
+        gid = np.asarray(group_id).ravel()
+        if eff.size == 0:
             raise ValueError("effect group must be non-empty")
         if se.size != eff.size or w.size != eff.size:
             raise ValueError("effects, std_errors and weights must share one length")
-        if sizes.sum() != eff.size:
-            raise ValueError(f"group sizes sum to {sizes.sum()}, not to the "
-                             f"{eff.size} members")
+        if gid.size != eff.size:
+            raise ValueError(f"group_id length {gid.size} does not match {eff.size} effects")
         if not (np.isfinite(eff).all() and np.isfinite(se).all() and np.isfinite(w).all()):
             raise ValueError("effects, std_errors and weights must be finite")
-        starts = np.cumsum(sizes) - sizes
-        bad_se = np.logical_or.reduceat(se <= 0, starts)
-        bad_w = np.logical_or.reduceat(w < 0, starts) | (np.add.reduceat(w, starts) == 0.0)
+        _, codes, sizes = _inference._factorise(gid)
+        k = sizes.size
+        bad_se = np.bincount(codes, se <= 0, k) > 0
+        bad_w = (np.bincount(codes, w < 0, k) > 0) | (np.bincount(codes, w, k) == 0.0)
         bad = bad_se | bad_w
         if bad.any():
             if bad_se[np.argmax(bad)]:
@@ -596,7 +610,7 @@ class GroupedEffects:
             if lab.size != eff.size:
                 raise ValueError("labels must match the number of effects")
         for name, col in (("effects", eff), ("std_errors", se), ("weights", w),
-                          ("labels", lab), ("sizes", sizes)):
+                          ("labels", lab), ("_group_codes", codes), ("_group_sizes", sizes)):
             object.__setattr__(self, name, col)
 
 
@@ -638,7 +652,8 @@ def conditional_delta(
     across groups, which is the conservative clustering.
 
     Every group is estimated in one vectorised pass over the member
-    columns of ``data``.
+    columns of ``data``, in their own order, with the group codes that
+    ``GroupedEffects`` stores.
     """
     if se_mode not in ("iid", "worstcase"):
         raise ValueError(f"se_mode must be 'iid' or 'worstcase', got {se_mode!r}")
@@ -648,8 +663,7 @@ def conditional_delta(
         raise ValueError(f"critical value must be finite and positive, got {cv}")
 
     se = data.std_errors
-    n_groups, n_members = data.sizes.size, se.size
-    g = np.repeat(np.arange(n_groups), data.sizes)
+    g, n_groups, n_members = data._group_codes, data._group_sizes.size, se.size
     wnorm = data.weights / np.bincount(g, data.weights, n_groups)[g]
     b_bar = np.bincount(g, wnorm * data.effects, n_groups)
     ratios = b_bar[g] / se

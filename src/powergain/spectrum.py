@@ -129,22 +129,6 @@ def build_basis(cfg: TuningConfig, J: int) -> SpectralBasis:
                          c=cfg.c, cv=cfg.cv, sigmaT2=cfg.sigmaT2)
 
 
-def _hermite_gaussian_blocks(t: np.ndarray, J: int, sigmaT2: float):
-    """Yield ``(start, P)`` over consecutive blocks of the flat score array t.
-
-    ``P[j, i] = He_j(t_{start+i} / sigma_T) * gaussian_pdf(t_{start+i}, sigma_T^2)``
-    for degrees 0..J, odd ones included: the weighted basis moments of the
-    prior reconstruction are P @ w.  The kernel needs only the even
-    degrees and runs its own recurrence (``kernel_S_grid``).
-    """
-    sigma_t = math.sqrt(sigmaT2)
-    for start in range(0, t.size, _CHUNK):
-        chunk = t[start:start + _CHUNK]
-        P = _basis.hermite_sequence(chunk / sigma_t, J)
-        P *= _basis.gaussian_pdf(chunk, sigmaT2)
-        yield start, P
-
-
 def kernel_S(t, b: SpectralBasis):
     """Evaluate S(t) = sum_{j<=J} a_j * psi_j(t) * gaussian_pdf(t, sigma_T^2).
 

@@ -105,7 +105,7 @@ def test_robust_noise_tables_bias_and_coverage():
 def test_analytic_power_gain_benchmarks():
     # Doubling the sample of a study sitting exactly at 80% power lifts
     # its power by 17.8 percentage points.
-    group = GroupedEffects(effects=[2.8016], std_errors=[1.0], weights=[1.0], sizes=[1])
+    group = GroupedEffects(effects=[2.8016], std_errors=[1.0], weights=[1.0], group_id=["g"])
     report = conditional_delta(group, c=SQRT2)
     np.testing.assert_allclose(report.delta, 0.178, atol=1e-3)
 

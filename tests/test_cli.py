@@ -107,7 +107,8 @@ class TestReadGroupedFile:
                      "L2,2.0,2.1,g1,0.9\n"
                      "L1,1.0,0.4,g2,1.1\n")
         groups = read_grouped_file(str(p))
-        assert groups.sizes.tolist() == [2, 1]
+        assert groups._group_sizes.tolist() == [2, 1]
+        assert groups._group_codes.tolist() == [0, 0, 1]
         np.testing.assert_array_equal(groups.effects[:2], [2.5, 2.1])
         np.testing.assert_array_equal(groups.weights[:2], [1.0, 2.0])
         assert groups.labels[:2].tolist() == ["L1", "L2"]
@@ -122,7 +123,7 @@ class TestReadGroupedFile:
         p = tmp_path / "g.csv"
         p.write_text("g1,2.5,0.8,1.0\ng2,0.4,1.1,1.0\n")
         groups = read_grouped_file(str(p))
-        assert groups.sizes.tolist() == [1, 1] and groups.labels is None
+        assert groups._group_sizes.tolist() == [1, 1] and groups.labels is None
 
     def test_headerless_needs_four_or_five_columns(self, tmp_path):
         p = tmp_path / "g.csv"
@@ -142,19 +143,22 @@ class TestReadGroupedFile:
         assert main(["conditional", str(p)]) == 3
         assert capsys.readouterr().out == ""
 
-    def test_first_appearance_order(self, tmp_path):
+    def test_group_codes_in_label_order(self, tmp_path):
         p = tmp_path / "g.csv"
         p.write_text("group_id,effect,std_error,weight\n"
                      "zeta,1.0,1.0,1.0\n"
                      "alpha,1.1,1.0,1.0\n"
                      "zeta,0.9,1.0,2.0\n")
         groups = read_grouped_file(str(p))
-        assert groups.sizes.tolist() == [2, 1]
+        assert groups._group_sizes.tolist() == [1, 2]
+        assert groups._group_codes.tolist() == [1, 0, 1]
+        np.testing.assert_array_equal(groups.effects, [1.0, 1.1, 0.9])
+        np.testing.assert_array_equal(groups.weights, [1.0, 1.0, 2.0])
 
     def test_group_order_with_short_and_long_ids(self, tmp_path, monkeypatch):
         # Mixed-length ids, sorted on 64-bit integer keys when short and as
-        # strings when 10 characters longer: either way groups come in order
-        # of first appearance, with members in file order.
+        # strings when 10 characters longer: either way the group codes
+        # follow the sorted labels, with members in file order.
         short = ["10", "9", "", "09", "é", "ÿa", "9", "10", "09", "é"]
         sorted_dtypes = []
         real_unique, real_pair_sort = np.unique, inference._pair_sort
@@ -175,11 +179,28 @@ class TestReadGroupedFile:
             p.write_text("group_id,effect,std_error,weight\n" + "".join(
                 f"{g},{k},1,1\n" for k, g in enumerate(cells)))
             groups = read_grouped_file(str(p))
-            order = list(dict.fromkeys(cells))
-            assert groups.sizes.tolist() == [cells.count(g) for g in order]
-            np.testing.assert_array_equal(
-                groups.effects, [k for g in order for k, c in enumerate(cells) if c == g])
+            _, codes, sizes = real_unique(cells, return_inverse=True, return_counts=True)
+            np.testing.assert_array_equal(groups._group_codes, codes)
+            np.testing.assert_array_equal(groups._group_sizes, sizes)
+            np.testing.assert_array_equal(groups.effects, np.arange(len(cells)))
         assert sorted_dtypes == ["u", "u", "U"]
+
+    def test_members_in_file_order(self, tmp_path):
+        rng = np.random.default_rng(5)
+        gids = rng.choice(["b", "a", "c", "aa", "B"], 40).tolist()
+        labs = rng.choice(["L2", "L1", "L10"], 40).tolist()
+        p = tmp_path / "g.csv"
+        p.write_text("group_id,effect,std_error,weight,lab_id\n" + "".join(
+            f"{g},{k},{k + 1},{2 * k},{lab}\n" for k, (g, lab) in enumerate(zip(gids, labs))))
+        groups = read_grouped_file(str(p))
+        k = np.arange(40.0)
+        np.testing.assert_array_equal(groups.effects, k)
+        np.testing.assert_array_equal(groups.std_errors, k + 1)
+        np.testing.assert_array_equal(groups.weights, 2 * k)
+        assert groups.labels.tolist() == labs
+        order = sorted(set(gids))
+        assert groups._group_codes.tolist() == [order.index(g) for g in gids]
+        assert groups._group_sizes.tolist() == [gids.count(g) for g in order]
 
     @pytest.mark.parametrize("header", ["group_id,effect,std_error,weight\n", ""],
                              ids=["header", "headerless"])
@@ -187,7 +208,7 @@ class TestReadGroupedFile:
         p = tmp_path / "g.csv"
         p.write_bytes(b"\xef\xbb\xbf" + (header + "g1,2.5,0.8,1\ng1,2.1,0.9,2\n").encode())
         groups = read_grouped_file(str(p))
-        assert groups.sizes.tolist() == [2]
+        assert groups._group_sizes.tolist() == [2]
         np.testing.assert_array_equal(groups.effects, [2.5, 2.1])
         np.testing.assert_array_equal(groups.std_errors, [0.8, 0.9])
 
@@ -304,13 +325,12 @@ GROUPED_LAYOUTS = {
     "crlf, padded, blank lines": (
         "\r\n group_id , effect,std_error,weight,lab_id\r\n \r\n"
         "g2 , 0.5,1,2, L1\r\n\r\ng1,0.25,0.5,1,L2\r\ng2,0.75,1,3,L#3\r\n",
-        [([0.5, 0.75], [1.0, 1.0], [2.0, 3.0], ["L1", "L#3"]),
-         ([0.25], [0.5], [1.0], ["L2"])]),
+        [(1, 0.5, 1.0, 2.0, "L1"), (0, 0.25, 0.5, 1.0, "L2"), (1, 0.75, 1.0, 3.0, "L#3")]),
     "tab, extra columns": (
         "weight\teffect\tstd_error\tgroup_id\tnote\n1\t0.1\t0.2\tb\tx\n"
         "2\t0.3\t0.4\ta\ty\tz\n3\t0.5\t0.6\tb\n",
-        [([0.1, 0.5], [0.2, 0.6], [1.0, 3.0], None), ([0.3], [0.4], [2.0], None)]),
-    "one headerless row": ("g,1.5,0.5,2\n", [([1.5], [0.5], [2.0], None)]),
+        [(1, 0.1, 0.2, 1.0, None), (0, 0.3, 0.4, 2.0, None), (1, 0.5, 0.6, 3.0, None)]),
+    "one headerless row": ("g,1.5,0.5,2\n", [(0, 1.5, 0.5, 2.0, None)]),
 }
 
 
@@ -338,12 +358,13 @@ class TestReaderLayouts:
         p = tmp_path / "g.csv"
         p.write_bytes(text.encode())
         groups = read_grouped_file(str(p))
-        eff, se, w, labs = zip(*expected)
-        assert groups.sizes.tolist() == [len(e) for e in eff]
-        np.testing.assert_array_equal(groups.effects, np.concatenate(eff))
-        np.testing.assert_array_equal(groups.std_errors, np.concatenate(se))
-        np.testing.assert_array_equal(groups.weights, np.concatenate(w))
-        want_labs = None if labs[0] is None else [lab for group in labs for lab in group]
+        codes, eff, se, w, labs = zip(*expected)
+        assert groups._group_codes.tolist() == list(codes)
+        assert groups._group_sizes.tolist() == np.bincount(codes).tolist()
+        np.testing.assert_array_equal(groups.effects, eff)
+        np.testing.assert_array_equal(groups.std_errors, se)
+        np.testing.assert_array_equal(groups.weights, w)
+        want_labs = None if labs[0] is None else list(labs)
         assert (None if groups.labels is None else groups.labels.tolist()) == want_labs
 
     @pytest.mark.parametrize("reader, text, message", [
@@ -490,29 +511,28 @@ class TestReaderParity:
         p = tmp_path / "g.csv"
         p.write_bytes(data)
         factorised = []
-        real_factorise = cli._factorise
+        real_factorise = inference._factorise
 
         def recording_factorise(labels, **kwargs):
             factorised.append(np.asarray(labels))
             return real_factorise(labels, **kwargs)
 
-        monkeypatch.setattr(cli, "_factorise", recording_factorise)
+        monkeypatch.setattr(inference, "_factorise", recording_factorise)
         effects = read_grouped_file(str(p))
         ref = python_columns(data, ("group_id", "effect", "std_error", "weight", "lab_id"))
-        order = list(dict.fromkeys(ref["group_id"]))
-        members = sorted(range(len(ref["group_id"])), key=lambda i: order.index(ref["group_id"][i]))
         (gid,) = factorised
         assert gid.dtype == reference_dtype(ref["group_id"])
         assert effects.labels.dtype == reference_dtype(ref["lab_id"])
         assert gid.tolist() == ref["group_id"]
         np.testing.assert_array_equal(real_factorise(gid)[1],
                                       np.unique(ref["group_id"], return_inverse=True)[1])
-        assert effects.sizes.tolist() == [ref["group_id"].count(g) for g in order]
-        np.testing.assert_array_equal(effects.effects, [float(ref["effect"][i]) for i in members])
-        assert effects.labels.tolist() == [ref["lab_id"][i] for i in members]
+        _, codes, sizes = np.unique(ref["group_id"], return_inverse=True, return_counts=True)
+        np.testing.assert_array_equal(effects._group_codes, codes)
+        np.testing.assert_array_equal(effects._group_sizes, sizes)
+        np.testing.assert_array_equal(effects.effects, [float(x) for x in ref["effect"]])
+        assert effects.labels.tolist() == ref["lab_id"]
         np.testing.assert_array_equal(real_factorise(effects.labels)[1],
-                                      np.unique([ref["lab_id"][i] for i in members],
-                                                return_inverse=True)[1])
+                                      np.unique(ref["lab_id"], return_inverse=True)[1])
 
 
 class TestParseLifetime:
@@ -550,19 +570,19 @@ class TestParseLifetime:
             assert (column if column.base is None else column.base).flags.owndata
 
     def test_grouped_file(self, tmp_path, monkeypatch, parses):
-        alive, real_factorise = [], cli._factorise
+        alive, real_factorise = [], inference._factorise
 
         def checking_factorise(labels, **kwargs):
             alive.extend(ref() is not None for ref in parses)
             return real_factorise(labels, **kwargs)
 
-        monkeypatch.setattr(cli, "_factorise", checking_factorise)
+        monkeypatch.setattr(inference, "_factorise", checking_factorise)
         p = tmp_path / "g.csv"
         p.write_text("group_id,effect,std_error,weight,lab_id\nb,1,1,1,x\na,2,1,1,y\nb,3,1,1,x\n")
         groups = read_grouped_file(str(p))
         assert alive == [False]
-        np.testing.assert_array_equal(groups.effects, [1.0, 3.0, 2.0])
-        assert groups.labels.tolist() == ["x", "x", "y"]
+        np.testing.assert_array_equal(groups.effects, [1.0, 2.0, 3.0])
+        assert groups.labels.tolist() == ["x", "y", "x"]
 
 
 class TestCellWidths:
@@ -1037,6 +1057,27 @@ class TestConditionalCommand:
         p.write_text(f"group_id,effect,std_error,weight\ng1,1,1,1\n{row}\ng3,1,1,1\n")
         assert main(["conditional", str(p)]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("se", ["iid", "worstcase"])
+    def test_reversed_rows_agree(self, tmp_path, se):
+        # Group codes follow the sorted labels, not the file, so reversing
+        # the rows changes only the order of the sums.
+        rng = np.random.default_rng(1)
+        rows = [f"g{i % 50},{rng.normal(0.25, 0.3):.4f},{rng.uniform(0.05, 0.4):.4f},"
+                f"{rng.integers(20, 500)},lab{rng.integers(0, 10)}\n" for i in range(400)]
+        reports = []
+        for name, body in (("forward", rows), ("reversed", rows[::-1])):
+            p = tmp_path / f"{name}.csv"
+            p.write_text("group_id,effect,std_error,weight,lab_id\n" + "".join(body))
+            out = tmp_path / f"{name}.json"
+            assert main(["conditional", str(p), "--se", se, "--out", "json",
+                         "--output", str(out)]) == 0
+            reports.append(json.loads(out.read_text())["report"])
+        forward, backward = reports
+        assert ((forward["n_groups"], forward["n_members"])
+                == (backward["n_groups"], backward["n_members"]) == (50, 400))
+        np.testing.assert_allclose([backward["delta"], backward["se"]],
+                                   [forward["delta"], forward["se"]], rtol=1e-14)
 
     def test_worstcase_needs_lab_ids(self, tmp_path, capsys):
         p = tmp_path / "g.csv"

@@ -82,7 +82,7 @@ class TestTScoreSample:
         # Two equal-valued instances of every class with array fields.
         makers = [
             lambda: GroupedEffects(effects=[1.0, 2.0], std_errors=[1.0, 1.0],
-                                   weights=[1.0, 1.0], sizes=[2]),
+                                   weights=[1.0, 1.0], group_id=["g", "g"]),
             lambda: make_basis(J=4),
             lambda: estimator.reconstruct_prior(a, make_basis(J=4)),
         ]
@@ -617,20 +617,20 @@ class TestPowerGainCurve:
 
 class TestConditionalDelta:
     def test_benchmark_at_eighty_percent_power(self):
-        g = GroupedEffects(effects=[2.8016], std_errors=[1.0], weights=[1.0], sizes=[1])
+        g = GroupedEffects(effects=[2.8016], std_errors=[1.0], weights=[1.0], group_id=["g"])
         rep = estimator.conditional_delta(g, c=SQRT2)
         np.testing.assert_allclose(rep.delta, 0.17736588499388703, rtol=1e-10)
         assert rep.n_groups == 1 and rep.n_members == 1
 
     def test_zero_effect_gives_zero_gain(self):
-        g = GroupedEffects(effects=[0.0], std_errors=[2.0], weights=[1.0], sizes=[1])
+        g = GroupedEffects(effects=[0.0], std_errors=[2.0], weights=[1.0], group_id=["g"])
         rep = estimator.conditional_delta(g, c=SQRT2)
         assert rep.delta == 0.0
 
     def test_group_mean_uses_weights(self):
         # Weighted mean 0.75 * 2 + 0.25 * 6 = 3; members then share one b-bar.
         g = GroupedEffects(effects=[2.0, 6.0], std_errors=[1.0, 1.0],
-                           weights=[3.0, 1.0], sizes=[2])
+                           weights=[3.0, 1.0], group_id=["g", "g"])
         rep = estimator.conditional_delta(g, c=SQRT2)
         p3 = basis.conditional_power(np.array([3.0 * SQRT2]))[0] \
             - basis.conditional_power(np.array([3.0]))[0]
@@ -652,7 +652,8 @@ class TestConditionalDelta:
             return GroupedEffects(effects=np.concatenate(eff),
                                   std_errors=np.concatenate([se for _, se, _ in groups]),
                                   weights=np.concatenate([w for _, _, w in groups]),
-                                  sizes=[e.size for e in eff])
+                                  group_id=np.repeat(np.arange(len(eff)),
+                                                     [e.size for e in eff]))
 
         rep = estimator.conditional_delta(grouped(), c=SQRT2)
         h = 1e-6
@@ -666,7 +667,7 @@ class TestConditionalDelta:
         np.testing.assert_allclose(rep.se, math.sqrt(var), rtol=1e-4)
 
     def test_worstcase_needs_labels(self):
-        g = GroupedEffects(effects=[1.0], std_errors=[1.0], weights=[1.0], sizes=[1])
+        g = GroupedEffects(effects=[1.0], std_errors=[1.0], weights=[1.0], group_id=["g"])
         with pytest.raises(EstimationError):
             estimator.conditional_delta(g, c=SQRT2, se_mode="worstcase")
 
@@ -676,7 +677,7 @@ class TestConditionalDelta:
         rng = np.random.default_rng(42)
         groups = GroupedEffects(
             effects=np.concatenate([rng.normal(1.0, 0.2, 2) for _ in range(4)]),
-            std_errors=np.ones(8), weights=np.ones(8), sizes=[2] * 4,
+            std_errors=np.ones(8), weights=np.ones(8), group_id=np.repeat(np.arange(4), 2),
             labels=np.tile(["L1", "L2"], 4))
         iid = estimator.conditional_delta(groups, c=SQRT2, se_mode="iid")
         worst = estimator.conditional_delta(groups, c=SQRT2, se_mode="worstcase")
@@ -684,16 +685,16 @@ class TestConditionalDelta:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            GroupedEffects(effects=[], std_errors=[], weights=[], sizes=[])
-        g = GroupedEffects(effects=[1.0], std_errors=[1.0], weights=[1.0], sizes=[1])
+            GroupedEffects(effects=[], std_errors=[], weights=[], group_id=[])
+        g = GroupedEffects(effects=[1.0], std_errors=[1.0], weights=[1.0], group_id=["g"])
         with pytest.raises(ValueError):
             estimator.conditional_delta(g, c=0.5)
         with pytest.raises(ValueError):
             estimator.conditional_delta(g, c=SQRT2, se_mode="bootstrap")
         with pytest.raises(ValueError):
-            GroupedEffects(effects=[1.0], std_errors=[0.0], weights=[1.0], sizes=[1])
+            GroupedEffects(effects=[1.0], std_errors=[0.0], weights=[1.0], group_id=["g"])
         with pytest.raises(ValueError):
-            GroupedEffects(effects=[1.0], std_errors=[1.0], weights=[0.0], sizes=[1])
+            GroupedEffects(effects=[1.0], std_errors=[1.0], weights=[0.0], group_id=["g"])
 
     @pytest.mark.parametrize("column", ["effects", "std_errors", "weights"])
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
@@ -702,7 +703,7 @@ class TestConditionalDelta:
                 "weights": np.array([1.0, 1.0])}
         cols[column][1] = bad
         with pytest.raises(ValueError, match="finite"):
-            GroupedEffects(**cols, sizes=[2])
+            GroupedEffects(**cols, group_id=["g", "g"])
 
     def test_conditional_power_called_once(self, monkeypatch):
         # Every group is estimated in one pass: one power call on c * b/s
@@ -715,7 +716,8 @@ class TestConditionalDelta:
         groups = GroupedEffects(
             effects=np.concatenate([[0.5 + k, 1.0 + k] for k in range(4)]),
             std_errors=np.tile([1.0, 0.5], 4), weights=np.tile([1.0, 2.0], 4),
-            sizes=[2] * 4, labels=np.concatenate([["L1", f"L{k}"] for k in range(4)]))
+            group_id=np.repeat(np.arange(4), 2),
+            labels=np.concatenate([["L1", f"L{k}"] for k in range(4)]))
         for mode in ("iid", "worstcase"):
             calls.clear()
             estimator.conditional_delta(groups, c=SQRT2, se_mode=mode)
@@ -769,11 +771,13 @@ class TestConditionalDelta:
     def test_file_and_group_list_agree(self, tmp_path):
         # The same groups, read from the file and built from a list of groups.
         groups = self.hand_groups()
+        gid = [row[0] for row in self.HAND_ROWS]
+        gid = sorted(set(gid), key=gid.index)  # in order of first appearance
         eff, se, w, lab = (np.array(col) for col in zip(*(m for g in groups for m in g)))
         built = GroupedEffects(effects=eff, std_errors=se, weights=w, labels=lab,
-                               sizes=[len(g) for g in groups])
+                               group_id=np.repeat(gid, [len(g) for g in groups]))
         columns = read_grouped_file(self.write_hand_file(tmp_path))
-        np.testing.assert_array_equal(columns.sizes, built.sizes)
+        np.testing.assert_array_equal(columns._group_sizes, built._group_sizes)
         for mode in ("iid", "worstcase"):
             assert (estimator.conditional_delta(columns, c=SQRT2, se_mode=mode)
                     == estimator.conditional_delta(built, c=SQRT2, se_mode=mode))
@@ -788,11 +792,21 @@ class TestConditionalDelta:
             cols = {"effects": [1.0, 2.0, 3.0], "std_errors": [1.0, 1.0, 1.0],
                     "weights": [1.0, 1.0, 1.0], column: values}
             with pytest.raises(ValueError, match=message):
-                GroupedEffects(**cols, sizes=[1, 2])
-        # Group 0 has all-zero weights, group 1 a zero std_error.
-        with pytest.raises(ValueError, match="weights"):
-            estimator.GroupedEffects(effects=[1.0, 2.0], std_errors=[1.0, 0.0],
-                                     weights=[0.0, 1.0], sizes=[1, 1])
-        with pytest.raises(ValueError, match="group sizes sum to 3"):
+                GroupedEffects(**cols, group_id=["a", "b", "b"])
+        # Group 0 has all-zero weights, group 1 a zero std_error: the group
+        # with the lower code decides, wherever its members sit.
+        for group_id, se, w in ((["a", "b"], [1.0, 0.0], [0.0, 1.0]),
+                                (["b", "a"], [0.0, 1.0], [1.0, 0.0])):
+            with pytest.raises(ValueError, match="weights"):
+                estimator.GroupedEffects(effects=[1.0, 2.0], std_errors=se,
+                                         weights=w, group_id=group_id)
+        with pytest.raises(ValueError, match="group_id length 3 does not match 2 effects"):
             estimator.GroupedEffects(effects=[1.0, 2.0], std_errors=[1.0, 1.0],
-                                     weights=[1.0, 1.0], sizes=[1, 2])
+                                     weights=[1.0, 1.0], group_id=["a", "b", "b"])
+
+    @pytest.mark.parametrize("group_id", [["a"], ["a", "b", "a"]], ids=["short", "long"])
+    def test_group_id_length_must_match(self, group_id):
+        with pytest.raises(ValueError) as exc:
+            GroupedEffects(effects=[1.0, 2.0], std_errors=[1.0, 1.0], weights=[1.0, 1.0],
+                           group_id=group_id)
+        assert str(exc.value) == f"group_id length {len(group_id)} does not match 2 effects"
