@@ -34,7 +34,6 @@ from .estimator import (
     EstimateReport,
     EstimationError,
     GroupedEffects,
-    PriorReconstruction,
     RowEstimates,
     TScoreSample,
     conditional_delta,
@@ -85,7 +84,6 @@ __all__ = [
     "EstimateReport",
     "EstimationError",
     "GroupedEffects",
-    "PriorReconstruction",
     "RowEstimates",
     "TScoreSample",
     "conditional_delta",

@@ -575,7 +575,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
     rows = []
     stream_text = args.out == "text" and not args.output
-    header_done = False
     cell = 0
     for n in ns:
         for prior in dgps:
@@ -586,10 +585,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             cell += 1
             rows.append(row.to_dict())
             if stream_text:
-                text = render_simulate_text(rows[-1:])
-                print(text if not header_done else text.splitlines()[1])
-                header_done = True
-                sys.stdout.flush()
+                # After the first cell, so a run failing there prints nothing.
+                if len(rows) == 1:
+                    print(CoverageRow.TSV_HEADER)
+                print(row.to_tsv_row(), flush=True)
     return 0 if stream_text else _emit(args, "rows", rows, render_simulate_text)
 
 

@@ -3,7 +3,8 @@
 The headline quantity is the gain in the expected share of significant
 t-scores had every experiment's sample size been multiplied by ``c**2``.
 This module implements the spectral estimator with and without the
-publication-bias correction, the reconstructed prior of true effects,
+publication-bias correction, the series coefficients of the
+reconstructed prior of true effects (a by-product no command prints),
 power-gain curves over a grid of counterfactual scales, and the
 conditional (replication-design) estimator that holds the realized true
 effects fixed.
@@ -31,7 +32,6 @@ __all__ = [
     "EstimationError",
     "TScoreSample",
     "EstimateReport",
-    "PriorReconstruction",
     "GroupedEffects",
     "ConditionalReport",
     "RowEstimates",
@@ -446,83 +446,38 @@ def estimate(
     return power_gain_curve(sample, cfg, [cfg.c], pb, clamp_ci)[0]
 
 
-def _weighted_basis_moments(
-    t: np.ndarray, omega: np.ndarray, J: int, sigmaT2: float
-) -> np.ndarray:
-    """Weighted sample moments sum_i psi_j(t_i) phi(t_i) w_i / sum_i w_i.
-
-    Degrees 0..J, odd ones included, accumulated a block of
-    ``spectrum._CHUNK`` scores at a time, so memory stays bounded on large
-    samples: each block's (J + 1) rows of He_j(t / sigma_T) *
-    gaussian_pdf(t, sigma_T^2) are contracted with its weights.  The kernel
-    needs only the even degrees and runs its own recurrence
-    (``spectrum.kernel_S_grid``).
-    """
-    num = np.zeros(J + 1)
-    sigma_t = math.sqrt(sigmaT2)
-    for start in range(0, t.size, _spectrum._CHUNK):
-        chunk = t[start:start + _spectrum._CHUNK]
-        P = _basis.hermite_sequence(chunk / sigma_t, J)
-        P *= _basis.gaussian_pdf(chunk, sigmaT2)
-        num += P @ omega[start:start + _spectrum._CHUNK]
-    return num / float(omega.sum())
-
-
-@dataclass(frozen=True, eq=False)
-class PriorReconstruction:
-    """Series coefficients of the deconvolved distribution of true effects.
-
-    ``coefficients[j]`` multiplies chi_j(h) = He_j(h / sqrt(1 + sigma_T^2)).
-    Because eta_j * lambda_j does not depend on c, the same coefficients
-    serve every counterfactual scale: estimate once, evaluate the gain for
-    each c of interest.  The series is a raw polynomial (spectral cutoff),
-    so pointwise values can be negative — treat plots as diagnostics.
-    ``==`` is identity: the array fields have no single truth value.
-    """
-
-    coefficients: np.ndarray
-    basis: _spectrum.SpectralBasis
-    theta: float
-
-    def evaluate(self, h):
-        """Series value of the prior density estimate at h."""
-        arr = np.atleast_1d(np.asarray(h, dtype=float))
-        chi_scale = math.sqrt(1.0 + self.basis.sigmaT2)
-        H = _basis.hermite_sequence(arr / chi_scale, self.basis.J)
-        out = self.coefficients @ H
-        return out if np.ndim(h) else float(out[0])
-
-    def delta_plugin(self) -> float:
-        """Power gain implied by the reconstruction (the plug-in route).
-
-        Contracts the coefficients against eta_j lambda_j a_j; algebra
-        makes this numerically identical to the direct estimator.
-        """
-        b = self.basis
-        return float(np.sum(self.coefficients * b.eta * b.lam * b.a))
-
-
 def reconstruct_prior(
     sample: TScoreSample,
     b: _spectrum.SpectralBasis,
     theta_hat: float = 1.0,
-) -> PriorReconstruction:
-    """Deconvolution estimate of the distribution of true effects.
+) -> np.ndarray:
+    """Series coefficients (J + 1) of the deconvolved distribution of true effects.
 
-    Per-degree coefficients are the (selection-weighted) basis moments of
-    the t-score density divided by eta_j lambda_j.  Pass ``theta_hat = 1``
-    for the no-publication-bias version.
+    Coefficient j is the weighted moment sum_i He_j(t_i / sigma_T)
+    phi(t_i; sigma_T^2) w_i / sum_i w_i over eta_j lambda_j, with w_i =
+    ``theta_hat`` for a significant score and 1 otherwise (``theta_hat =
+    1``: no publication bias), accumulated a block of ``spectrum._CHUNK``
+    scores at a time.  It multiplies He_j(h / sqrt(1 + sigma_T^2)) in the
+    density estimate, a raw polynomial that can be negative pointwise; the
+    plug-in gain ``np.sum(coef * b.eta * b.lam * b.a)`` is the direct
+    estimate up to rounding.
     """
     if theta_hat < 0:
         raise ValueError(f"theta_hat must be non-negative, got {theta_hat}")
     t = sample.t
     omega = np.where(_pubbias.significant(t, b.cv), theta_hat, 1.0)
-    if float(omega.sum()) <= 0:
+    total = float(omega.sum())
+    if total <= 0:
         raise EstimationError(
             "prior reconstruction undefined: selection weights sum to zero")
-    moments = _weighted_basis_moments(t, omega, b.J, b.sigmaT2)
-    coeff = moments / (b.eta * b.lam)
-    return PriorReconstruction(coefficients=coeff, basis=b, theta=theta_hat)
+    num = np.zeros(b.J + 1)
+    sigma_t = math.sqrt(b.sigmaT2)
+    for start in range(0, t.size, _spectrum._CHUNK):
+        chunk = t[start:start + _spectrum._CHUNK]
+        P = _basis.hermite_sequence(chunk / sigma_t, b.J)
+        P *= _basis.gaussian_pdf(chunk, b.sigmaT2)
+        num += P @ omega[start:start + _spectrum._CHUNK]
+    return num / total / (b.eta * b.lam)
 
 
 def power_gain_curve(

@@ -162,7 +162,7 @@ def _factorise(labels, return_index: bool = False) -> tuple[np.ndarray, ...]:
     return np.unique(arr, return_index=return_index, return_inverse=True, return_counts=True)
 
 
-def variance_hat(values, study_id):
+def variance_hat(values, codes):
     """Cluster-robust variance of a sample mean of influence values.
 
     V = (1/n^2) * sum over clusters of (sum of centered values in cluster)^2.
@@ -173,9 +173,11 @@ def variance_hat(values, study_id):
     all-encompassing cluster gives exactly zero (the centered full-sample
     sum vanishes), which is why full-sample clustering is degenerate.
 
-    ``values`` of shape (R, n) are R samples sharing the n cluster labels;
-    the result is then one variance per row, from one ``bincount`` whose
-    codes are offset row by row (a single row takes the codes as they are).
+    ``codes`` are the n values' cluster codes, integers in [0, n) such as
+    ``TScoreSample``'s (an unused code is an empty block, which adds
+    exactly 0); anything else raises ``ValueError``.  ``values`` of shape
+    (R, n) are R samples sharing the codes; the result is then one variance
+    per row, from one ``bincount`` whose codes are offset row by row.
     """
     vals = np.asarray(values, dtype=float)
     n = vals.shape[-1]
@@ -183,16 +185,12 @@ def variance_hat(values, study_id):
         raise ValueError("variance of an empty sample is undefined")
     rows = vals.reshape(-1, n)
     centered = rows - rows.mean(axis=1, keepdims=True)
-    codes = np.asarray(study_id)
-    # Non-negative integer labels below n, such as TScoreSample's cluster
-    # codes, index the blocks as they are: an absent label is an empty
-    # block, which adds exactly 0.  Other labels are factorised first.
+    codes = np.asarray(codes)
     lo = hi = -1
     if codes.dtype.kind in "iu":
         lo, hi = int(codes.min()), int(codes.max())
     if not 0 <= lo <= hi < n:
-        _, codes, sizes = _factorise(codes)
-        lo, hi = 0, sizes.size - 1
+        raise ValueError(f"cluster codes must be integers in [0, n) = [0, {n})")
     R = rows.shape[0]
     if lo == hi:
         # One cluster: the centered full-sample sum is identically zero.

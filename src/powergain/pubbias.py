@@ -29,9 +29,9 @@ class EmpiricalTail:
     the shape of the scores; every estimator term (omega, W, X, Q) reads
     them instead of comparing scores with the cutoff again.  The counts,
     masses and F_hat are their sums, weighted by each score's multiplicity,
-    one entry per row (0-d for a flat sample); ``n`` is the row's total
-    multiplicity, its length when every score counts once.  ``==`` is
-    identity.
+    one entry per row (0-d for a flat sample); a mass is its count over the
+    row's total multiplicity, the row's length when every score counts
+    once.  ``==`` is identity.
     """
 
     insignificant: np.ndarray
@@ -42,7 +42,6 @@ class EmpiricalTail:
     B_minus: np.ndarray
     count_above: np.ndarray
     count_below: np.ndarray
-    n: int
 
 
 def significant(t, cutoff: float):
@@ -93,5 +92,5 @@ def caliper_tail(t, epsilon: float, cutoff: float = 1.96,
     tail = EmpiricalTail(insignificant=insignificant, lower=lower, upper=upper,
                          F_hat=insig / n,
                          B_plus=above / n, B_minus=below / n,
-                         count_above=above, count_below=below, n=n)
+                         count_above=above, count_below=below)
     return theta, tail

@@ -413,7 +413,9 @@ class CoverageRow:
     mean/SD of the estimate, mean standard error, and coverage of the
     nominal 95% interval.  ``failures`` counts replications without a
     finite standard error (see ``run_coverage``) — those are excluded from
-    the averages but reported, never silently dropped.
+    the averages but reported, never silently dropped.  A spread needs two
+    replications: with fewer good ones ``sd_delta`` is NaN, as every
+    average is when none is good.
     """
 
     n: int
@@ -500,7 +502,7 @@ def run_coverage(spec: DgpSpec, n: int, reps: int,
         mean_d = sd_d = mean_se = cover = float("nan")
     else:
         mean_d = float(np.mean(deltas))
-        sd_d = float(np.std(deltas, ddof=1)) if k > 1 else 0.0
+        sd_d = float(np.std(deltas, ddof=1)) if k > 1 else float("nan")
         mean_se = float(np.mean(ses))
         cover = covered / k
     return CoverageRow(

@@ -157,8 +157,9 @@ def test_estimator_identities():
     # Averaging the kernel equals integrating the reconstructed effect
     # distribution against the power-gain functional.
     J, _ = select_tuning(TuningConfig(c=SQRT2, n_effective=sample.n))
-    prior = reconstruct_prior(sample, build_basis(cfg, J), theta_hat=rep.theta)
-    np.testing.assert_allclose(prior.delta_plugin(), rep.delta, atol=1e-10)
+    b = build_basis(cfg, J)
+    coef = reconstruct_prior(sample, b, theta_hat=rep.theta)
+    np.testing.assert_allclose(np.sum(coef * b.eta * b.lam * b.a), rep.delta, atol=1e-10)
 
     # Orthonormality of all three scaled polynomial families.
     nodes, weights = hermegauss(64)

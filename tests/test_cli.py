@@ -897,6 +897,21 @@ class TestSimulateCommand:
         assert row["failures"] == row["reps"] == 4
         assert row["mean_delta"] is None and row["coverage"] is None
 
+    @pytest.mark.parametrize("reps", [1, 2])
+    def test_sd_delta_needs_two_good_replications(self, tmp_path, capsys, reps):
+        argv = ["simulate", "--dgp", "bimodal", "--n", "500", "--reps", str(reps),
+                "--seed", "3"]
+        out = tmp_path / "s.json"
+        assert main(argv + ["--out", "json", "--output", str(out)]) == 0
+        row = json.loads(out.read_text())["rows"][0]
+        assert row["failures"] == 0
+        assert main(argv) == 0
+        sd_text = capsys.readouterr().out.splitlines()[1].split("\t")[5]
+        if reps == 1:
+            assert row["sd_delta"] is None and sd_text == "nan"
+        else:
+            assert math.isfinite(row["sd_delta"]) and sd_text == f"{row['sd_delta']:.6f}"
+
     def test_table_conflicts_with_noise(self, capsys):
         assert main(["simulate", "--table", "1", "--noise", "t30",
                      "--reps", "1"]) == 2

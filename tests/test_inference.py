@@ -140,15 +140,15 @@ class TestVarianceHat:
 
     def test_single_cluster_is_zero(self):
         v = np.array([0.3, -0.4, 1.2, 0.9])
-        assert inference.variance_hat(v, np.zeros(4)) == 0.0
+        assert inference.variance_hat(v, np.zeros(4, dtype=int)) == 0.0
 
     def test_two_cluster_hand_value(self):
         # Demeaned values: [-1, 1, -2, 2]; cluster sums 0 and 0 give 0;
         # regroup as [-1, -2] and [1, 2] for sums -3, 3 -> (9 + 9) / 16.
         v = np.array([-1.0, 1.0, -2.0, 2.0]) + 5.0
-        ids = np.array(["a", "b", "a", "b"])
+        ids = np.unique(["a", "b", "a", "b"], return_inverse=True)[1]
         np.testing.assert_allclose(inference.variance_hat(v, ids), 18.0 / 16.0)
-        ids_paired = np.array(["a", "a", "b", "b"])
+        ids_paired = np.unique(["a", "a", "b", "b"], return_inverse=True)[1]
         np.testing.assert_allclose(inference.variance_hat(v, ids_paired), 0.0,
                                    atol=1e-16)
 
@@ -157,14 +157,19 @@ class TestVarianceHat:
         for _ in range(30):
             n = int(rng.integers(2, 50))
             v = rng.normal(size=n)
-            ids = rng.integers(0, 5, size=n)
+            ids = np.unique(rng.integers(0, 5, size=n), return_inverse=True)[1]
             assert inference.variance_hat(v, ids) >= 0.0
 
-    def test_label_dtype_does_not_matter(self):
-        v = np.array([0.5, 1.5, -0.5, 2.0])
-        a = inference.variance_hat(v, np.array([1, 2, 1, 2]))
-        b = inference.variance_hat(v, np.array(["s1", "s2", "s1", "s2"]))
-        np.testing.assert_allclose(a, b, rtol=1e-15)
+    @pytest.mark.parametrize("codes", [
+        np.array(["s1", "s2", "s1", "s2"]),
+        np.array([0.0, 1.0, 0.0, 1.0]),
+        np.array([-1, 0, 1, 2]),
+        np.array([0, 1, 2, 4]),
+    ], ids=["strings", "floats", "negative", "at-or-above-n"])
+    def test_refuses_anything_but_codes_below_n(self, codes):
+        # Labels are encoded by the sample constructors, never here.
+        with pytest.raises(ValueError, match=r"integers in \[0, n\)"):
+            inference.variance_hat(np.array([0.5, 1.5, -0.5, 2.0]), codes)
 
 
 #: Labels for the factorisation tests, and whether each goes to the integer

@@ -42,7 +42,7 @@ class TestEstimateTheta:
         np.testing.assert_allclose(tail.B_minus, 0.3)
         np.testing.assert_allclose(tail.B_plus, 0.4)
         np.testing.assert_allclose(tail.F_hat, 0.5)
-        assert tail.n == 10
+        assert tail.count_below / tail.B_minus == tail.count_above / tail.B_plus == 10
 
     def test_not_clamped_above_one(self):
         t = np.array([1.5, 1.6, 1.7, 1.8, 1.9, 2.0, 2.1])
