@@ -37,7 +37,7 @@ from .estimator import (
     power_gain_curve,
 )
 from .pubbias import CaliperError
-from .simulate import NOISES, PRIORS, TABLE_PRESETS, CoverageRow, DgpSpec, run_coverage
+from .simulate import NOISES, PRIORS, TABLE_PRESETS, CoverageRow, DgpSpec, run_cells
 from .spectrum import TuningConfig
 
 __all__ = ["main", "DatasetError", "read_tscore_file", "read_grouped_file",
@@ -573,22 +573,27 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     ns = [args.n] if args.n is not None else list(preset_ns)
     dgps = list(PRIORS) if args.dgp == "all" else [args.dgp]
 
-    rows = []
-    stream_text = args.out == "text" and not args.output
-    cell = 0
+    cells = []
     for n in ns:
         for prior in dgps:
             spec = DgpSpec(prior=prior, noise=noise, theta0=args.theta0,
                            cv=args.cv, c=_c_from_args(args))
-            cfg = _tuning_from_args(args)
-            row = run_coverage(spec, n, args.reps, cfg, args.seed + cell)
-            cell += 1
+            cells.append((spec, n, args.reps, _tuning_from_args(args),
+                          args.seed + len(cells)))
+
+    rows = []
+    stream_text = args.out == "text" and not args.output
+    results = run_cells(cells)
+    try:
+        for row in results:
             rows.append(row.to_dict())
             if stream_text:
                 # After the first cell, so a run failing there prints nothing.
                 if len(rows) == 1:
                     print(CoverageRow.TSV_HEADER)
                 print(row.to_tsv_row(), flush=True)
+    finally:
+        results.close()  # ends the cells' processes even if a print fails
     return 0 if stream_text else _emit(args, "rows", rows, render_simulate_text)
 
 

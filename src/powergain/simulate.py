@@ -8,12 +8,15 @@ publication-bias thinning, quadrature oracles for the true power and true
 gain (a fixed 16-panel, 32-node Gauss-Legendre rule against the exact law
 of each noise family), and a driver that
 repeatedly draws a meta-sample, estimates, and tallies bias and
-confidence-interval coverage.
+confidence-interval coverage.  ``run_cells`` runs independent cells of
+that experiment on every CPU the process may use.
 """
 from __future__ import annotations
 
 import functools
 import math
+import os
+import threading
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -125,8 +128,15 @@ def _draw_noise(noise: str, rng: np.random.Generator, m: int) -> np.ndarray:
         return rng.standard_normal(m)
     if noise == "t30":
         return rng.standard_t(30, m)
+    # Inverse CDF of the exact law.  np.interp starts each search at the
+    # previous answer, so sorted uniforms search less; each draw is the
+    # same, bit for bit, and goes back to its own place.
     edges, cdf = _lognormal_mean_cdf()
-    return np.interp(rng.random(m), cdf, edges)  # inverse CDF of the exact law
+    u = rng.random(m)
+    order = np.argsort(u)
+    out = np.empty(m)
+    out[order] = np.interp(u[order], cdf, edges)
+    return out
 
 
 def draw_population(spec: DgpSpec, n: int, seed) -> np.ndarray:
@@ -445,6 +455,14 @@ class CoverageRow:
         return asdict(self)
 
 
+def _check_cell(spec: DgpSpec, reps: int, cfg: _spectrum.TuningConfig) -> None:
+    """Refuse a replication count or a tuning config that ``run_coverage`` cannot run."""
+    if not 1 <= reps <= 1 << 32:
+        raise ValueError(f"reps must be between 1 and 2**32, got {reps}")
+    if cfg.c != spec.c or cfg.cv != spec.cv:
+        raise ValueError("tuning config and DGP disagree on c or cv")
+
+
 def run_coverage(spec: DgpSpec, n: int, reps: int,
                  cfg: _spectrum.TuningConfig, seed: int) -> CoverageRow:
     """Monte Carlo bias and coverage of the corrected estimator.
@@ -469,10 +487,7 @@ def run_coverage(spec: DgpSpec, n: int, reps: int,
     call, the row core behind ``delta_hat_pb``.  Every replication's
     scores are those of ``draw_population(spec, n, child)``.
     """
-    if not 1 <= reps <= 1 << 32:
-        raise ValueError(f"reps must be between 1 and 2**32, got {reps}")
-    if cfg.c != spec.c or cfg.cv != spec.cv:
-        raise ValueError("tuning config and DGP disagree on c or cv")
+    _check_cell(spec, reps, cfg)
     root = np.random.SeedSequence(seed)
     if cfg.n_effective is None:
         cfg = replace(cfg, n_effective=n)
@@ -509,3 +524,48 @@ def run_coverage(spec: DgpSpec, n: int, reps: int,
         n=n, dgp=spec.prior, noise=spec.noise, unc_power=unc, true_delta=truth,
         mean_delta=mean_d, sd_delta=sd_d, mean_se=mean_se, coverage=cover,
         reps=reps, failures=failures, seed=seed)
+
+
+def _run_cell(cell) -> CoverageRow:
+    """``run_coverage`` on one (spec, n, reps, cfg, seed) cell."""
+    return run_coverage(*cell)
+
+
+def run_cells(cells):
+    """Yield the ``run_coverage`` row of each (spec, n, reps, cfg, seed) cell, in order.
+
+    Cells run one process per CPU the process may use
+    (``os.sched_getaffinity``), at most one per cell, in processes forked
+    from this one.  They run here, one after another, where there is one
+    such CPU or one cell, no ``fork``, or another thread running: a
+    forked child has only the thread that forked it, so a lock another
+    thread held would stay held there.  A row depends only on its cell,
+    so the rows are the same, bit for bit, whatever the count.  Each row
+    is yielded as soon as it and every row before it are done.  Every
+    cell is checked before any runs, and a cell that raises raises here,
+    in its turn.  However the generator ends (it runs out, raises, or is
+    closed), its processes are ended first.
+    """
+    cells = list(cells)
+    for spec, _, reps, cfg, _ in cells:
+        _check_cell(spec, reps, cfg)
+    workers = 1
+    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") \
+            and threading.active_count() == 1:
+        workers = min(len(cells), len(os.sched_getaffinity(0)))
+    if workers <= 1:
+        yield from map(_run_cell, cells)
+        return
+    if any(spec.noise == "lognormal" for spec, *_ in cells):
+        _lognormal_mean_cdf()  # once here, not once in every process
+    import multiprocessing
+    import signal
+
+    # The processes leave Ctrl-C to this one, which then ends them.
+    pool = multiprocessing.get_context("fork").Pool(
+        workers, initializer=signal.signal, initargs=(signal.SIGINT, signal.SIG_IGN))
+    try:
+        yield from pool.imap(_run_cell, cells, chunksize=1)
+    finally:
+        pool.terminate()
+        pool.join()

@@ -27,7 +27,7 @@ from powergain.estimator import (
     reconstruct_prior,
 )
 from powergain.inference import confidence_interval, variance_hat
-from powergain.simulate import DgpSpec, draw_population, run_coverage
+from powergain.simulate import DgpSpec, draw_population, run_cells
 from powergain.spectrum import TuningConfig, build_basis, select_tuning
 
 SQRT2 = math.sqrt(2.0)
@@ -66,25 +66,28 @@ def _check_cell(row, table_mean, table_cover, label, problems):
         problems.append(f"coverage off by {row.coverage - table_cover:+.3f} — {line}")
 
 
-def test_normal_noise_table_bias_and_coverage():
+def _check_table(cells, problems):
+    """Run the (spec, n, published mean, published coverage, seed) cells as the CLI does."""
     cfg = TuningConfig(c=SQRT2)
+    rows = run_cells([(spec, n, REPS, cfg, seed) for spec, n, _, _, seed in cells])
+    for (spec, n, t_mean, t_cover, _), row in zip(cells, rows):
+        _check_cell(row, t_mean, t_cover, f"{spec.noise} n={n} {spec.prior}", problems)
+
+
+def test_normal_noise_table_bias_and_coverage():
     problems = []
-    for i, (n, cells) in enumerate(TABLE_NORMAL.items()):
-        for k, (prior, t_mean, t_cover) in enumerate(cells):
-            row = run_coverage(DgpSpec(prior=prior), n, REPS, cfg,
-                               seed=1000 + 100 * i + k)
-            _check_cell(row, t_mean, t_cover, f"normal n={n} {prior}", problems)
+    _check_table([(DgpSpec(prior=prior), n, t_mean, t_cover, 1000 + 100 * i + k)
+                  for i, (n, cells) in enumerate(TABLE_NORMAL.items())
+                  for k, (prior, t_mean, t_cover) in enumerate(cells)], problems)
     assert not problems, "\n".join(problems)
 
 
 def test_robust_noise_tables_bias_and_coverage():
-    cfg = TuningConfig(c=SQRT2)
     problems = []
-    for i, (noise, cells) in enumerate(TABLE_ROBUST.items()):
-        for k, (prior, t_mean, t_cover) in enumerate(cells):
-            spec = DgpSpec(prior=prior, noise=noise)
-            row = run_coverage(spec, 500, REPS, cfg, seed=2000 + 100 * i + k)
-            _check_cell(row, t_mean, t_cover, f"{noise} n=500 {prior}", problems)
+    _check_table([(DgpSpec(prior=prior, noise=noise), 500, t_mean, t_cover,
+                   2000 + 100 * i + k)
+                  for i, (noise, cells) in enumerate(TABLE_ROBUST.items())
+                  for k, (prior, t_mean, t_cover) in enumerate(cells)], problems)
 
     # A 1e7-draw Monte Carlo reference agrees with exact quadrature within
     # Monte Carlo error on the heavy-tailed noise family.

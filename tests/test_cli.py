@@ -4,17 +4,19 @@ import hashlib
 import io
 import json
 import math
+import multiprocessing
 import os
 import re
 import subprocess
 import sys
+import threading
 import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from powergain import cli, inference
+from powergain import cli, inference, simulate
 from powergain.cli import (
     DatasetError,
     main,
@@ -22,6 +24,7 @@ from powergain.cli import (
     read_tscore_file,
     render_estimate_text,
 )
+from powergain.spectrum import TuningConfig
 
 # Eight scores whose default caliper (epsilon = 2 * 8**(-1/3) = 1) puts two
 # scores just below the cutoff and two just above, so theta-hat is exactly 1.
@@ -930,6 +933,111 @@ class TestSimulateCommand:
                                                         "python"}
 
 
+def _cpus(monkeypatch, count):
+    """Make ``count`` CPUs usable, as ``os.sched_getaffinity`` reports them."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+def _float_bits(x):
+    """x with every float, at any depth, replaced by its exact hex form."""
+    if isinstance(x, dict):
+        return {k: _float_bits(v) for k, v in x.items()}
+    if isinstance(x, list):
+        return [_float_bits(v) for v in x]
+    return x.hex() if isinstance(x, float) else x
+
+
+def _cell_pid(*cell):
+    return os.getpid()
+
+
+@pytest.mark.skipif(not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")),
+                    reason="cells run in one process without fork and CPU affinity")
+class TestSimulateCells:
+    """Cells run one process per usable CPU; the rows do not depend on the count."""
+
+    RUNS = {"table1": ["--table", "1", "--reps", "5", "--seed", "11"],
+            "lognormal": ["--noise", "lognormal", "--dgp", "bimodal", "--n", "60",
+                          "--reps", "4", "--seed", "5"]}
+
+    def output(self, monkeypatch, capsys, tmp_path, cpus, argv, out):
+        _cpus(monkeypatch, cpus)
+        path = tmp_path / f"{cpus}.json"
+        extra = ["--out", out] + (["--output", str(path)] if out == "json" else [])
+        assert main(["simulate", *argv, *extra]) == 0
+        assert multiprocessing.active_children() == []
+        if out == "json":
+            return _float_bits(json.loads(path.read_text())["rows"])
+        return capsys.readouterr().out
+
+    @pytest.mark.parametrize("out", ["text", "csv", "json"])
+    @pytest.mark.parametrize("run", sorted(RUNS))
+    def test_rows_do_not_depend_on_the_cpu_count(self, monkeypatch, capsys, tmp_path,
+                                                  run, out):
+        one, two = (self.output(monkeypatch, capsys, tmp_path, cpus, self.RUNS[run], out)
+                    for cpus in (1, 2))
+        assert one == two
+        assert one
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_cells_fork_only_with_more_than_one_cpu(self, monkeypatch, cpus):
+        _cpus(monkeypatch, cpus)
+        monkeypatch.setattr(simulate, "run_coverage", _cell_pid)
+        spec, cfg = simulate.DgpSpec(), TuningConfig(c=math.sqrt(2.0))
+        pids = list(simulate.run_cells([(spec, 50, 1, cfg, seed) for seed in range(4)]))
+        assert len(pids) == 4
+        assert (os.getpid() in pids) == (cpus == 1)
+        assert multiprocessing.active_children() == []
+
+    def test_cells_do_not_fork_while_another_thread_runs(self, monkeypatch):
+        _cpus(monkeypatch, 2)
+        monkeypatch.setattr(simulate, "run_coverage", _cell_pid)
+        spec, cfg = simulate.DgpSpec(), TuningConfig(c=math.sqrt(2.0))
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait, args=(60,))
+        thread.start()
+        try:
+            pids = list(simulate.run_cells([(spec, 50, 1, cfg, seed) for seed in range(4)]))
+        finally:
+            stop.set()
+            thread.join(timeout=60)
+        assert pids == [os.getpid()] * 4
+        assert not thread.is_alive()
+
+    def test_closing_early_ends_the_processes(self, monkeypatch):
+        _cpus(monkeypatch, 2)
+        spec, cfg = simulate.DgpSpec(), TuningConfig(c=math.sqrt(2.0))
+        rows = simulate.run_cells([(spec, 50, 2, cfg, seed) for seed in range(6)])
+        assert next(rows).seed == 0
+        rows.close()
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_a_cell_that_raises(self, monkeypatch, capsys, cpus):
+        _cpus(monkeypatch, cpus)
+        real = simulate.run_coverage
+
+        def third_fails(spec, n, reps, cfg, seed):
+            if seed == 2:
+                raise ValueError("cell 2 failed")
+            return real(spec, n, reps, cfg, seed)
+
+        monkeypatch.setattr(simulate, "run_coverage", third_fails)
+        assert main(["simulate", "--table", "1", "--reps", "2", "--seed", "0"]) == 2
+        assert multiprocessing.active_children() == []
+        out, err = capsys.readouterr()
+        assert err == "error: cell 2 failed\n"
+        assert [line.split("\t")[1] for line in out.splitlines()] == [
+            "dgp", "truenull", "cauchy"]
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_flag_errors_exit_2_before_any_process(self, monkeypatch, capsys, cpus):
+        _cpus(monkeypatch, cpus)
+        assert main(["simulate", "--table", "1", "--reps", "0"]) == 2
+        assert capsys.readouterr() == ("", "error: reps must be between 1 and 2**32, got 0\n")
+        assert multiprocessing.active_children() == []
+
+
 def _fresh_env(*first_on_path):
     """The environment with ``first_on_path`` and this checkout's src on PYTHONPATH."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
@@ -963,6 +1071,20 @@ def test_simulate_loads_no_scipy(tmp_path):
         == [[0, 0], []]
     assert len(table2.read_text().splitlines()) == 1 + 7
     assert len(lognormal.read_text().splitlines()) == 1 + 1
+
+
+def test_cli_loads_no_multiprocessing(tmp_path):
+    # Nor does a run of one cell, which has no processes to start.
+    script = (
+        "import json, sys\n"
+        "from powergain import cli\n"
+        "steps = ['multiprocessing' in sys.modules]\n"
+        "code = cli.main(['simulate', '--dgp', 'bimodal', '--n', '60', '--reps', '2',\n"
+        "                 '--output', sys.argv[1]])\n"
+        "steps.append('multiprocessing' in sys.modules)\n"
+        "print(json.dumps([code, steps]))\n")
+    assert _last_json_line_of_fresh_interpreter(script, str(tmp_path / "s.tsv")) \
+        == [0, [False, False]]
 
 
 def test_every_command_runs_with_scipy_blocked(tmp_path):
@@ -1010,6 +1132,32 @@ def test_closed_pipe_exits_1_without_a_traceback():
     assert code == 1
     assert lines[0].startswith("n\tdgp\t") and lines[1].startswith("50\ttruenull\t")
     assert "Traceback" not in err and "BrokenPipeError" not in err
+
+
+def test_closed_pipe_ends_the_cells_processes():
+    # Two usable CPUs, however many the host has: the cells run in forked
+    # processes, and none outlives the closed pipe.
+    script = (
+        "import multiprocessing, os, sys\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "from powergain import cli\n"
+        "code = cli.main(['simulate', '--table', '1', '--reps', '20'])\n"
+        "print('children', len(multiprocessing.active_children()), file=sys.stderr)\n"
+        "sys.exit(code)\n")
+    proc = subprocess.Popen([sys.executable, "-c", script], env=_fresh_env(),
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    try:
+        lines = [proc.stdout.readline() for _ in range(2)]
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=120)
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()
+    assert code == 1
+    assert lines[0].startswith("n\tdgp\t") and lines[1].startswith("50\ttruenull\t")
+    assert err == "children 0\n"
 
 
 def test_estimate_and_curve_load_no_scipy(tmp_path):
@@ -1186,9 +1334,9 @@ class TestOutputFile:
         monkeypatch.undo()
 
         def no_run(*args, **kwargs):
-            raise AssertionError("run_coverage ran before --output was checked")
+            raise AssertionError("the cells ran before --output was checked")
 
-        monkeypatch.setattr(cli, "run_coverage", no_run)
+        monkeypatch.setattr(cli, "run_cells", no_run)
         assert main(argv) == 2
         assert capsys.readouterr() == at_write
 

@@ -331,6 +331,15 @@ class TestLognormalMeanLaw:
             simulate._lognormal_mean_cdf.cache_clear()
         np.testing.assert_allclose(fine, coarse, rtol=0, atol=1e-6)
 
+    @pytest.mark.parametrize("seed", [0, 1, 7, 185, 2024])
+    def test_sorted_draws_are_the_plain_inverse_cdf(self, seed):
+        # The draws search the CDF with sorted uniforms; every draw is still
+        # np.interp's value at its own uniform.
+        edges, cdf = simulate._lognormal_mean_cdf()
+        want = np.interp(np.random.default_rng(seed).random(1032), cdf, edges)
+        got = simulate._draw_noise("lognormal", np.random.default_rng(seed), 1032)
+        assert got.tobytes() == want.tobytes()
+
     def test_gain_and_power_share_one_law(self):
         for prior in ("bimodal", "large"):
             spec = DgpSpec(prior=prior, noise="lognormal")
