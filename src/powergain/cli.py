@@ -52,17 +52,19 @@ class DatasetError(Exception):
 # ---------------------------------------------------------------------------
 # dataset ingestion
 #
-# The file's bytes are read once and decoded once, to check that they are
-# UTF-8 and to find the first non-blank line, which gives the layout and
-# the delimiter; that text is freed before the bulk parse.  One vectorised
-# scan of the bytes bounds the width of each label column.  NumPy's C
-# reader then parses the file in bulk, labels straight into str fields of
-# those widths, so no Python object is made per row.  Each column is
-# copied out of the parse, which is then freed, and a label column is
-# stripped only when a code point other than printable ASCII could need
-# it.  A whitespace-only line makes the parse fail; only then are such
-# lines blanked for a second parse, and only when that fails too does a
-# line scan run, to name the bad lines.
+# The file's bytes are read once, to hash them, and decoded once, to check
+# that they are UTF-8 and to find the first non-blank line, which gives the
+# layout and the delimiter; that text is freed before the bulk parse.  One
+# vectorised scan of the bytes bounds the width of each label column.
+# NumPy's C reader then parses the file in bulk, labels straight into str
+# fields of those widths, so no Python object is made per row.  A regular
+# file is parsed again from its path, which is faster than from text; a
+# pipe, whose bytes cannot be read twice, is parsed from the text of the
+# bytes already read.  Each column is copied out of the parse, which is
+# then freed, and a label column is stripped only when a code point other
+# than printable ASCII could need it.  A whitespace-only line makes the
+# parse fail; only then are such lines blanked for a second parse, and
+# only when that fails too does a line scan run, to name the bad lines.
 
 _NON_BLANK = re.compile(r"\S")
 #: A whitespace-only line that follows a newline.
@@ -213,7 +215,7 @@ def _columns(path: str, data: bytes, skip: int, delim: str, numeric: tuple[int, 
         except ValueError:
             return None
 
-    rows = parse(path)
+    rows = parse(path if os.path.isfile(path) else io.StringIO(_text(data)))
     if rows is None:
         # NumPy's reader takes a whitespace-only line for a row, and a row
         # of blanks never parses; blank such lines and parse again.
@@ -265,8 +267,8 @@ def read_tscore_file(path: str, *, digest=None) -> tuple[TScoreSample, bool]:
     the first non-blank line.  Every row needs a finite t; otherwise the
     bad rows are reported by physical line number.  Returns the sample and
     whether study labels were found.  A ``hashlib`` object passed as
-    ``digest`` is updated with the file's bytes, so nothing reads them
-    twice.
+    ``digest`` is updated with the bytes that are parsed.  The path may
+    be a pipe, such as ``/dev/stdin``.
     """
     data, lineno, delim, first, more = _read_head(path, digest)
     lowered = [c.lower() for c in first]
@@ -351,27 +353,30 @@ def _fmt(x, digits: int = 6) -> str:
     return f"{x:.{digits}f}"
 
 
+def _labelled(title: str, fields: list[tuple[str, object]]) -> list[str]:
+    """A report's title over its `label : value` lines, the labels padded to one width."""
+    width = max(len(label) for label, _ in fields)
+    return [title] + [f"  {label:<{width}} : {value}" for label, value in fields]
+
+
 def render_estimate_text(report: dict) -> str:
     c = report["c"]
     level = 100.0 * (1.0 - report["alpha"])
-    lines = [
-        "counterfactual power gain",
-        f"  sample-size multiplier c^2 : {c * c:g}",
-        f"  delta-hat                  : {_fmt(report['delta'])}",
-        f"  std error                  : {_fmt(report['se'])}",
-        f"  {level:g}% CI                     : "
-        f"[{_fmt(report['ci_low'])}, {_fmt(report['ci_high'])}]",
-        f"  theta-hat (pub. bias)      : "
-        + ("correction disabled" if report["theta"] is None else _fmt(report["theta"])),
-        f"  J (basis cutoff)           : {report['J']}",
-        f"  epsilon (caliper width)    : "
-        + ("-" if report["epsilon"] is None else _fmt(report["epsilon"])),
-        f"  n t-scores                 : {report['n']}",
-        f"  clusters                   : {report['n_clusters']}",
-        f"  status-quo power           : {_fmt(report['status_quo_power'])}",
-    ]
-    for flag in report.get("flags", []):
-        lines.append(f"  note: {flag}")
+    lines = _labelled("counterfactual power gain", [
+        ("sample-size multiplier c^2", f"{c * c:g}"),
+        ("delta-hat", _fmt(report["delta"])),
+        ("std error", _fmt(report["se"])),
+        (f"{level:g}% CI", f"[{_fmt(report['ci_low'])}, {_fmt(report['ci_high'])}]"),
+        ("theta-hat (pub. bias)",
+         "correction disabled" if report["theta"] is None else _fmt(report["theta"])),
+        ("J (basis cutoff)", report["J"]),
+        ("epsilon (caliper width)",
+         "-" if report["epsilon"] is None else _fmt(report["epsilon"])),
+        ("n t-scores", report["n"]),
+        ("clusters", report["n_clusters"]),
+        ("status-quo power", _fmt(report["status_quo_power"])),
+    ])
+    lines += [f"  note: {flag}" for flag in report.get("flags", [])]
     return "\n".join(lines)
 
 
@@ -385,15 +390,13 @@ def render_curve_text(points: list[dict]) -> str:
 
 
 def render_conditional_text(report: dict) -> str:
-    mode = report["se_mode"]
-    return "\n".join([
-        "conditional power gain (replication design)",
-        f"  sample-size multiplier c^2 : {report['c'] ** 2:g}",
-        f"  delta-hat                  : {_fmt(report['delta'])}",
-        f"  std error ({mode}){' ' * (15 - len(mode))}: {_fmt(report['se'])}",
-        f"  groups                     : {report['n_groups']}",
-        f"  members                    : {report['n_members']}",
-    ])
+    return "\n".join(_labelled("conditional power gain (replication design)", [
+        ("sample-size multiplier c^2", f"{report['c'] ** 2:g}"),
+        ("delta-hat", _fmt(report["delta"])),
+        (f"std error ({report['se_mode']})", _fmt(report["se"])),
+        ("groups", report["n_groups"]),
+        ("members", report["n_members"]),
+    ]))
 
 
 def render_simulate_text(rows: list[dict]) -> str:
@@ -456,15 +459,18 @@ def _emit(args: argparse.Namespace, key: str, result, render) -> int:
     The payload holds the command, the result under `key` (a report, or a
     list of points or rows) and the run's manifest.  `--out json` writes
     the payload, `csv` the result as a table, and `text` what `render`
-    makes of it.  The text is rendered for JSON output too, so the
-    benchmark's traced `cli.render` span times every command.  Output goes
-    to stdout, or with `--output PATH` to PATH and the manifest to
+    makes of it; nothing is rendered that is not written.  Output goes to
+    stdout, or with `--output PATH` to PATH and the manifest to
     PATH.manifest.json; a path that cannot be written is a flag error.
     """
-    rows = result if isinstance(result, list) else [result]
     payload = {"command": args.command, key: result, "manifest": _manifest(args)}
-    text = _csv_table(rows, list(rows[0])) if args.out == "csv" else render(result)
-    body = _json(payload) if args.out == "json" else text
+    if args.out == "json":
+        body = _json(payload)
+    elif args.out == "csv":
+        rows = result if isinstance(result, list) else [result]
+        body = _csv_table(rows, list(rows[0]))
+    else:
+        body = render(result)
     if not args.output:
         print(body)
         return 0

@@ -137,7 +137,7 @@ class TScoreSample:
             if sid.size != t.size:
                 raise ValueError(
                     f"study_id length {sid.size} does not match {t.size} t-scores")
-            _, codes, sizes = _inference._factorise(sid)
+            codes, sizes = _inference._factorise(sid)
         step, table, index, counts = _score_table(t)
         for name, value in (("t", t), ("study_id", sid), ("_cluster_codes", codes),
                             ("_cluster_sizes", sizes), ("_grid_step", step),
@@ -364,7 +364,7 @@ def _reports(
                 "--sigma-t2 or --const-D")
         flags: tuple[str, ...] = ()
         if status == ROW_NO_SE:
-            flags = ("theta-zero: no scores just below the cutoff; SE unavailable",)
+            flags = ("theta-zero: no scores just below the cutoff (SE unavailable)",)
         ci_low, ci_high = float(rows.ci_low[0]), float(rows.ci_high[0])
         if clamp_ci:
             ci_low, ci_high = max(ci_low, 0.0), max(ci_high, 0.0)
@@ -372,7 +372,7 @@ def _reports(
             # The centered sum over the one cluster is identically zero, so the
             # cluster-robust SE is 0 by construction, not by precision.  At
             # c = 1 the estimate itself is exactly 0 and its SE 0 stands.
-            flags += ("one-cluster: every score is in one study cluster; SE unavailable",)
+            flags += ("one-cluster: every score is in one study cluster (SE unavailable)",)
             se = ci_low = ci_high = math.nan
         reports.append(EstimateReport(
             delta=delta, se=se, ci_low=ci_low, ci_high=ci_high,
@@ -550,7 +550,7 @@ class GroupedEffects:
             raise ValueError(f"group_id length {gid.size} does not match {eff.size} effects")
         if not (np.isfinite(eff).all() and np.isfinite(se).all() and np.isfinite(w).all()):
             raise ValueError("effects, std_errors and weights must be finite")
-        _, codes, sizes = _inference._factorise(gid)
+        codes, sizes = _inference._factorise(gid)
         k = sizes.size
         bad_se = np.bincount(codes, se <= 0, k) > 0
         bad_w = (np.bincount(codes, w < 0, k) > 0) | (np.bincount(codes, w, k) == 0.0)
@@ -636,7 +636,7 @@ def conditional_delta(
             raise EstimationError(
                 "worst-case standard error needs member labels (lab identifiers) "
                 "on every group")
-        lab = _inference._factorise(data.labels)[1]
+        lab = _inference._factorise(data.labels)[0]
         per_lab = np.bincount(lab, gradients[g] * wnorm * se)
         var = float(np.dot(per_lab, per_lab))
 

@@ -94,29 +94,29 @@ def _pair_sort(high: np.ndarray, low: np.ndarray, low_bits: int) -> tuple[np.nda
 
 def _factorise(labels, return_index: bool = False) -> tuple[np.ndarray, ...]:
     """Factorise labels: ``np.unique(labels, return_index=return_index,
-    return_inverse=True, return_counts=True)`` on the flattened labels.
+    return_inverse=True, return_counts=True)[1:]`` on the flattened labels.
 
-    That is (uniques[, first_index], codes, counts), with codes in
-    sorted-label order.  A str array of width k whose code points take at
-    most b bits, with k * b <= 64, is sorted on integer keys instead of
-    strings: each label packed big-endian into one uint64, b bits per code
-    point.  The zero padding of shorter labels sorts them first, so the
-    key order is NumPy's string order and every output is the same.  When
-    the raw code points do not fit beside the r = bit_length(n - 1) row
-    bits, each nonzero code point is packed as its offset from the
-    smallest one, plus 1, which keeps the order and the padding first:
-    digits then take 4 bits, so ids of up to 16 digits fit, and 8-digit
-    ids fit beside up to 2**32 rows.
+    That is ([first_index, ]codes, counts), with codes in sorted-label
+    order; the unique labels themselves are not built.  A str array of
+    width k whose code points take at most b bits, with k * b <= 64, is
+    sorted on integer keys instead of strings: each label packed
+    big-endian into one uint64, b bits per code point.  The zero padding
+    of shorter labels sorts them first, so the key order is NumPy's string
+    order and every output is the same.  When the raw code points do not
+    fit beside the r = bit_length(n - 1) row bits, each nonzero code point
+    is packed as its offset from the smallest one, plus 1, which keeps the
+    order and the padding first: digits then take 4 bits, so ids of up to
+    16 digits fit, and 8-digit ids fit beside up to 2**32 rows.
 
     When the r row bits fit beside the k * b key bits, the rows are sorted
     by ``_pair_sort`` on (key, row) words: one value sort orders them by
     label and, within a label, by row.  The heads of the runs of equal
     keys then give the counts and, as the row at each head, the first
-    index, whose labels are the uniques; a second ``_pair_sort`` of (row,
-    code) words returns the codes to row order without a random scatter.
-    When they do not fit (16-digit ids, say), the packed keys go to
-    ``np.unique``.  Every other array (wider labels, integers, objects)
-    goes to ``np.unique`` as it is.
+    index; a second ``_pair_sort`` of (row, code) words returns the codes
+    to row order without a random scatter.  When they do not fit (16-digit
+    ids, say), the packed keys go to ``np.unique``, which sorts them
+    stably only when the first index is asked for.  Every other array
+    (wider labels, integers, objects) goes to ``np.unique`` as it is.
     """
     arr = np.asarray(labels).ravel()
     n = arr.size
@@ -141,25 +141,23 @@ def _factorise(labels, return_index: bool = False) -> tuple[np.ndarray, ...]:
                     key <<= np.uint64(bits)
                     key |= block[:, j]
             if width * bits + r > 64:
-                _, first, *rest = np.unique(keys, return_index=True,
-                                            return_inverse=True, return_counts=True)
-            else:
-                keys, rows = _pair_sort(keys, np.arange(n, dtype=np.uint64), r)
-                head = np.empty(n, dtype=bool)
-                head[0] = True
-                np.not_equal(keys[1:], keys[:-1], out=head[1:])
-                starts = np.flatnonzero(head)
-                # A code is below the number of distinct keys, so its bits
-                # plus the row bits fit where the key and row bits did.
-                codes = np.cumsum(head, dtype=np.uint64)
-                codes -= np.uint64(1)
-                codes = _pair_sort(rows, codes, (starts.size - 1).bit_length())[1]
-                # The uint64 rows and codes are below n: viewed as intp, they keep their values.
-                first = rows[starts].view(np.intp)
-                rest = [codes.view(np.intp), np.diff(starts, append=n)]
-            # Each unique label is the label at its first row.
-            return (arr[first], *([first] if return_index else []), *rest)
-    return np.unique(arr, return_index=return_index, return_inverse=True, return_counts=True)
+                return np.unique(keys, return_index=return_index,
+                                 return_inverse=True, return_counts=True)[1:]
+            keys, rows = _pair_sort(keys, np.arange(n, dtype=np.uint64), r)
+            head = np.empty(n, dtype=bool)
+            head[0] = True
+            np.not_equal(keys[1:], keys[:-1], out=head[1:])
+            starts = np.flatnonzero(head)
+            # A code is below the number of distinct keys, so its bits
+            # plus the row bits fit where the key and row bits did.
+            codes = np.cumsum(head, dtype=np.uint64)
+            codes -= np.uint64(1)
+            codes = _pair_sort(rows, codes, (starts.size - 1).bit_length())[1]
+            # The uint64 rows and codes are below n: viewed as intp, they keep their values.
+            first = [rows[starts].view(np.intp)] if return_index else []
+            return (*first, codes.view(np.intp), np.diff(starts, append=n))
+    return np.unique(arr, return_index=return_index, return_inverse=True,
+                     return_counts=True)[1:]
 
 
 def variance_hat(values, codes):

@@ -455,12 +455,16 @@ class CoverageRow:
         return asdict(self)
 
 
-def _check_cell(spec: DgpSpec, reps: int, cfg: _spectrum.TuningConfig) -> None:
-    """Refuse a replication count or a tuning config that ``run_coverage`` cannot run."""
+def _check_cell(spec: DgpSpec, reps: int, cfg: _spectrum.TuningConfig,
+                seed) -> np.random.SeedSequence:
+    """Refuse a replication count, a tuning config or a seed that
+    ``run_coverage`` cannot run; returns the cell's root ``SeedSequence``,
+    whose own error refuses the seed."""
     if not 1 <= reps <= 1 << 32:
         raise ValueError(f"reps must be between 1 and 2**32, got {reps}")
     if cfg.c != spec.c or cfg.cv != spec.cv:
         raise ValueError("tuning config and DGP disagree on c or cv")
+    return np.random.SeedSequence(seed)
 
 
 def run_coverage(spec: DgpSpec, n: int, reps: int,
@@ -487,8 +491,7 @@ def run_coverage(spec: DgpSpec, n: int, reps: int,
     call, the row core behind ``delta_hat_pb``.  Every replication's
     scores are those of ``draw_population(spec, n, child)``.
     """
-    _check_cell(spec, reps, cfg)
-    root = np.random.SeedSequence(seed)
+    root = _check_cell(spec, reps, cfg, seed)
     if cfg.n_effective is None:
         cfg = replace(cfg, n_effective=n)
     J, epsilon = _spectrum.select_tuning(cfg)
@@ -547,8 +550,8 @@ def run_cells(cells):
     closed), its processes are ended first.
     """
     cells = list(cells)
-    for spec, _, reps, cfg, _ in cells:
-        _check_cell(spec, reps, cfg)
+    for spec, _, reps, cfg, seed in cells:
+        _check_cell(spec, reps, cfg, seed)
     workers = 1
     if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") \
             and threading.active_count() == 1:

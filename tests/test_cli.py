@@ -527,14 +527,14 @@ class TestReaderParity:
         assert gid.dtype == reference_dtype(ref["group_id"])
         assert effects.labels.dtype == reference_dtype(ref["lab_id"])
         assert gid.tolist() == ref["group_id"]
-        np.testing.assert_array_equal(real_factorise(gid)[1],
+        np.testing.assert_array_equal(real_factorise(gid)[0],
                                       np.unique(ref["group_id"], return_inverse=True)[1])
         _, codes, sizes = np.unique(ref["group_id"], return_inverse=True, return_counts=True)
         np.testing.assert_array_equal(effects._group_codes, codes)
         np.testing.assert_array_equal(effects._group_sizes, sizes)
         np.testing.assert_array_equal(effects.effects, [float(x) for x in ref["effect"]])
         assert effects.labels.tolist() == ref["lab_id"]
-        np.testing.assert_array_equal(real_factorise(effects.labels)[1],
+        np.testing.assert_array_equal(real_factorise(effects.labels)[0],
                                       np.unique(ref["lab_id"], return_inverse=True)[1])
 
 
@@ -692,6 +692,37 @@ class TestEstimateCommand:
         assert main(["estimate", p, "--out", "csv"]) == 0
         rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
         assert len(rows) == 1 and "delta" in rows[0]
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_text_rendered_only_for_text(self, tmp_path, monkeypatch, fmt):
+        def no_render(report):
+            raise AssertionError("rendered text that is not written")
+
+        monkeypatch.setattr(cli, "render_estimate_text", no_render)
+        assert main(["estimate", write_balanced(tmp_path / "d.csv"), "--out", fmt]) == 0
+
+    def test_two_flags_split_in_csv(self, tmp_path, capsys):
+        # One study and no score just below the cutoff: both flags, which
+        # the CSV cell joins with `;`, so no flag may hold one.
+        rng = np.random.default_rng(42)
+        t = np.concatenate([rng.uniform(0.0, 1.0, 300), rng.uniform(2.0, 2.6, 200)])
+        p = tmp_path / "d.csv"
+        p.write_text("t,study_id\n" + "".join(f"{x:.6f},s1\n" for x in t))
+        assert main(["estimate", str(p), "--out", "json"]) == 0
+        flags = json.loads(capsys.readouterr().out)["report"]["flags"]
+        assert [f.split(":")[0] for f in flags] == ["theta-zero", "one-cluster"]
+        assert not any(";" in f for f in flags)
+        assert main(["estimate", str(p), "--out", "csv"]) == 0
+        (row,) = csv.DictReader(io.StringIO(capsys.readouterr().out))
+        assert row["flags"].split(";") == flags
+
+    def test_labels_line_up_at_a_fractional_level(self, tmp_path, capsys):
+        p = write_balanced(tmp_path / "d.csv")
+        assert main(["estimate", p, "--alpha", "0.005"]) == 0
+        assert main(quick_argv(tmp_path, "conditional")) == 0
+        lines = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("  ")]
+        assert "  99.5% CI " in lines[3]
+        assert {ln.index(" : ") for ln in lines} == {len("  sample-size multiplier c^2")}
 
     def test_caliper_failure_exits_four(self, tmp_path, capsys):
         p = tmp_path / "d.csv"
@@ -1030,6 +1061,16 @@ class TestSimulateCells:
         assert [line.split("\t")[1] for line in out.splitlines()] == [
             "dgp", "truenull", "cauchy"]
 
+    def test_negative_seed_exits_2_before_any_process(self, monkeypatch, capsys):
+        _cpus(monkeypatch, 2)
+        contexts, real = [], multiprocessing.get_context
+        monkeypatch.setattr(multiprocessing, "get_context",
+                            lambda method=None: contexts.append(method) or real(method))
+        assert main(["simulate", "--table", "1", "--reps", "2", "--seed", "-1"]) == 2
+        out, err = capsys.readouterr()
+        assert contexts == [] and out == "" and err.startswith("error: ")
+        assert multiprocessing.active_children() == []
+
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_flag_errors_exit_2_before_any_process(self, monkeypatch, capsys, cpus):
         _cpus(monkeypatch, cpus)
@@ -1278,6 +1319,28 @@ class TestOutputFile:
         assert main(argv + ["--out", "json", "--output", str(out)]) == 0
         assert reads == [str(data)]
         assert json.loads(out.read_text())["manifest"]["dataset"]["sha256"] == want
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+    @pytest.mark.parametrize("command", ["estimate", "curve", "conditional"])
+    def test_piped_dataset_is_the_file(self, tmp_path, capsys, command):
+        # A pipe can be read only once: its bytes are parsed as read.
+        argv = quick_argv(tmp_path, command) + ["--out", "json"]
+        data = Path(argv[1]).read_bytes()
+        assert main(argv) == 0
+        from_file = json.loads(capsys.readouterr().out)
+        r, w = os.pipe()
+        try:
+            os.write(w, data)  # a few hundred bytes: within the pipe's buffer
+            os.close(w)
+            assert main([argv[0], f"/dev/fd/{r}", *argv[2:]]) == 0
+        finally:
+            os.close(r)
+        from_pipe = json.loads(capsys.readouterr().out)
+        key = "points" if command == "curve" else "report"
+        assert from_pipe[key] == from_file[key]
+        assert (from_pipe["manifest"]["dataset"]["sha256"]
+                == from_file["manifest"]["dataset"]["sha256"]
+                == hashlib.sha256(data).hexdigest())
 
     @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
     @pytest.mark.parametrize("command", ["estimate", "curve", "simulate", "conditional"])
