@@ -22,6 +22,7 @@ import math
 import os
 import re
 import sys
+from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -37,7 +38,7 @@ from .estimator import (
     power_gain_curve,
 )
 from .pubbias import CaliperError
-from .simulate import NOISES, PRIORS, TABLE_PRESETS, CoverageRow, DgpSpec, run_cells
+from .simulate import NOISES, PRIORS, TABLE_PRESETS, DgpSpec, run_cells
 from .spectrum import TuningConfig
 
 __all__ = ["main", "DatasetError", "read_tscore_file", "read_grouped_file",
@@ -399,18 +400,29 @@ def render_conditional_text(report: dict) -> str:
     ]))
 
 
+#: The columns of simulate's text, in the published layout.
+_SIMULATE_COLUMNS = ("n", "dgp", "unc_power", "true_delta", "mean_delta", "sd_delta",
+                     "mean_se", "coverage", "noise", "reps", "failures", "seed")
+
+
+def _simulate_line(row: dict) -> str:
+    """One row of simulate's text: the fields tab-separated, a float with six decimals."""
+    return "\t".join(f"{row[c]:.6f}" if isinstance(row[c], float) else str(row[c])
+                     for c in _SIMULATE_COLUMNS)
+
+
 def render_simulate_text(rows: list[dict]) -> str:
-    return "\n".join([CoverageRow.TSV_HEADER]
-                     + [CoverageRow(**r).to_tsv_row() for r in rows])
+    """``CoverageRow`` fields under their header, as `simulate` streams them."""
+    return "\n".join(["\t".join(_SIMULATE_COLUMNS)] + [_simulate_line(r) for r in rows])
 
 
 def _csv_table(rows: list[dict], columns: list[str]) -> str:
-    """The rows as CSV; a list cell (the flags) is written `;`-joined."""
+    """The rows as CSV; a list or tuple cell (the flags) is written `;`-joined."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
     for r in rows:
-        writer.writerow([";".join(r[c]) if isinstance(r[c], list) else r[c]
+        writer.writerow([";".join(r[c]) if isinstance(r[c], (list, tuple)) else r[c]
                          for c in columns])
     return buf.getvalue().rstrip("\n")
 
@@ -534,11 +546,17 @@ def _n_effective(args: argparse.Namespace, sample: TScoreSample) -> int:
     return sample.n_clusters if args.scale_by == "studies" else sample.n
 
 
+def _printed_ci(args: argparse.Namespace, row: dict) -> dict:
+    """The row as printed: `--clamp-ci-at-zero` clips its limits below at 0 (a NaN stays)."""
+    if args.clamp_ci_at_zero:
+        row.update(ci_low=max(row["ci_low"], 0.0), ci_high=max(row["ci_high"], 0.0))
+    return row
+
+
 def cmd_estimate(args: argparse.Namespace) -> int:
     sample = _load_sample(args)
     cfg = _tuning_from_args(args, _n_effective(args, sample))
-    report = estimate(sample, cfg, pb=not args.no_pb,
-                      clamp_ci=args.clamp_ci_at_zero).to_dict()
+    report = _printed_ci(args, asdict(estimate(sample, cfg, pb=not args.no_pb)))
     return _emit(args, "report", report, render_estimate_text)
 
 
@@ -561,15 +579,17 @@ def cmd_curve(args: argparse.Namespace) -> int:
     sample = _load_sample(args)
     cfg = _tuning_from_args(args, _n_effective(args, sample))
     reports = power_gain_curve(sample, cfg, [math.sqrt(v) for v in grid_c2],
-                               pb=not args.no_pb, clamp_ci=args.clamp_ci_at_zero)
+                               pb=not args.no_pb)
     # Rows are labelled with the requested multiplier, not sqrt(c2)**2.
-    points = [{"c2": c2, "delta": r.delta, "se": r.se, "ci_low": r.ci_low,
-               "ci_high": r.ci_high, "flags": list(r.flags)}
+    points = [_printed_ci(args, {"c2": c2, "delta": r.delta, "se": r.se, "ci_low": r.ci_low,
+                                 "ci_high": r.ci_high, "flags": r.flags})
               for c2, r in zip(grid_c2, reports)]
     return _emit(args, "points", points, render_curve_text)
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    if args.seed < 0:
+        raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
     if args.table is not None:
         if args.noise is not None:
             raise ValueError("--table picks the noise family; drop --noise or --table")
@@ -592,12 +612,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     results = run_cells(cells)
     try:
         for row in results:
-            rows.append(row.to_dict())
+            rows.append(asdict(row))
             if stream_text:
-                # After the first cell, so a run failing there prints nothing.
-                if len(rows) == 1:
-                    print(CoverageRow.TSV_HEADER)
-                print(row.to_tsv_row(), flush=True)
+                # The header comes with the first row, so a run failing in the
+                # first cell prints nothing.
+                print(render_simulate_text(rows) if len(rows) == 1
+                      else _simulate_line(rows[-1]), flush=True)
     finally:
         results.close()  # ends the cells' processes even if a print fails
     return 0 if stream_text else _emit(args, "rows", rows, render_simulate_text)
@@ -607,8 +627,8 @@ def cmd_conditional(args: argparse.Namespace) -> int:
     digest = hashlib.sha256()
     groups = read_grouped_file(args.dataset, digest=digest)
     args._sha256 = digest.hexdigest()
-    report = conditional_delta(groups, c=_c_from_args(args), cv=args.cv,
-                               se_mode=args.se).to_dict()
+    report = asdict(conditional_delta(groups, c=_c_from_args(args), cv=args.cv,
+                                      se_mode=args.se))
     return _emit(args, "report", report, render_conditional_text)
 
 
@@ -649,7 +669,7 @@ def _add_dataset_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--no-pb", action="store_true", dest="no_pb",
                    help="skip the publication-bias correction")
     p.add_argument("--clamp-ci-at-zero", action="store_true", dest="clamp_ci_at_zero",
-                   help="clip the confidence interval below at zero")
+                   help="clip the printed confidence interval below at zero")
 
 
 def build_parser() -> argparse.ArgumentParser:

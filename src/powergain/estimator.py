@@ -18,7 +18,7 @@ rounded sample makes far shorter than the sample itself.
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, asdict, dataclass, field, replace
+from dataclasses import InitVar, dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -165,7 +165,7 @@ class TScoreSample:
 
 @dataclass(frozen=True)
 class EstimateReport:
-    """Rendered result of one estimation run."""
+    """Result of one estimation run; its interval is never clipped."""
 
     delta: float
     se: float
@@ -182,9 +182,6 @@ class EstimateReport:
     cv: float
     alpha: float
     flags: tuple[str, ...] = ()
-
-    def to_dict(self) -> dict:
-        return {**asdict(self), "flags": list(self.flags)}
 
 
 def status_quo_power(t, cv: float = 1.96) -> float:
@@ -309,7 +306,6 @@ def _reports(
     epsilon: float,
     pb: bool,
     alpha: float,
-    clamp_ci: bool,
 ) -> list[EstimateReport]:
     """Point estimate, cluster SE and interval of one sample on each basis.
 
@@ -366,8 +362,6 @@ def _reports(
         if status == ROW_NO_SE:
             flags = ("theta-zero: no scores just below the cutoff (SE unavailable)",)
         ci_low, ci_high = float(rows.ci_low[0]), float(rows.ci_high[0])
-        if clamp_ci:
-            ci_low, ci_high = max(ci_low, 0.0), max(ci_high, 0.0)
         if sample.n_clusters == 1 and b.c != 1.0:
             # The centered sum over the one cluster is identically zero, so the
             # cluster-robust SE is 0 by construction, not by precision.  At
@@ -389,7 +383,6 @@ def delta_hat_pb(
     b: _spectrum.SpectralBasis,
     epsilon: float,
     alpha: float = 0.05,
-    clamp_ci: bool = False,
 ) -> EstimateReport:
     """Publication-bias-corrected estimate with cluster-robust inference.
 
@@ -406,7 +399,7 @@ def delta_hat_pb(
     function of the caliper ratio is undefined; the point estimate is
     still returned with NaN standard error and an explanatory flag.
     """
-    return _reports(sample, [b], epsilon, True, alpha, clamp_ci)[0]
+    return _reports(sample, [b], epsilon, True, alpha)[0]
 
 
 def delta_hat_pb_rows(
@@ -433,7 +426,6 @@ def estimate(
     sample: TScoreSample,
     cfg: _spectrum.TuningConfig,
     pb: bool = True,
-    clamp_ci: bool = False,
 ) -> EstimateReport:
     """Select tuning from the sample, build the basis, and estimate at ``cfg.c``.
 
@@ -443,7 +435,7 @@ def estimate(
     machinery is skipped entirely: no theta, and the standard error is the
     cluster sandwich of the kernel values.
     """
-    return power_gain_curve(sample, cfg, [cfg.c], pb, clamp_ci)[0]
+    return power_gain_curve(sample, cfg, [cfg.c], pb)[0]
 
 
 def reconstruct_prior(
@@ -485,7 +477,6 @@ def power_gain_curve(
     cfg: _spectrum.TuningConfig,
     c_grid: Sequence[float],
     pb: bool = True,
-    clamp_ci: bool = False,
 ) -> list[EstimateReport]:
     """Estimate the power gain at every counterfactual scale c in the grid.
 
@@ -506,7 +497,7 @@ def power_gain_curve(
         cfg = replace(cfg, n_effective=sample.n)
     J, epsilon = _spectrum.select_tuning(cfg)
     bases = [_spectrum.build_basis(replace(cfg, c=c), J) for c in grid]
-    return _reports(sample, bases, epsilon, pb, cfg.alpha, clamp_ci)
+    return _reports(sample, bases, epsilon, pb, cfg.alpha)
 
 
 @dataclass(frozen=True, eq=False)
@@ -580,9 +571,6 @@ class ConditionalReport:
     se_mode: str
     c: float
     cv: float
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def conditional_delta(

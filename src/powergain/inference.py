@@ -112,11 +112,11 @@ def _factorise(labels, return_index: bool = False) -> tuple[np.ndarray, ...]:
     by ``_pair_sort`` on (key, row) words: one value sort orders them by
     label and, within a label, by row.  The heads of the runs of equal
     keys then give the counts and, as the row at each head, the first
-    index; a second ``_pair_sort`` of (row, code) words returns the codes
-    to row order without a random scatter.  When they do not fit (16-digit
-    ids, say), the packed keys go to ``np.unique``, which sorts them
-    stably only when the first index is asked for.  Every other array
-    (wider labels, integers, objects) goes to ``np.unique`` as it is.
+    index; one scatter through the sorted rows puts the codes back in row
+    order.  When they do not fit (16-digit ids, say), the packed keys go
+    to ``np.unique``, which sorts them stably only when the first index is
+    asked for.  Every other array (wider labels, integers, objects) goes
+    to ``np.unique`` as it is.
     """
     arr = np.asarray(labels).ravel()
     n = arr.size
@@ -148,14 +148,14 @@ def _factorise(labels, return_index: bool = False) -> tuple[np.ndarray, ...]:
             head[0] = True
             np.not_equal(keys[1:], keys[:-1], out=head[1:])
             starts = np.flatnonzero(head)
-            # A code is below the number of distinct keys, so its bits
-            # plus the row bits fit where the key and row bits did.
-            codes = np.cumsum(head, dtype=np.uint64)
-            codes -= np.uint64(1)
-            codes = _pair_sort(rows, codes, (starts.size - 1).bit_length())[1]
-            # The uint64 rows and codes are below n: viewed as intp, they keep their values.
-            first = [rows[starts].view(np.intp)] if return_index else []
-            return (*first, codes.view(np.intp), np.diff(starts, append=n))
+            # The uint64 rows are below n: viewed as intp, they keep their values.
+            rows = rows.view(np.intp)
+            sorted_codes = np.cumsum(head, dtype=np.intp)
+            sorted_codes -= 1
+            codes = np.empty(n, dtype=np.intp)
+            codes[rows] = sorted_codes
+            first = [rows[starts]] if return_index else []
+            return (*first, codes, np.diff(starts, append=n))
     return np.unique(arr, return_index=return_index, return_inverse=True,
                      return_counts=True)[1:]
 

@@ -17,7 +17,7 @@ import functools
 import math
 import os
 import threading
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -418,10 +418,10 @@ def oracle_delta(spec: DgpSpec) -> float:
 class CoverageRow:
     """Aggregated result of one simulation cell.
 
-    Column order of the delimited form follows the published layout:
-    sample size, prior, true power, true gain, then the Monte Carlo
-    mean/SD of the estimate, mean standard error, and coverage of the
-    nominal 95% interval.  ``failures`` counts replications without a
+    The sample size, prior and noise family, the true power and true gain,
+    then the Monte Carlo mean/SD of the estimate, the mean standard error,
+    and the coverage of the nominal 95% interval; the CLI prints them in
+    the published layout.  ``failures`` counts replications without a
     finite standard error (see ``run_coverage``) — those are excluded from
     the averages but reported, never silently dropped.  A spread needs two
     replications: with fewer good ones ``sd_delta`` is NaN, as every
@@ -440,19 +440,6 @@ class CoverageRow:
     reps: int
     failures: int
     seed: int
-
-    TSV_HEADER = ("n\tdgp\tunc_power\ttrue_delta\tmean_delta\tsd_delta"
-                  "\tmean_se\tcoverage\tnoise\treps\tfailures\tseed")
-
-    def to_tsv_row(self) -> str:
-        stats_part = "\t".join(
-            f"{v:.6f}" for v in (self.unc_power, self.true_delta, self.mean_delta,
-                                 self.sd_delta, self.mean_se, self.coverage))
-        return (f"{self.n}\t{self.dgp}\t{stats_part}\t{self.noise}"
-                f"\t{self.reps}\t{self.failures}\t{self.seed}")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def _check_cell(spec: DgpSpec, reps: int, cfg: _spectrum.TuningConfig,

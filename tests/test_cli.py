@@ -186,7 +186,7 @@ class TestReadGroupedFile:
             np.testing.assert_array_equal(groups._group_codes, codes)
             np.testing.assert_array_equal(groups._group_sizes, sizes)
             np.testing.assert_array_equal(groups.effects, np.arange(len(cells)))
-        assert sorted_dtypes == ["u", "u", "U"]
+        assert sorted_dtypes == ["u", "U"]
 
     def test_members_in_file_order(self, tmp_path):
         rng = np.random.default_rng(5)
@@ -888,6 +888,70 @@ class TestCurveNotes:
         assert [ln.split(": ")[:2] for ln in lines[4:]] == [
             ["note", f"c2={c2:g}"] for c2 in c2s]
         assert all(ln.split(": ")[2] == kind for ln in lines[4:])
+
+
+def _printed_limits(command, fmt, out):
+    """The interval limits of each printed row, and everything else printed."""
+    notes = []
+    if fmt == "json":
+        payload = json.loads(out)
+        rows = payload["points"] if command == "curve" else [payload["report"]]
+    elif fmt == "csv":
+        rows = list(csv.DictReader(io.StringIO(out)))
+    elif command == "curve":
+        lines = out.splitlines()
+        table = [ln.split() for ln in lines[1:] if not ln.startswith("note:")]
+        rows = [dict(zip(lines[0].split(), cells)) for cells in table]
+        notes = [ln for ln in lines if ln.startswith("note:")]
+    else:
+        lines = out.splitlines()
+        ci = next(k for k, ln in enumerate(lines) if "% CI" in ln)
+        low, high = lines[ci].split(": ")[1].strip("[]").split(", ")
+        rows = [{"ci_low": low, "ci_high": high, "lines": lines[:ci] + lines[ci + 1:]}]
+    limits = [(r.pop("ci_low"), r.pop("ci_high")) for r in rows]
+    return limits, rows + notes
+
+
+class TestClampCiAtZero:
+    """`--clamp-ci-at-zero` prints each limit as max(limit, 0), in every
+    format, and changes nothing else; an unavailable limit stays so."""
+
+    @pytest.fixture(params=["nulls", "theta-zero"])
+    def dataset(self, request, tmp_path):
+        rng = np.random.default_rng(11)
+        p = tmp_path / "d.csv"
+        if request.param == "nulls":
+            # True effects all zero: from c2 = 4 on the intervals reach below 0.
+            t = rng.normal(0.0, 1.0, 3000)
+            p.write_text("t,study_id\n" + "".join(
+                f"{x:.2f},s{k % 500}\n" for k, x in enumerate(t)))
+        else:
+            # No score just below the cutoff: no interval at any point.
+            t = np.concatenate([rng.uniform(0.0, 1.0, 300), rng.uniform(2.0, 2.6, 200)])
+            p.write_text("t\n" + "".join(f"{x:.6f}\n" for x in t))
+        return str(p), request.param
+
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    @pytest.mark.parametrize("argv", [["estimate", "--c2", "4"],
+                                      ["curve", "--grid", "2,4,8,16"]],
+                             ids=["estimate", "curve"])
+    def test_clips_only_the_limits(self, dataset, capsys, argv, fmt):
+        path, kind = dataset
+        clip = {"json": lambda v: None if v is None else max(v, 0.0),
+                "csv": lambda s: repr(max(float(s), 0.0)),
+                "text": lambda s: f"{max(float(s), 0.0):.6f}"}[fmt]
+        printed = []
+        for flags in ([], ["--clamp-ci-at-zero"]):
+            assert main([argv[0], path, *argv[1:], "--out", fmt, *flags]) == 0
+            printed.append(_printed_limits(argv[0], fmt, capsys.readouterr().out))
+        (plain, rest), (clamped, clamped_rest) = printed
+        assert clamped_rest == rest
+        assert clamped == [(clip(low), clip(high)) for low, high in plain]
+        lows = [low for low, _ in plain]
+        if kind == "nulls":
+            assert any(clip(low) != low for low in lows)
+        else:
+            assert all(low in (None, "nan") for low in lows)
 
 
 class TestTooSmallToTune:

@@ -1,11 +1,12 @@
 """Tests for the point estimators, the prior reconstruction, and curve/conditional APIs."""
+import argparse
 import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from powergain import basis, estimator, inference, pubbias, simulate, spectrum
+from powergain import basis, cli, estimator, inference, pubbias, simulate, spectrum
 from powergain.cli import read_grouped_file
 from powergain.estimator import EstimationError, GroupedEffects, TScoreSample
 
@@ -186,11 +187,18 @@ class TestDeltaHatPb:
             estimator.delta_hat_pb(s, make_basis(J=6), epsilon=0.3)
 
     def test_clamped_ci_floors_at_zero(self):
+        # The library never clips; the CLI's --clamp-ci-at-zero clips what it prints.
         rng = np.random.default_rng(42)
         t = rng.normal(0.0, 1.02, 400)
         s = TScoreSample.from_scores(t)
-        rep = estimator.delta_hat_pb(s, make_basis(), epsilon=0.5, clamp_ci=True)
-        assert rep.ci_low >= 0.0 and rep.ci_high >= 0.0
+        rep = estimator.delta_hat_pb(s, make_basis(), epsilon=0.5)
+        assert rep.ci_low < 0.0
+        row = dataclasses.asdict(rep)
+        printed = cli._printed_ci(argparse.Namespace(clamp_ci_at_zero=True), dict(row))
+        assert printed == {**row, "ci_low": max(rep.ci_low, 0.0),
+                           "ci_high": max(rep.ci_high, 0.0)}
+        assert printed["ci_low"] >= 0.0 and printed["ci_high"] >= 0.0
+        assert cli._printed_ci(argparse.Namespace(clamp_ci_at_zero=False), dict(row)) == row
 
 
 def _thinned_bimodal(rng, n):

@@ -228,10 +228,9 @@ class TestFactorise:
                              return_inverse=True, return_counts=True)[1:]
         sorts.clear()
         got = inference._factorise(labels, return_index=return_index)
-        # Packed: one sort of (key, row) words and one of (row, code) words,
-        # or np.unique on the uint64 keys.
+        # Packed: one sort of (key, row) words, or np.unique on the uint64 keys.
         if packed:
-            assert sorts in (["pair", "pair"], [np.dtype(np.uint64)])
+            assert sorts in (["pair"], [np.dtype(np.uint64)])
         else:
             assert sorts == [labels.dtype]
         assert len(got) == len(expected)
@@ -296,7 +295,7 @@ class TestFactoriseRandom:
                                  return_inverse=True, return_counts=True)[1:]
             sorts.clear()
             got = inference._factorise(labels, return_index=return_index)
-            assert sorts == (["pair", "pair"] if path == "pair" else [np.dtype(np.uint64)])
+            assert sorts == (["pair"] if path == "pair" else [np.dtype(np.uint64)])
             for g, e in zip(got, expected):
                 assert g.dtype == e.dtype
                 np.testing.assert_array_equal(g, e)
@@ -313,7 +312,7 @@ class TestFactoriseRandom:
                                  return_inverse=True, return_counts=True)[1:]
             sorts.clear()
             got = inference._factorise(labels, return_index=return_index)
-            assert sorts == ["pair", "pair"]
+            assert sorts == ["pair"]
             assert len(got) == len(expected)
             for g, e in zip(got, expected):
                 assert g.dtype == e.dtype

@@ -2,7 +2,7 @@
 import functools
 import math
 from collections import Counter
-from dataclasses import replace
+from dataclasses import asdict, replace
 from decimal import Decimal, localcontext
 
 import mpmath
@@ -12,7 +12,7 @@ from scipy import integrate, stats
 
 from mc_reference import MC_DRAWS, lognormal_pool_means, mc_powers
 from powergain import basis, estimator, simulate, spectrum
-from powergain.cli import main
+from powergain.cli import main, render_simulate_text
 from powergain.pubbias import CaliperError
 from powergain.simulate import DgpSpec
 
@@ -380,11 +380,15 @@ class TestRunCoverage:
         spec = DgpSpec(prior="truenull")
         cfg = spectrum.TuningConfig(c=SQRT2)
         row = simulate.run_coverage(spec, 60, 10, cfg, seed=2)
-        header_cols = simulate.CoverageRow.TSV_HEADER.split("\t")
-        row_cols = row.to_tsv_row().split("\t")
+        header, line = render_simulate_text([asdict(row)]).split("\n")
+        header_cols, row_cols = header.split("\t"), line.split("\t")
         assert len(header_cols) == len(row_cols) == 12
+        assert sorted(header_cols) == sorted(asdict(row))
         assert header_cols[0] == "n" and header_cols[1] == "dgp"
         assert row_cols[0] == "60" and row_cols[1] == "truenull"
+        for name, cell in zip(header_cols, row_cols):
+            value = getattr(row, name)
+            assert cell == (f"{value:.6f}" if isinstance(value, float) else str(value))
 
     def test_bias_shrinks_with_sample_size(self):
         spec = DgpSpec(prior="bimodal")
@@ -545,9 +549,11 @@ class TestSpawnedSeeds:
         with pytest.raises(ValueError) as ours:
             simulate.run_coverage(DgpSpec(), 50, 2, cfg, -1)
         assert str(ours.value) == str(numpy_error.value)
+        # The CLI names the flag instead.
         assert main(["simulate", "--dgp", "truenull", "--n", "50", "--reps", "2",
                      "--seed", "-1"]) == 2
-        assert capsys.readouterr().err == f"error: {numpy_error.value}\n"
+        assert capsys.readouterr().err == (
+            "error: --seed must be a non-negative integer, got -1\n")
 
 
 class TestBlockDraws:
