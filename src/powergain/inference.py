@@ -92,31 +92,29 @@ def _pair_sort(high: np.ndarray, low: np.ndarray, low_bits: int) -> tuple[np.nda
     return words, low
 
 
-def _factorise(labels, return_index: bool = False) -> tuple[np.ndarray, ...]:
-    """Factorise labels: ``np.unique(labels, return_index=return_index,
-    return_inverse=True, return_counts=True)[1:]`` on the flattened labels.
+def _factorise(labels) -> tuple[np.ndarray, np.ndarray]:
+    """Factorise labels: ``np.unique(labels, return_inverse=True,
+    return_counts=True)[1:]`` on the flattened labels.
 
-    That is ([first_index, ]codes, counts), with codes in sorted-label
-    order; the unique labels themselves are not built.  A str array of
-    width k whose code points take at most b bits, with k * b <= 64, is
-    sorted on integer keys instead of strings: each label packed
-    big-endian into one uint64, b bits per code point.  The zero padding
-    of shorter labels sorts them first, so the key order is NumPy's string
-    order and every output is the same.  When the raw code points do not
-    fit beside the r = bit_length(n - 1) row bits, each nonzero code point
-    is packed as its offset from the smallest one, plus 1, which keeps the
-    order and the padding first: digits then take 4 bits, so ids of up to
-    16 digits fit, and 8-digit ids fit beside up to 2**32 rows.
+    That is (codes, counts), with codes in sorted-label order; the unique
+    labels themselves are not built.  A str array of width k whose code
+    points take at most b bits, with k * b <= 64, is sorted on integer
+    keys instead of strings: each label packed big-endian into one uint64,
+    b bits per code point.  The zero padding of shorter labels sorts them
+    first, so the key order is NumPy's string order and both outputs are
+    the same.  When the raw code points do not fit beside the
+    r = bit_length(n - 1) row bits, each nonzero code point is packed as
+    its offset from the smallest one, plus 1, which keeps the order and
+    the padding first: digits then take 4 bits, so ids of up to 16 digits
+    fit, and 8-digit ids fit beside up to 2**32 rows.
 
-    When the r row bits fit beside the k * b key bits, the rows are sorted
-    by ``_pair_sort`` on (key, row) words: one value sort orders them by
-    label and, within a label, by row.  The heads of the runs of equal
-    keys then give the counts and, as the row at each head, the first
-    index; one scatter through the sorted rows puts the codes back in row
-    order.  When they do not fit (16-digit ids, say), the packed keys go
-    to ``np.unique``, which sorts them stably only when the first index is
-    asked for.  Every other array (wider labels, integers, objects) goes
-    to ``np.unique`` as it is.
+    The rows are put in key order by ``_pair_sort`` on (key, row) words
+    when the r row bits fit beside the k * b key bits, and by
+    ``np.argsort`` of the keys when they do not (16-digit ids, say): the
+    order of the rows within one key changes no code and no count.  The
+    heads of the runs of equal keys give the counts, and one scatter
+    through the sorted rows puts the codes back in row order.  Every other
+    array (wider labels, integers, objects) goes to ``np.unique``.
     """
     arr = np.asarray(labels).ravel()
     n = arr.size
@@ -140,24 +138,21 @@ def _factorise(labels, return_index: bool = False) -> tuple[np.ndarray, ...]:
                 for j in range(1, width):
                     key <<= np.uint64(bits)
                     key |= block[:, j]
-            if width * bits + r > 64:
-                return np.unique(keys, return_index=return_index,
-                                 return_inverse=True, return_counts=True)[1:]
-            keys, rows = _pair_sort(keys, np.arange(n, dtype=np.uint64), r)
+            if width * bits + r <= 64:
+                keys, rows = _pair_sort(keys, np.arange(n, dtype=np.uint64), r)
+                # The uint64 rows are below n: viewed as intp, they keep their values.
+                rows = rows.view(np.intp)
+            else:
+                rows = np.argsort(keys)
+                keys = keys[rows]
             head = np.empty(n, dtype=bool)
             head[0] = True
             np.not_equal(keys[1:], keys[:-1], out=head[1:])
-            starts = np.flatnonzero(head)
-            # The uint64 rows are below n: viewed as intp, they keep their values.
-            rows = rows.view(np.intp)
-            sorted_codes = np.cumsum(head, dtype=np.intp)
-            sorted_codes -= 1
+            counts = np.diff(np.flatnonzero(head), append=n)
             codes = np.empty(n, dtype=np.intp)
-            codes[rows] = sorted_codes
-            first = [rows[starts]] if return_index else []
-            return (*first, codes, np.diff(starts, append=n))
-    return np.unique(arr, return_index=return_index, return_inverse=True,
-                     return_counts=True)[1:]
+            codes[rows] = np.repeat(np.arange(counts.size), counts)
+            return codes, counts
+    return np.unique(arr, return_inverse=True, return_counts=True)[1:]
 
 
 def variance_hat(values, codes):

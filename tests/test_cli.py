@@ -724,6 +724,51 @@ class TestEstimateCommand:
         assert "  99.5% CI " in lines[3]
         assert {ln.index(" : ") for ln in lines} == {len("  sample-size multiplier c^2")}
 
+    def test_one_report_from_every_label_sort(self, tmp_path, monkeypatch, capsys):
+        # 200 study ids spelled four ways, one per path of inference._factorise,
+        # each list in the sorted order of the s{k} ids: the same clusters,
+        # so the same report.  A _pair_sort is recorded with the bit length
+        # of its largest key: 28 for four raw 7-bit code points ("s99"), 46
+        # for twelve digits packed as 4-bit offsets (a leading "1" takes 2).
+        raw = sorted(f"s{k}" for k in range(200))
+        spellings = {
+            ("pair", 28): raw,
+            ("pair", 46): [f"{10**11 + j}" for j in range(200)],
+            "argsort": [f"{10**15 + j}" for j in range(200)],
+            "U": [f"study_{j:06d}" for j in range(200)],
+        }
+        sorts = []
+        real_unique, real_argsort, real_pair_sort = np.unique, np.argsort, inference._pair_sort
+
+        def recording_pair_sort(high, *args):
+            sorts.append(("pair", int(high.max()).bit_length()))
+            return real_pair_sort(high, *args)
+
+        def recording_argsort(a, *args, **kwargs):
+            sorts.append("argsort" if a.dtype == np.uint64 else a.dtype.kind)
+            return real_argsort(a, *args, **kwargs)
+
+        def recording_unique(ar, **kwargs):
+            sorts.append(np.asarray(ar).dtype.kind)
+            return real_unique(ar, **kwargs)
+
+        monkeypatch.setattr(inference, "_pair_sort", recording_pair_sort)
+        monkeypatch.setattr(np, "argsort", recording_argsort)
+        monkeypatch.setattr(np, "unique", recording_unique)
+        rng = np.random.default_rng(0)
+        t = rng.normal(np.where(rng.random(2000) < 0.5, 0.0, 2.8), 1.4)
+        reports = []
+        for path, ids in spellings.items():
+            p = tmp_path / "d.csv"
+            p.write_text("t,study_id\n" + "".join(
+                f"{x:.4f},{ids[i % 200]}\n" for i, x in enumerate(t)))
+            sorts.clear()
+            assert main(["estimate", str(p), "--out", "json"]) == 0
+            assert sorts == [path]
+            reports.append(json.loads(capsys.readouterr().out)["report"])
+        assert reports[0]["n_clusters"] == 200
+        assert all(report == reports[0] for report in reports[1:])
+
     def test_caliper_failure_exits_four(self, tmp_path, capsys):
         p = tmp_path / "d.csv"
         p.write_text("t\n" + "\n".join(str(0.1 * k) for k in range(1, 9)) + "\n")

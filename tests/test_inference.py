@@ -172,71 +172,81 @@ class TestVarianceHat:
             inference.variance_hat(np.array([0.5, 1.5, -0.5, 2.0]), codes)
 
 
-#: Labels for the factorisation tests, and whether each goes to the integer
-#: keys (k code points of b bits, k * b <= 64) or to np.unique on the labels.
-#: Where the raw code points do not fit beside the row bits, b counts the
-#: offsets from the smallest code point, plus 1 (4 bits for digits, 5 for
+#: Labels for the factorisation tests, and how each is sorted: on integer
+#: keys (k code points of b bits, k * b <= 64), or by np.unique on the labels
+#: (None).  Where the raw code points do not fit beside the row bits, b counts
+#: the offsets from the smallest code point, plus 1 (4 bits for digits, 5 for
 #: lowercase).  Integer keys are sorted as (key, row) words by ``_pair_sort``
-#: where the row bits fit beside the key bits, and by np.unique where they do
-#: not (here "astral", whose offsets still take 21 bits).
+#: ("pair") where the row bits fit beside the key bits, and by np.argsort
+#: ("argsort") where they do not (here "astral", whose offsets still take 21
+#: bits).
 FACTORISE_CASES = {
-    "mixed-length digits": (np.array(["9", "10", "09", "", "9", "10", "0"]), True),
-    "10 digits": (np.array(["1234567890", "0123456789", "9", "1234567890"]), True),
-    "11 digits": (np.array(["12345678901", "1", "12345678901", "02345678901"]), True),
-    "17 digits": (np.array(["12345678901234567", "1", "12345678901234567"]), False),
-    "9 lowercase": (np.array(["abcdefghi", "zz", "abcdefghi", "a"]), True),
-    "10 lowercase": (np.array(["abcdefghij", "zz", "abcdefghij", "a"]), True),
-    "13 lowercase": (np.array(["abcdefghijklm", "zz", "abcdefghijklm", "a"]), False),
-    "latin-1": (np.array(["é", "ÿa", "e", "ÿ", "é", "ÿa"]), True),
-    "cjk": (np.array(["中文", "中", "文中", "中文", ""]), True),
-    "astral": (np.array(["😀", "😀a", "a😀😀", "😀", "\U0010ffff"]), True),
-    "4 astral": (np.array(["😀😀😀😀", "😀", "a"]), False),
-    "embedded nul": (np.array(["a\x00b", "a", "ab", "a\x00b", "\x00"]), True),
-    "non-contiguous slice": (np.array(["b", "x", "a", "x", "b", "y", "c", "y"])[::2], True),
-    "big-endian": (np.array(["中文", "é", "😀", "a", "中文"], dtype=">U2"), True),
-    "integers": (np.array([30, 1, 30, 2, -5]), False),
-    "objects": (np.array(["b", "a", "b", "ccc"], dtype=object), False),
+    "mixed-length digits": (np.array(["9", "10", "09", "", "9", "10", "0"]), "pair"),
+    "10 digits": (np.array(["1234567890", "0123456789", "9", "1234567890"]), "pair"),
+    "11 digits": (np.array(["12345678901", "1", "12345678901", "02345678901"]), "pair"),
+    "17 digits": (np.array(["12345678901234567", "1", "12345678901234567"]), None),
+    "9 lowercase": (np.array(["abcdefghi", "zz", "abcdefghi", "a"]), "pair"),
+    "10 lowercase": (np.array(["abcdefghij", "zz", "abcdefghij", "a"]), "pair"),
+    "13 lowercase": (np.array(["abcdefghijklm", "zz", "abcdefghijklm", "a"]), None),
+    "latin-1": (np.array(["é", "ÿa", "e", "ÿ", "é", "ÿa"]), "pair"),
+    "cjk": (np.array(["中文", "中", "文中", "中文", ""]), "pair"),
+    "astral": (np.array(["😀", "😀a", "a😀😀", "😀", "\U0010ffff"]), "argsort"),
+    "4 astral": (np.array(["😀😀😀😀", "😀", "a"]), None),
+    "embedded nul": (np.array(["a\x00b", "a", "ab", "a\x00b", "\x00"]), "pair"),
+    "non-contiguous slice": (np.array(["b", "x", "a", "x", "b", "y", "c", "y"])[::2], "pair"),
+    "big-endian": (np.array(["中文", "é", "😀", "a", "中文"], dtype=">U2"), "pair"),
+    "integers": (np.array([30, 1, 30, 2, -5]), None),
+    "objects": (np.array(["b", "a", "b", "ccc"], dtype=object), None),
 }
 
 
 @pytest.fixture
 def sorts(monkeypatch):
     """What each factorisation sorts, in call order: "pair" for a
-    ``_pair_sort`` of uint64 words, else the dtype handed to ``np.unique``."""
+    ``_pair_sort`` of uint64 words, "argsort" for an ``np.argsort`` of
+    uint64 keys, else the dtype handed to ``np.unique``."""
     seen = []
-    real_unique, real_pair_sort = np.unique, inference._pair_sort
+    real_unique, real_argsort, real_pair_sort = np.unique, np.argsort, inference._pair_sort
 
     def recording_unique(ar, **kwargs):
         seen.append(np.asarray(ar).dtype)
         return real_unique(ar, **kwargs)
+
+    def recording_argsort(a, *args, **kwargs):
+        dtype = np.asarray(a).dtype
+        seen.append("argsort" if dtype == np.uint64 else ("argsort", dtype))
+        return real_argsort(a, *args, **kwargs)
 
     def recording_pair_sort(*args):
         seen.append("pair")
         return real_pair_sort(*args)
 
     monkeypatch.setattr(np, "unique", recording_unique)
+    monkeypatch.setattr(np, "argsort", recording_argsort)
     monkeypatch.setattr(inference, "_pair_sort", recording_pair_sort)
     return seen
 
 
+def assert_unique_codes(got, labels, *, stable=False):
+    """``got`` is (codes, counts), equal in values and dtypes to NumPy's
+    inverse and counts; ``stable`` takes them from the variant that also
+    returns the first index, which sorts stably."""
+    expected = np.unique(labels, return_index=stable, return_inverse=True,
+                         return_counts=True)[-2:]
+    assert len(got) == 2
+    for g, e in zip(got, expected):
+        assert g.dtype == e.dtype
+        np.testing.assert_array_equal(g, e)
+
+
 class TestFactorise:
-    @pytest.mark.parametrize("return_index", [False, True], ids=["no-index", "index"])
+    @pytest.mark.parametrize("stable", [False, True], ids=["no-index", "index"])
     @pytest.mark.parametrize("case", list(FACTORISE_CASES))
-    def test_matches_unique(self, sorts, case, return_index):
-        labels, packed = FACTORISE_CASES[case]
-        expected = np.unique(labels, return_index=return_index,
-                             return_inverse=True, return_counts=True)[1:]
-        sorts.clear()
-        got = inference._factorise(labels, return_index=return_index)
-        # Packed: one sort of (key, row) words, or np.unique on the uint64 keys.
-        if packed:
-            assert sorts in (["pair"], [np.dtype(np.uint64)])
-        else:
-            assert sorts == [labels.dtype]
-        assert len(got) == len(expected)
-        for g, e in zip(got, expected):
-            assert g.dtype == e.dtype
-            np.testing.assert_array_equal(g, e)
+    def test_matches_unique(self, sorts, case, stable):
+        labels, path = FACTORISE_CASES[case]
+        got = inference._factorise(labels)
+        assert sorts == [path or labels.dtype]
+        assert_unique_codes(got, labels, stable=stable)
 
 
 #: Alphabets of the random factorisation cases: code points of 6, 7, 8, 16
@@ -273,32 +283,22 @@ class TestFactoriseRandom:
         rng = np.random.default_rng(sum(map(ord, alphabet)))
         for k in range(64):
             labels = random_labels(rng, ALPHABETS[alphabet])
-            return_index = bool(k % 2)
-            expected = np.unique(labels, return_index=return_index,
-                                 return_inverse=True, return_counts=True)[1:]
-            got = inference._factorise(labels, return_index=return_index)
-            assert len(got) == len(expected)
-            for g, e in zip(got, expected):
-                assert g.dtype == e.dtype
-                np.testing.assert_array_equal(g, e)
+            assert_unique_codes(inference._factorise(labels), labels, stable=bool(k % 2))
 
-    @pytest.mark.parametrize("n, path", [(1, "pair"), (16, "pair"), (17, "unique"),
-                                         (3000, "unique")])
+    # "17-unique" and "3000-unique" keep their earlier ids, so that test
+    # histories stay comparable.
+    @pytest.mark.parametrize("n, path", [(1, "pair"), (16, "pair"),
+                                         pytest.param(17, "argsort", id="17-unique"),
+                                         pytest.param(3000, "argsort", id="3000-unique")])
     def test_row_bits_beside_fifteen_digit_keys(self, sorts, n, path):
         # Fifteen digits, packed as offsets, take 60 key bits: up to 16 rows
-        # (4 row bits) the keys go to _pair_sort, from 17 rows on to np.unique.
+        # (4 row bits) the keys go to _pair_sort, from 17 rows on to np.argsort.
         rng = np.random.default_rng(n)
         labels = np.array([f"{k:015d}" for k in rng.integers(0, 10**15, n)])[
             rng.integers(0, n, n)]
-        for return_index in (False, True):
-            expected = np.unique(labels, return_index=return_index,
-                                 return_inverse=True, return_counts=True)[1:]
-            sorts.clear()
-            got = inference._factorise(labels, return_index=return_index)
-            assert sorts == (["pair"] if path == "pair" else [np.dtype(np.uint64)])
-            for g, e in zip(got, expected):
-                assert g.dtype == e.dtype
-                np.testing.assert_array_equal(g, e)
+        got = inference._factorise(labels)
+        assert sorts == [path]
+        assert_unique_codes(got, labels)
 
 
     def test_eight_digit_ids_at_2_17_rows(self, sorts):
@@ -307,16 +307,9 @@ class TestFactoriseRandom:
         rng = np.random.default_rng(17)
         pool = np.array([f"{k:08d}" for k in rng.integers(0, 10**8, 2**15)])
         labels = pool[rng.integers(0, pool.size, 2**17)]
-        for return_index in (False, True):
-            expected = np.unique(labels, return_index=return_index,
-                                 return_inverse=True, return_counts=True)[1:]
-            sorts.clear()
-            got = inference._factorise(labels, return_index=return_index)
-            assert sorts == ["pair"]
-            assert len(got) == len(expected)
-            for g, e in zip(got, expected):
-                assert g.dtype == e.dtype
-                np.testing.assert_array_equal(g, e)
+        got = inference._factorise(labels)
+        assert sorts == ["pair"]
+        assert_unique_codes(got, labels)
 
 
 class TestPairSort:
