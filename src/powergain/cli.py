@@ -53,9 +53,12 @@ class DatasetError(Exception):
 # ---------------------------------------------------------------------------
 # dataset ingestion
 #
-# The file's bytes are read once, to hash them, and decoded once, to check
-# that they are UTF-8 and to find the first non-blank line, which gives the
-# layout and the delimiter; that text is freed before the bulk parse.  One
+# The file's bytes are read once, to hash them.  A leading byte-order mark
+# is then dropped and every line is ended by `\n` (`\r\n` and `\r` are
+# folded into it, as NumPy's reader reads them from a path), so every later
+# step sees one convention.  The bytes are decoded once, to check that they
+# are UTF-8 and to find the first non-blank line, which gives the layout
+# and the delimiter; that text is freed before the bulk parse.  One
 # vectorised scan of the bytes bounds the width of each label column.
 # NumPy's C reader then parses the file in bulk, labels straight into str
 # fields of those widths, so no Python object is made per row.  A regular
@@ -70,18 +73,9 @@ class DatasetError(Exception):
 _NON_BLANK = re.compile(r"\S")
 #: A whitespace-only line that follows a newline.
 _WHITESPACE_LINE = re.compile(r"\n[^\S\n]+$", re.MULTILINE)
-#: A line break in the raw bytes of a file.
-_LINE_BREAK = re.compile(rb"\r\n?|\n")
 #: Bytes per block of the label-width scan, and code points per block of
 #: the label check; their arrays then fit in cache.
 _SCAN_BLOCK = 1 << 16
-
-
-def _text(data: bytes) -> str:
-    """UTF-8 bytes as text: without a leading byte-order mark, and with
-    `\r\n` and `\r` line ends read as `\n`, as NumPy's reader reads them."""
-    text = data.decode("utf-8").removeprefix("\ufeff")
-    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 
 
 def _read_head(path: str, digest=None) -> tuple[bytes, int, str, list[str], bool]:
@@ -89,10 +83,12 @@ def _read_head(path: str, digest=None) -> tuple[bytes, int, str, list[str], bool
 
     The bytes must be UTF-8, with or without a leading byte-order mark; a
     file that is not is a dataset error naming the physical line of the
-    first undecodable byte.  Returns them with the first non-blank line's
-    1-based physical line number, the delimiter sniffed from that line, its
-    trimmed cells, and whether a non-blank line follows it.  A ``hashlib``
-    object passed as ``digest`` is updated with the bytes as read.
+    first undecodable byte.  Returns them without that mark and with every
+    line ended by `\n` (`\r\n` and `\r` are folded into it, as NumPy's
+    reader reads them), with the first non-blank line's 1-based physical
+    line number, the delimiter sniffed from that line, its trimmed cells,
+    and whether a non-blank line follows it.  A ``hashlib`` object passed
+    as ``digest`` is updated with the bytes as read.
     """
     try:
         data = Path(path).read_bytes()
@@ -100,10 +96,15 @@ def _read_head(path: str, digest=None) -> tuple[bytes, int, str, list[str], bool
         raise DatasetError(f"cannot read {path}: {exc}") from exc
     if digest is not None:
         digest.update(data)
+    data = data.removeprefix(codecs.BOM_UTF8)
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    if not data.endswith(b"\n"):
+        data += b"\n"
     try:
-        text = _text(data)
+        text = data.decode()
     except UnicodeDecodeError as exc:
-        line = len(_LINE_BREAK.findall(data, 0, exc.start)) + 1
+        line = data.count(b"\n", 0, exc.start) + 1
         raise DatasetError(f"{path} is not valid UTF-8: line {line} has the undecodable "
                            f"byte 0x{data[exc.start]:02x}") from exc
     found = _NON_BLANK.search(text)
@@ -111,37 +112,29 @@ def _read_head(path: str, digest=None) -> tuple[bytes, int, str, list[str], bool
         raise DatasetError(f"{path} contains no data")
     start = text.rfind("\n", 0, found.start()) + 1
     end = text.find("\n", start)
-    line = text[start:] if end < 0 else text[start:end]
+    line = text[start:end]
     delim = "\t" if "\t" in line else ","
-    more = end >= 0 and _NON_BLANK.search(text, end) is not None
     return (data, text.count("\n", 0, start) + 1, delim,
-            [c.strip() for c in line.split(delim)], more)
+            [c.strip() for c in line.split(delim)], _NON_BLANK.search(text, end) is not None)
 
 
 def _cell_widths(data: bytes, skip: int, delim: str, columns: tuple[int, ...]) -> list[int]:
-    """The widest cell of each given column below the first skip physical
-    lines, in UTF-8 bytes: a bound on its characters.
+    """The widest cell of each given column below the first skip lines, in
+    UTF-8 bytes: a bound on its characters.
 
-    Lines end in `\n`, `\r\n` or `\r`, as for NumPy's reader; `\r\n`
-    counts here as two line ends around an empty line, which changes no
-    width.  A column that no line reaches is 0 wide.  The bytes are scanned
-    in blocks of whole lines, so that the scan's arrays stay small.
+    The bytes are as ``_read_head`` returns them: no byte-order mark, and
+    every line ended by `\n`.  A column that no line reaches is 0 wide.
+    The bytes are scanned in blocks of whole lines, so that the scan's
+    arrays stay small.
     """
-    if not data.endswith((b"\n", b"\r")):
-        data += b"\n"
-    start = len(codecs.BOM_UTF8) if data.startswith(codecs.BOM_UTF8) else 0
+    start = 0
     for _ in range(skip):
-        start = _LINE_BREAK.search(data, start).end()
-    line_ends = b"\n\r" if b"\r" in data else b"\n"
+        start = data.index(b"\n", start) + 1
     widths = [0] * len(columns)
     while start < len(data):
-        brk = _LINE_BREAK.search(data, start + _SCAN_BLOCK)
-        stop = brk.end() if brk else len(data)
+        stop = data.find(b"\n", start + _SCAN_BLOCK) + 1 or len(data)
         block = np.frombuffer(data, np.uint8, stop - start, start)
-        is_end = block == ord(delim)
-        for byte in line_ends:
-            is_end |= block == byte
-        ends = np.flatnonzero(is_end)
+        ends = np.flatnonzero((block == ord(delim)) | (block == ord("\n")))
         # Cell i of the block lies between bounds[i] = ends[i - 1] and
         # ends[i]; line j holds cells line_first[j] to line_last[j].
         line_last = np.flatnonzero(block[ends] != ord(delim))
@@ -216,15 +209,15 @@ def _columns(path: str, data: bytes, skip: int, delim: str, numeric: tuple[int, 
         except ValueError:
             return None
 
-    rows = parse(path if os.path.isfile(path) else io.StringIO(_text(data)))
+    rows = parse(path if os.path.isfile(path) else io.StringIO(data.decode()))
     if rows is None:
         # NumPy's reader takes a whitespace-only line for a row, and a row
         # of blanks never parses; blank such lines and parse again.
-        text, blanked = _WHITESPACE_LINE.subn("\n", _text(data))
+        text, blanked = _WHITESPACE_LINE.subn("\n", data.decode())
         rows = parse(io.StringIO(text)) if blanked else None
     nums, labs = names[:len(numeric)], names[len(numeric):]
     if rows is None or not all(np.isfinite(rows[c]).all() for c in nums):
-        bad = _bad_lines(_text(data), skip, delim, numeric, max(numeric + labels))
+        bad = _bad_lines(data.decode(), skip, delim, numeric, max(numeric + labels))
         raise DatasetError(_bad_lines_message(bad, what))
     return ([np.ascontiguousarray(rows[c]) for c in nums],
             [_trimmed(np.ascontiguousarray(rows[c])) for c in labs])
@@ -268,7 +261,7 @@ def read_tscore_file(path: str, *, digest=None) -> tuple[TScoreSample, bool]:
     the first non-blank line.  Every row needs a finite t; otherwise the
     bad rows are reported by physical line number.  Returns the sample and
     whether study labels were found.  A ``hashlib`` object passed as
-    ``digest`` is updated with the bytes that are parsed.  The path may
+    ``digest`` is updated with the bytes as read.  The path may
     be a pipe, such as ``/dev/stdin``.
     """
     data, lineno, delim, first, more = _read_head(path, digest)

@@ -597,12 +597,12 @@ class TestCellWidths:
 
     @pytest.mark.parametrize("end", ["\r", "\r\n", "\n"])
     def test_line_ends_and_a_wide_unused_column(self, tmp_path, loadtxt_dtypes, end):
-        data = "".join(",".join(row) + end for row in self.ROWS).encode()
+        p = tmp_path / "d.csv"
+        p.write_bytes("".join(",".join(row) + end for row in self.ROWS).encode())
+        data = cli._read_head(str(p))[0]
         widest = max(len(row[1]) for row in self.ROWS[1:])
         assert cli._cell_widths(data, 1, ",", (1,)) == [widest]
         assert cli._cell_widths(data, 1, ",", (2, 0, 3)) == [2000, 4, 0]
-        p = tmp_path / "d.csv"
-        p.write_bytes(data)
         sample, _ = read_tscore_file(str(p))
         plain = tmp_path / "plain.csv"
         plain.write_text("".join(f"{t},{sid}\n" for t, sid, _ in self.ROWS))
@@ -623,15 +623,91 @@ class TestCellWidths:
         # Widths count UTF-8 bytes, at least the characters.
         ("1,日本\n2,é\n".encode(), 0, [1, 6]),
     ])
-    def test_blocks_and_odd_lines(self, monkeypatch, data, skip, widths):
-        # Blocks end at the first line end past _SCAN_BLOCK bytes, so tiny
-        # blocks hold one or two lines each.
+    def test_blocks_and_odd_lines(self, tmp_path, monkeypatch, data, skip, widths):
+        # The widths are of the bytes as _read_head returns them.  Blocks end
+        # at the first line end past _SCAN_BLOCK bytes, so tiny blocks hold
+        # one or two lines each.
+        p = tmp_path / "d.csv"
+        p.write_bytes(data)
+        data = cli._read_head(str(p))[0]
         for block in (1, 5, 1 << 16):
             monkeypatch.setattr(cli, "_SCAN_BLOCK", block)
             assert cli._cell_widths(data, skip, ",", (0, 1)) == widths
 
     def test_tab_delimiter(self):
         assert cli._cell_widths(b"\tab\tc\n1\t\t\n", 0, "\t", (0, 1, 2)) == [1, 2, 1]
+
+
+def _lf_scores() -> str:
+    """400 t-scores in 40 studies, one LF-ended line each under a header."""
+    rng = np.random.default_rng(7)
+    t = rng.normal(np.where(rng.random(400) < 0.5, 0.0, 2.8), 1.4)
+    return "t,study_id\n" + "".join(f"{x:.4f},s{k % 40}\n" for k, x in enumerate(t))
+
+
+def _with_line(text: str, line: str) -> str:
+    """The text with one more line after its 200th."""
+    lines = text.splitlines(keepends=True)
+    return "".join(lines[:200] + [line + "\n"] + lines[200:])
+
+
+#: One file in eight spellings: each a function of its LF text.
+SPELLINGS = {
+    "lf": lambda text: text,
+    "crlf": lambda text: text.replace("\n", "\r\n"),
+    "cr": lambda text: text.replace("\n", "\r"),
+    "bom": lambda text: "\ufeff" + text,
+    "bom, crlf, whitespace-only line":
+        lambda text: "\ufeff" + _with_line(text, " \t").replace("\n", "\r\n"),
+    "no final newline": lambda text: text[:-1],
+    "trailing whitespace-only line": lambda text: text + " \t",
+    "cr, U+3000 line": lambda text: _with_line(text, "\u3000").replace("\n", "\r"),
+}
+
+
+class TestOneLineConvention:
+    """The byte-order mark and the line ends are folded once, when the bytes
+    are read: every spelling of one file gives its LF report, from the file
+    and from a pipe, and the manifest hashes the bytes as read."""
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+    @pytest.mark.parametrize("name", list(SPELLINGS))
+    def test_every_spelling_is_the_lf_file(self, tmp_path, capsys, name):
+        text = _lf_scores()
+        lf = tmp_path / "lf.csv"
+        lf.write_bytes(text.encode())
+        assert main(["estimate", str(lf), "--out", "json"]) == 0
+        want = json.loads(capsys.readouterr().out)["report"]
+        data = SPELLINGS[name](text).encode()
+        p = tmp_path / "d.csv"
+        p.write_bytes(data)
+        folded = cli._read_head(str(p))[0]
+        assert b"\r" not in folded and not folded.startswith(b"\xef\xbb\xbf")
+        assert folded.endswith(b"\n")
+        assert main(["estimate", str(p), "--out", "json"]) == 0
+        from_file = json.loads(capsys.readouterr().out)
+        r, w = os.pipe()
+        try:
+            os.write(w, data)  # a few kilobytes: within the pipe's buffer
+            os.close(w)
+            assert main(["estimate", f"/dev/fd/{r}", "--out", "json"]) == 0
+        finally:
+            os.close(r)
+        from_pipe = json.loads(capsys.readouterr().out)
+        assert from_file["report"] == from_pipe["report"] == want
+        assert (from_file["manifest"]["dataset"]["sha256"]
+                == from_pipe["manifest"]["dataset"]["sha256"]
+                == hashlib.sha256(data).hexdigest())
+
+    @pytest.mark.parametrize("data, message", [
+        (b"t,study_id\r\n1.5,a\r\n\xff2,b\r\n", "line 3 has the undecodable byte 0xff"),
+        (b"t,study_id\r1.5,a\r\r2,\xc3b\r", "line 4 has the undecodable byte 0xc3"),
+    ], ids=["crlf", "cr"])
+    def test_undecodable_byte_names_the_physical_line(self, tmp_path, capsys, data, message):
+        p = tmp_path / "d.csv"
+        p.write_bytes(data)
+        assert main(["estimate", str(p)]) == 3
+        assert capsys.readouterr().err.strip() == f"error: {p} is not valid UTF-8: {message}"
 
 
 class TestEstimateCommand:
