@@ -342,8 +342,6 @@ def read_grouped_file(path: str, *, digest=None) -> GroupedEffects:
 # rendering
 
 def _fmt(x, digits: int = 6) -> str:
-    if x is None:
-        return "-"
     return f"{x:.{digits}f}"
 
 

@@ -35,7 +35,6 @@ __all__ = [
     "GroupedEffects",
     "ConditionalReport",
     "RowEstimates",
-    "status_quo_power",
     "delta_hat_pb",
     "delta_hat_pb_rows",
     "estimate",
@@ -184,14 +183,6 @@ class EstimateReport:
     flags: tuple[str, ...] = ()
 
 
-def status_quo_power(t, cv: float = 1.96) -> float:
-    """Observed share of significant results: (1/n) * sum 1{|t_i| > cv}."""
-    t = np.asarray(t, dtype=float).ravel()
-    if t.size == 0:
-        raise ValueError("status-quo power of an empty sample is undefined")
-    return float(np.mean(_pubbias.significant(t, cv)))
-
-
 #: Row statuses of the estimation core: why a row has no interval.
 (ROW_OK, ROW_EMPTY_UPPER_BIN, ROW_ZERO_WEIGHTS, ROW_NO_SE, ROW_ZERO_KERNEL,
  ROW_KERNEL_OVERFLOW) = range(6)
@@ -310,9 +301,11 @@ def _reports(
     """Point estimate, cluster SE and interval of one sample on each basis.
 
     The bases share J, cv and sigma_T^2 and differ only in c, so the
-    caliper (with ``pb``), the status-quo power and the kernel's Hermite
-    recurrence are computed once; the row core then runs on the sample as
-    one row per basis.  All of it is evaluated on the sample's table of
+    caliper and the kernel's Hermite recurrence are computed once; the row
+    core then runs on the sample as one row per basis.  The caliper runs
+    with or without ``pb``: its count of insignificant scores gives the
+    status-quo power (n - count) / n, and ``pb`` only decides whether the
+    row core reads it.  All of it is evaluated on the sample's table of
     distinct |t| values (``TScoreSample``): the kernel, the caliper masks
     (whose counts sum the table's multiplicities) and the influence terms
     once per distinct value, and only the sums over the sample run over
@@ -329,18 +322,17 @@ def _reports(
     just below the cutoff, and (at c > 1) a sample whose scores all share
     one cluster.
     """
-    t, cv = sample.t, bases[0].cv
-    table = sample._table
-    caliper = (_pubbias.caliper_tail(table[None], epsilon, cv, sample._table_counts)
-               if pb else None)
-    sq_power = status_quo_power(t, cv)
+    table, cv, n = sample._table, bases[0].cv, sample.n
+    caliper = _pubbias.caliper_tail(table[None], epsilon, cv, sample._table_counts)
+    sq_power = float((n - caliper[1].count_insignificant[0]) / n)
     with np.errstate(over="ignore", invalid="ignore"):
         # A kernel that overflows gives an estimate that is not finite, which
         # is raised below as an EstimationError.
         kernels = _spectrum.kernel_S_grid(table, bases)[:, None]
     reports = []
     for b, rows in zip(bases, _estimate_rows(kernels, bases, sample._table_index,
-                                             sample._cluster_codes, caliper, alpha)):
+                                             sample._cluster_codes,
+                                             caliper if pb else None, alpha)):
         status = rows.status[0]
         if status == ROW_EMPTY_UPPER_BIN:
             raise _pubbias.CaliperError.empty_upper_bin(epsilon, cv)
@@ -431,9 +423,10 @@ def estimate(
 
     The one-point ``power_gain_curve``.  ``cfg.n_effective`` defaults to
     the number of t-scores; pass the study count instead to scale the
-    tuning rule by studies.  With ``pb=False`` the publication-bias
-    machinery is skipped entirely: no theta, and the standard error is the
-    cluster sandwich of the kernel values.
+    tuning rule by studies.  With ``pb=False`` the caliper still counts
+    the significant scores for the status-quo power, but theta_hat's
+    reweighting and its influence term are skipped: no theta, and the
+    standard error is the cluster sandwich of the kernel values.
     """
     return power_gain_curve(sample, cfg, [cfg.c], pb)[0]
 
@@ -481,9 +474,9 @@ def power_gain_curve(
     """Estimate the power gain at every counterfactual scale c in the grid.
 
     Returns one ``EstimateReport`` per c, flags included.  J and epsilon
-    come from the tuning rule once — they do not depend on c — and so do
-    theta_hat, the caliper tail and the status-quo power.  One pass of
-    the kernel's Hermite recurrence serves every grid point's
+    come from the tuning rule once — they do not depend on c — and so does
+    the caliper tail, which gives theta_hat and the status-quo power.  One
+    pass of the kernel's Hermite recurrence serves every grid point's
     coefficients, and each point then runs the row core on its own, so a
     one-point grid is exactly ``estimate``.  The c = 1 point is exactly
     zero with zero variance (every contrast coefficient vanishes).
@@ -609,9 +602,11 @@ def conditional_delta(
     g, n_groups, n_members = data._group_codes, data._group_sizes.size, se.size
     wnorm = data.weights / np.bincount(g, data.weights, n_groups)[g]
     b_bar = np.bincount(g, wnorm * data.effects, n_groups)
-    ratios = b_bar[g] / se
-    # One call for both rows: the CDF's cost per call matters on small files.
-    power, slope = _basis.conditional_power(np.stack([c * ratios, ratios]), cv, slope=True)
+    with np.errstate(over="ignore"):
+        # A ratio past the float range is inf, where the power is 1 at both scales
+        # and its slope 0.  One call for both rows: the CDF's cost per call matters.
+        ratios = b_bar[g] / se
+        power, slope = _basis.conditional_power(np.stack([c * ratios, ratios]), cv, slope=True)
     delta = float(np.sum(power[0] - power[1])) / n_members
     slope = (c * slope[0] - slope[1]) / se
     gradients = np.bincount(g, slope, n_groups) / n_members  # d(delta)/d(b_bar)

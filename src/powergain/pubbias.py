@@ -26,12 +26,12 @@ class EmpiricalTail:
 
     ``insignificant`` (|t| <= cutoff), ``lower`` (|t| in (cutoff - eps,
     cutoff]) and ``upper`` (|t| in (cutoff, cutoff + eps]) are masks with
-    the shape of the scores; every estimator term (omega, W, X, Q) reads
-    them instead of comparing scores with the cutoff again.  The counts,
-    masses and F_hat are their sums, weighted by each score's multiplicity,
-    one entry per row (0-d for a flat sample); a mass is its count over the
-    row's total multiplicity, the row's length when every score counts
-    once.  ``==`` is identity.
+    the shape of the scores; every estimator term (omega, W, X, Q) and the
+    status-quo power read them instead of comparing scores with the cutoff
+    again.  The counts, masses and F_hat are their sums, weighted by each
+    score's multiplicity, one entry per row (0-d for a flat sample); a mass
+    is its count over the row's total multiplicity, the row's length when
+    every score counts once.  ``==`` is identity.
     """
 
     insignificant: np.ndarray
@@ -42,6 +42,7 @@ class EmpiricalTail:
     B_minus: np.ndarray
     count_above: np.ndarray
     count_below: np.ndarray
+    count_insignificant: np.ndarray
 
 
 def significant(t, cutoff: float):
@@ -50,7 +51,8 @@ def significant(t, cutoff: float):
     A score exactly at the cutoff is insignificant, as in the event
     Pr(|T| > cv) that the power function measures.  Every split at the
     cutoff goes through this function: the caliper bins (and, through
-    their masks, every estimator weight), the thinning and the shares.
+    their masks, every estimator weight and the status-quo power), the
+    prior reconstruction's weights and the thinning.
     """
     return np.abs(t) > cutoff
 
@@ -92,5 +94,6 @@ def caliper_tail(t, epsilon: float, cutoff: float = 1.96,
     tail = EmpiricalTail(insignificant=insignificant, lower=lower, upper=upper,
                          F_hat=insig / n,
                          B_plus=above / n, B_minus=below / n,
-                         count_above=above, count_below=below)
+                         count_above=above, count_below=below,
+                         count_insignificant=insig)
     return theta, tail

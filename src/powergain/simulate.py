@@ -420,12 +420,12 @@ class CoverageRow:
 
     The sample size, prior and noise family, the true power and true gain,
     then the Monte Carlo mean/SD of the estimate, the mean standard error,
-    and the coverage of the nominal 95% interval; the CLI prints them in
-    the published layout.  ``failures`` counts replications without a
-    finite standard error (see ``run_coverage``) — those are excluded from
-    the averages but reported, never silently dropped.  A spread needs two
-    replications: with fewer good ones ``sd_delta`` is NaN, as every
-    average is when none is good.
+    and the coverage of the nominal 1 - alpha interval; the CLI prints
+    them in the published layout.  ``failures`` counts replications
+    without a finite standard error (see ``run_coverage``) — those are
+    excluded from the averages but reported, never silently dropped.  A
+    spread needs two replications: with fewer good ones ``sd_delta`` is
+    NaN, as every average is when none is good.
     """
 
     n: int
@@ -460,13 +460,14 @@ def run_coverage(spec: DgpSpec, n: int, reps: int,
 
     Each replication draws a fresh population of n published scores from
     an independent RNG substream, estimates with the publication-bias
-    correction, and checks whether the nominal 95% interval contains the
-    oracle gain.  Tuning is selected once from n (the retained count is
-    exactly n by construction).  Replications whose caliper bin is empty,
-    whose selection weights sum to zero, whose kernel is 0 at every score
-    (it underflowed), or where no score lands just below the cutoff (point
-    estimate fine but no standard error), are tallied as failures, as is
-    one whose kernel overflows or whose SE is not finite.  Deterministic
+    correction, and checks whether the nominal 1 - alpha interval (alpha
+    from ``cfg``) contains the oracle gain.  Tuning is selected once from
+    n (the retained count is exactly n by construction).  Replications
+    whose caliper bin is empty, whose selection weights sum to zero, whose
+    kernel is 0 at every score (it underflowed), or where no score lands
+    just below the cutoff (point estimate fine but no standard error), are
+    tallied as failures, as is one whose kernel overflows or whose SE is
+    not finite.  Deterministic
     given (spec, n, reps, cfg, seed); substreams make the replication loop
     order-independent.
 

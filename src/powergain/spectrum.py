@@ -210,6 +210,8 @@ def select_tuning(cfg: TuningConfig) -> tuple[int, float]:
         raise ValueError(f"tuning rule needs an effective sample size >= 2, got {n!r}")
     n_rate = float(n) ** (-1.0 / 3.0)
     epsilon = cfg.C * n_rate
+    if epsilon == 0.0:
+        raise ValueError(f"--const-C {cfg.C} rounds the caliper width to 0 at n = {n}")
     ratio = math.log(cfg.D * n_rate) / math.log(math.sqrt(cfg.sigmaT2 / (1.0 + cfg.sigmaT2)))
     J = max(0, min(_basis.J_MAX, int(math.floor(ratio))))
     return J, epsilon

@@ -954,6 +954,16 @@ class TestCurveCommand:
         assert main(["curve", p, "--grid", "0.5,2"]) == 2
         assert "must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("grid, message", [
+        ("2,x", "--grid must be comma-separated numbers, got '2,x'"),
+        (",", "--grid is empty"),
+    ], ids=["not a number", "empty"])
+    def test_unreadable_grid_exits_two(self, tmp_path, capsys, grid, message):
+        p = write_balanced(tmp_path / "d.csv")
+        assert main(["curve", p, "--grid", grid]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {message}\n"
+
     def test_csv_columns(self, tmp_path, capsys):
         p = write_balanced(tmp_path / "d.csv")
         assert main(["curve", p, "--grid", "4", "--out", "csv"]) == 0
@@ -1360,6 +1370,25 @@ def test_closed_pipe_exits_1_without_a_traceback():
     assert "Traceback" not in err and "BrokenPipeError" not in err
 
 
+def test_closed_stdout_exits_1_with_nothing_on_stderr(tmp_path):
+    # The read end of the pipe is closed before the command writes its report.
+    p = tmp_path / "d.csv"
+    rng = np.random.default_rng(5)
+    p.write_text("t,study_id\n" + "".join(
+        f"{x:.2f},s{k}\n" for x, k in zip(rng.normal(1.0, 1.5, 10**4),
+                                          rng.integers(0, 2000, 10**4))))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "powergain.cli", "estimate", str(p)],
+                              env=_fresh_env(), stdout=write_end, stderr=subprocess.PIPE,
+                              text=True, timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == ""
+
+
 def test_closed_pipe_ends_the_cells_processes():
     # Two usable CPUs, however many the host has: the cells run in forked
     # processes, and none outlives the closed pipe.
@@ -1467,6 +1496,22 @@ class TestConditionalCommand:
                 == (backward["n_groups"], backward["n_members"]) == (50, 400))
         np.testing.assert_allclose([backward["delta"], backward["se"]],
                                    [forward["delta"], forward["se"]], rtol=1e-14)
+
+    @pytest.mark.parametrize("se", ["iid", "worstcase"])
+    @pytest.mark.parametrize("effect, std_error", [("0.5", "1e-320"), ("1e308", "1")],
+                             ids=["subnormal std_error", "c b_bar past the range"])
+    def test_ratios_past_the_float_range(self, tmp_path, capsys, se, effect, std_error):
+        # |b_bar| / s (or c |b_bar| / s at c^2 = 4) overflows to inf: the power
+        # is 1 at both scales and its slope 0, so the gain and its SE are 0,
+        # with no warning.
+        p = tmp_path / "g.csv"
+        p.write_text("group_id,effect,std_error,weight,lab_id\n" + "".join(
+            f"g{i % 10},{effect},{std_error},10,lab{i % 4}\n" for i in range(40)))
+        assert main(["conditional", str(p), "--se", se, "--c2", "4", "--out", "json"]) == 0
+        captured = capsys.readouterr()
+        report = json.loads(captured.out)["report"]
+        assert report["delta"] == 0.0 and report["se"] == 0.0
+        assert captured.err == ""
 
     def test_worstcase_needs_lab_ids(self, tmp_path, capsys):
         p = tmp_path / "g.csv"
@@ -1648,6 +1693,17 @@ class TestParser:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and flag in captured.err
+
+    @pytest.mark.parametrize("command", ["estimate", "estimate --no-pb", "curve --no-pb",
+                                         "simulate"])
+    def test_caliper_width_underflow_is_exit_two(self, tmp_path, capsys, command):
+        # C * n^(-1/3) rounds to 0: with or without the correction, the
+        # caliper that counts the significant scores has no width.
+        argv = quick_argv(tmp_path, command.split()[0]) + command.split()[1:]
+        assert main([*argv, "--const-C", "5e-324"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --const-C 5e-324 rounds the caliper width to 0")
 
     @pytest.mark.parametrize("command", ["estimate", "curve"])
     @pytest.mark.parametrize("rounded", [True, False], ids=["rounded", "continuous"])

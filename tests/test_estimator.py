@@ -103,19 +103,20 @@ class TestTScoreSample:
 class TestDescriptiveShares:
     def test_status_quo_power_strict_inequality(self):
         s = TScoreSample.from_scores([1.96, 1.961, -2.5, 0.3])
-        np.testing.assert_allclose(estimator.status_quo_power(s.t), 0.5)
+        for pb in (True, False):
+            assert estimator.estimate(s, make_config(), pb=pb).status_quo_power == 0.5
 
-    # The naive "rescale the observed t-scores" share is the status-quo
-    # power of c * t: it multiplies realized noise along with the signal.
+    # The naive "rescale the observed t-scores" share is the significant
+    # share of c * t: it multiplies realized noise along with the signal.
     def test_naive_rescaled_share(self):
         s = TScoreSample.from_scores([1.0, 1.5, -1.6, 0.2])
         # c = sqrt(2): |c t| = 1.414, 2.121, 2.263, 0.283 -> half cross 1.96.
-        np.testing.assert_allclose(estimator.status_quo_power(SQRT2 * s.t), 0.5)
+        assert pubbias.significant(SQRT2 * s.t, 1.96).mean() == 0.5
 
     def test_naive_share_overstates_on_pure_noise(self):
         rng = np.random.default_rng(42)
         s = TScoreSample.from_scores(rng.standard_normal(200_000))
-        naive = estimator.status_quo_power(SQRT2 * s.t)
+        naive = pubbias.significant(SQRT2 * s.t, 1.96).mean()
         # 2 * Phi(-1.96/sqrt(2)) = 0.16577 even though no effect exists.
         np.testing.assert_allclose(naive, 0.16576849565979212, atol=0.004)
 
@@ -437,8 +438,11 @@ class TestSignificanceAtTheCutoff:
     def test_predicate_and_shares(self):
         tie = np.array([self.CV, -self.CV])
         assert not pubbias.significant(tie, self.CV).any()
-        assert estimator.status_quo_power(tie, self.CV) == 0.0
-        assert pubbias.caliper_tail(tie, 0.5, self.CV)[1].F_hat == 1.0
+        tail = pubbias.caliper_tail(tie, 0.5, self.CV)[1]
+        assert tail.count_insignificant == 2 and tail.F_hat == 1.0
+        sample = TScoreSample.from_scores(tie)
+        assert estimator.estimate(sample, make_config(cv=self.CV),
+                                  pb=False).status_quo_power == 0.0
 
     def test_caliper_and_influence_terms(self):
         # The tie sits in the lower bin, with 0.3 and 2.1 around it.
@@ -472,6 +476,30 @@ class TestSignificanceAtTheCutoff:
             * basis.gaussian_pdf(s.t, b.sigmaT2)
         np.testing.assert_allclose(coef * b.eta * b.lam, psi_phi @ omega / omega.sum(),
                                    rtol=1e-12)
+
+    @pytest.mark.parametrize("decimals, cv", [(None, 1.96), (1, 2.0), (2, 1.96)],
+                             ids=["no-grid", "1-decimal", "2-decimal"])
+    def test_status_quo_power_is_the_share_of_the_mask(self, decimals, cv):
+        # The report reads the share from the caliper's integer count over
+        # n, which must be the same IEEE quotient as the mean of the mask.
+        rng = np.random.default_rng(31)
+        cfg = make_config(cv=cv)
+        for _ in range(12):
+            t = rng.normal(1.0, 1.5, rng.integers(1000, 4000))
+            if decimals is not None:
+                t = _rounded(t, decimals)
+                t[:rng.integers(1, 40)] = cv
+                t[-rng.integers(1, 40):] = -cv
+            sample = TScoreSample.from_scores(t)
+            assert sample._grid_step == (None if decimals is None else 10.0 ** -decimals)
+            want = float(np.mean(np.abs(t) > cv))
+            for pb in (True, False):
+                assert estimator.estimate(sample, cfg, pb=pb).status_quo_power == want
+            table, counts = np.unique(np.abs(t), return_counts=True)
+            insignificant = np.count_nonzero(np.abs(t) <= cv)
+            for tail in (pubbias.caliper_tail(t, 0.2, cv)[1],
+                         pubbias.caliper_tail(table, 0.2, cv, counts)[1]):
+                assert tail.count_insignificant == insignificant
 
     def test_thinning_drops_ties(self, monkeypatch):
         # Every insignificant draw survives with probability 1e-12, so a tie

@@ -22,7 +22,7 @@ MODULE_ONLY = {
     "basis": ["J_MAX", "conditional_power", "gaussian_pdf", "normal_quantile"],
     "spectrum": ["kernel_S", "kernel_S_grid", "select_tuning"],
     "pubbias": ["EmpiricalTail", "caliper_tail", "significant"],
-    "estimator": ["RowEstimates", "delta_hat_pb", "delta_hat_pb_rows", "status_quo_power"],
+    "estimator": ["RowEstimates", "delta_hat_pb", "delta_hat_pb_rows"],
     "inference": ["confidence_interval", "influence", "q_hat", "variance_hat"],
     "simulate": ["FITTED_MASSES", "NOISES", "PRIORS", "CoverageRow", "DgpSpec",
                  "draw_population", "oracle_delta", "oracle_power", "run_coverage"],
