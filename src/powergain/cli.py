@@ -21,6 +21,7 @@ import json
 import math
 import os
 import re
+import stat
 import sys
 from dataclasses import asdict
 from datetime import datetime, timezone
@@ -62,13 +63,15 @@ class DatasetError(Exception):
 # vectorised scan of the bytes bounds the width of each label column.
 # NumPy's C reader then parses the file in bulk, labels straight into str
 # fields of those widths, so no Python object is made per row.  A regular
-# file is parsed again from its path, which is faster than from text; a
-# pipe, whose bytes cannot be read twice, is parsed from the text of the
-# bytes already read.  Each column is copied out of the parse, which is
-# then freed, and a label column is stripped only when a code point other
-# than printable ASCII could need it.  A whitespace-only line makes the
-# parse fail; only then are such lines blanked for a second parse, and
-# only when that fails too does a line scan run, to name the bad lines.
+# file is parsed again from its path, which is faster than from text, and
+# is refused if its inode, size or modification time changed between the
+# read and that parse; a pipe, whose bytes cannot be read twice, is parsed
+# from the bytes already read.  Each column is copied out of the parse,
+# which is then freed, and a label column is stripped only when a code
+# point other than printable ASCII could need it.  A whitespace-only line
+# makes the parse fail; only then are such lines blanked for a second
+# parse, and only when that fails too does a line scan run, to name the
+# bad lines.
 
 _NON_BLANK = re.compile(r"\S")
 #: A whitespace-only line that follows a newline.
@@ -76,6 +79,15 @@ _WHITESPACE_LINE = re.compile(r"\n[^\S\n]+$", re.MULTILINE)
 #: Bytes per block of the label-width scan, and code points per block of
 #: the label check; their arrays then fit in cache.
 _SCAN_BLOCK = 1 << 16
+
+
+def _file_stamp(path: str) -> tuple[int, int, int] | None:
+    """(inode, size, mtime in ns) of a regular file; None for a pipe or a path that is not one."""
+    try:
+        st = os.stat(path)
+    except OSError:
+        return None
+    return (st.st_ino, st.st_size, st.st_mtime_ns) if stat.S_ISREG(st.st_mode) else None
 
 
 def _read_head(path: str, digest=None) -> tuple[bytes, int, str, list[str], bool]:
@@ -185,10 +197,14 @@ def _bad_lines(text: str, skip: int, delim: str, numeric: tuple[int, ...],
     return bad
 
 
-def _columns(path: str, data: bytes, skip: int, delim: str, numeric: tuple[int, ...],
-             labels: tuple[int, ...], what: str) -> tuple[list[np.ndarray], list[np.ndarray]]:
+def _columns(path: str, data: bytes, stamp: tuple[int, int, int] | None, skip: int,
+             delim: str, numeric: tuple[int, ...], labels: tuple[int, ...],
+             what: str) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """The rows below the first skip physical lines, parsed in bulk.
 
+    ``stamp`` is the ``_file_stamp`` of ``path`` from before ``data`` was
+    read: a regular file is parsed from its path, and refused if its stamp
+    has changed since; with None, ``data`` is parsed.
     NumPy's reader returns the numeric columns as float fields and each
     label column as a str field as wide as its widest cell.  Each column is
     copied out of the parse, so the parse is freed on return, and each
@@ -209,7 +225,9 @@ def _columns(path: str, data: bytes, skip: int, delim: str, numeric: tuple[int, 
         except ValueError:
             return None
 
-    rows = parse(path if os.path.isfile(path) else io.StringIO(data.decode()))
+    rows = parse(path if stamp else io.StringIO(data.decode()))
+    if stamp and _file_stamp(path) != stamp:
+        raise DatasetError(f"{path} changed while it was read; retry once nothing writes to it")
     if rows is None:
         # NumPy's reader takes a whitespace-only line for a row, and a row
         # of blanks never parses; blank such lines and parse again.
@@ -264,6 +282,7 @@ def read_tscore_file(path: str, *, digest=None) -> tuple[TScoreSample, bool]:
     ``digest`` is updated with the bytes as read.  The path may
     be a pipe, such as ``/dev/stdin``.
     """
+    stamp = _file_stamp(path)
     data, lineno, delim, first, more = _read_head(path, digest)
     lowered = [c.lower() for c in first]
     if "t" in lowered:
@@ -285,7 +304,7 @@ def read_tscore_file(path: str, *, digest=None) -> tuple[TScoreSample, bool]:
             "first line is neither a header containing a `t` column nor a "
             "numeric t value")
 
-    (t,), sids = _columns(path, data, skip, delim, (t_idx,),
+    (t,), sids = _columns(path, data, stamp, skip, delim, (t_idx,),
                           () if sid_idx is None else (sid_idx,),
                           "every row needs a finite numeric t")
     del data  # freed before the sample is built
@@ -307,6 +326,7 @@ def read_grouped_file(path: str, *, digest=None) -> GroupedEffects:
     its group codes follow the sorted order of the group labels.
     ``digest`` is as for ``read_tscore_file``.
     """
+    stamp = _file_stamp(path)
     data, lineno, delim, first, more = _read_head(path, digest)
     first = [c.lower() for c in first]
     if any(c in _GROUP_COLUMNS or c == "lab_id" for c in first):
@@ -330,7 +350,7 @@ def read_grouped_file(path: str, *, digest=None) -> GroupedEffects:
         skip = lineno - 1
 
     (effects, std_errors, weights), (gid, *lab) = _columns(
-        path, data, skip, delim, (idx["effect"], idx["std_error"], idx["weight"]),
+        path, data, stamp, skip, delim, (idx["effect"], idx["std_error"], idx["weight"]),
         (idx["group_id"],) + (() if lab_idx is None else (lab_idx,)),
         "every row needs finite numeric effect, std_error and weight")
     del data  # freed before the groups are factorised
@@ -515,8 +535,9 @@ def _c_from_args(args: argparse.Namespace) -> float:
     return math.sqrt(args.c2)
 
 
-def _tuning_from_args(args: argparse.Namespace, n_effective: int | None = None) -> TuningConfig:
-    return TuningConfig(c=_c_from_args(args), cv=args.cv, alpha=args.alpha,
+def _tuning_from_args(args: argparse.Namespace, c: float,
+                      n_effective: int | None = None) -> TuningConfig:
+    return TuningConfig(c=c, cv=args.cv, alpha=args.alpha,
                         sigmaT2=args.sigma_t2, C=args.const_C, D=args.const_D,
                         n_effective=n_effective)
 
@@ -546,7 +567,7 @@ def _printed_ci(args: argparse.Namespace, row: dict) -> dict:
 
 def cmd_estimate(args: argparse.Namespace) -> int:
     sample = _load_sample(args)
-    cfg = _tuning_from_args(args, _n_effective(args, sample))
+    cfg = _tuning_from_args(args, _c_from_args(args), _n_effective(args, sample))
     report = _printed_ci(args, asdict(estimate(sample, cfg, pb=not args.no_pb)))
     return _emit(args, "report", report, render_estimate_text)
 
@@ -568,7 +589,8 @@ def _parse_grid(raw: str) -> list[float]:
 def cmd_curve(args: argparse.Namespace) -> int:
     grid_c2 = _parse_grid(args.grid)
     sample = _load_sample(args)
-    cfg = _tuning_from_args(args, _n_effective(args, sample))
+    # power_gain_curve takes c from the grid, so this config's c is never read.
+    cfg = _tuning_from_args(args, 1.0, _n_effective(args, sample))
     reports = power_gain_curve(sample, cfg, [math.sqrt(v) for v in grid_c2],
                                pb=not args.no_pb)
     # Rows are labelled with the requested multiplier, not sqrt(c2)**2.
@@ -590,12 +612,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     ns = [args.n] if args.n is not None else list(preset_ns)
     dgps = list(PRIORS) if args.dgp == "all" else [args.dgp]
 
+    c = _c_from_args(args)
     cells = []
     for n in ns:
         for prior in dgps:
-            spec = DgpSpec(prior=prior, noise=noise, theta0=args.theta0,
-                           cv=args.cv, c=_c_from_args(args))
-            cells.append((spec, n, args.reps, _tuning_from_args(args),
+            spec = DgpSpec(prior=prior, noise=noise, theta0=args.theta0, cv=args.cv, c=c)
+            cells.append((spec, n, args.reps, _tuning_from_args(args, c),
                           args.seed + len(cells)))
 
     rows = []
@@ -633,9 +655,10 @@ def _add_output_flags(p: argparse.ArgumentParser) -> None:
                    help="write output to PATH (plus PATH.manifest.json) instead of stdout")
 
 
-def _add_common_estimation_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--c2", type=float, default=2.0,
-                   help="sample-size multiplier c^2 (default 2 = double every sample)")
+def _add_common_estimation_flags(p: argparse.ArgumentParser, c2: bool = True) -> None:
+    if c2:
+        p.add_argument("--c2", type=float, default=2.0,
+                       help="sample-size multiplier c^2 (default 2 = double every sample)")
     p.add_argument("--cv", type=float, default=1.96,
                    help="two-sided critical value (default 1.96)")
     p.add_argument("--alpha", type=float, default=0.05,
@@ -677,7 +700,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_curve = sub.add_parser("curve", help="power-gain curve over a grid of c^2")
     _add_dataset_flags(p_curve)
-    _add_common_estimation_flags(p_curve)
+    _add_common_estimation_flags(p_curve, c2=False)  # --grid sets every c^2
     p_curve.add_argument("--grid", default="1,2,4,8",
                          help="comma-separated c^2 values (a c^2=1 anchor row is "
                               "always included); default 1,2,4,8")

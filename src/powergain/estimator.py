@@ -12,8 +12,8 @@ effects fixed.
 Every ``EstimateReport`` is built in one place, ``_reports``, from one
 row core, ``_estimate_rows``: the estimate at one c is the one-point
 curve, and ``delta_hat_pb`` is the same builder on a given basis.  The row
-core evaluates a sample on the table of its distinct |t| values, which a
-rounded sample makes far shorter than the sample itself.
+core runs the caliper and the kernel itself, on the table of each sample's
+distinct |t| values, which a rounded sample makes far shorter.
 """
 from __future__ import annotations
 
@@ -187,9 +187,6 @@ class EstimateReport:
 (ROW_OK, ROW_EMPTY_UPPER_BIN, ROW_ZERO_WEIGHTS, ROW_NO_SE, ROW_ZERO_KERNEL,
  ROW_KERNEL_OVERFLOW) = range(6)
 
-_ZERO_WEIGHTS = ("estimator undefined: selection weights sum to zero "
-                 "(theta = 0 with every score significant)")
-
 
 @dataclass(frozen=True, eq=False)
 class RowEstimates:
@@ -223,38 +220,39 @@ def _gathered(values: np.ndarray, index) -> np.ndarray:
     return values if index is None else np.take(values, index, axis=1)
 
 
-def _estimate_rows(kernels, bases, index, codes, caliper, alpha) -> list[RowEstimates]:
-    """The one estimation core: R samples of n scores, row-wise, for each kernel.
+def _estimate_rows(table, bases, epsilon, counts, index, codes, pb,
+                   alpha) -> tuple[_pubbias.EmpiricalTail, list[RowEstimates]]:
+    """The one path from scores to estimates: R samples of n scores, row-wise.
 
-    Each row holds its scores as a table of K values, and ``index`` (n,)
-    takes each score to its table entry; ``index=None`` means that the
-    table is the scores themselves, and nothing is gathered.  ``kernels``
-    has shape (G, R, K): the values S on the table of the G ``bases``;
-    every row shares the n cluster ``codes``.
-    ``caliper`` is ``pubbias.caliper_tail``'s ``(theta, tail)`` of the
-    table: the kernel mean of each row is reweighted by its caliper
-    estimate theta_hat and the SE comes from the influence function.
-    With ``caliper=None`` every weight is 1 and the SE is the cluster
-    sandwich of the kernel values.  The weights and the caliper's row
-    statuses do not depend on the kernel and are formed once; W, X and m
-    are formed on the table.  Every sum over a row (the weighted kernel
-    mean, the mean in Q and the variance) runs over its n gathered scores
-    in score order, so the estimates do not depend on how the scores are
-    tabled.  Returns one
-    ``RowEstimates`` per kernel.
+    Each row holds its scores as a (R, K) ``table`` of K values with
+    multiplicities ``counts`` (None: one each), and ``index`` (n,) takes
+    each score to its table entry (None: the table is the scores); every
+    row shares the n cluster ``codes``.  The caliper and the kernel of all
+    the ``bases`` run once on the table.  With ``pb`` the kernel mean of
+    each row is reweighted by its caliper estimate theta_hat and the SE
+    comes from the influence function; without it every weight is 1 and
+    the SE is the cluster sandwich of the kernel values.  The weights and
+    the caliper's row statuses do not depend on the kernel and are formed
+    once; W, X and m are formed on the table.  Every sum over a row (the
+    weighted kernel mean, the mean in Q and the variance) runs over its n
+    gathered scores in score order, so the estimates do not depend on how
+    the scores are tabled.  Returns the caliper's ``EmpiricalTail`` and
+    one ``RowEstimates`` per basis.
     """
-    R, K = kernels.shape[1:]
+    R, K = table.shape
+    with np.errstate(over="ignore", invalid="ignore"):
+        # A kernel that overflows leaves its row's estimate or SE not finite.
+        theta, tail = _pubbias.caliper_tail(table, epsilon, bases[0].cv, counts)
+        kernels = _spectrum.kernel_S_grid(table, bases)
     status = np.full(R, ROW_OK, dtype=np.int8)
-    theta = None
-    if caliper is None:
-        omega = np.ones((R, K))
-    else:
-        theta, tail = caliper
+    if pb:
         omega = np.where(tail.insignificant, 1.0, theta[:, None])
+    else:
+        theta, omega = None, np.ones((R, K))
     omega = _gathered(omega, index)
     wsum = omega.sum(axis=1)
     failed = np.zeros(R, dtype=bool)
-    if caliper is not None:
+    if pb:
         empty_upper, zero_weights = tail.count_above == 0, ~(wsum > 0)
         status[tail.count_below == 0] = ROW_NO_SE
         status[zero_weights] = ROW_ZERO_WEIGHTS
@@ -281,14 +279,14 @@ def _estimate_rows(kernels, bases, index, codes, caliper, alpha) -> list[RowEsti
             overflow = ~(np.isfinite(delta) | row_failed)
             if overflow.any():
                 row_status = np.where(overflow, np.int8(ROW_KERNEL_OVERFLOW), row_status)
-            if caliper is not None:
+            if pb:
                 scores = _gathered(_inference.influence(S, theta, tail, index), index)
             v = np.where(row_status == ROW_OK, _inference.variance_hat(scores, codes), np.nan)
             se = np.sqrt(v)
             ci_low, ci_high = _inference.confidence_interval(delta, v, alpha)
         out.append(RowEstimates(delta=delta, se=se, ci_low=ci_low, ci_high=ci_high,
                                 theta=theta, status=row_status))
-    return out
+    return tail, out
 
 
 def _reports(
@@ -300,16 +298,13 @@ def _reports(
 ) -> list[EstimateReport]:
     """Point estimate, cluster SE and interval of one sample on each basis.
 
-    The bases share J, cv and sigma_T^2 and differ only in c, so the
-    caliper and the kernel's Hermite recurrence are computed once; the row
-    core then runs on the sample as one row per basis.  The caliper runs
-    with or without ``pb``: its count of insignificant scores gives the
-    status-quo power (n - count) / n, and ``pb`` only decides whether the
-    row core reads it.  All of it is evaluated on the sample's table of
-    distinct |t| values (``TScoreSample``): the kernel, the caliper masks
-    (whose counts sum the table's multiplicities) and the influence terms
-    once per distinct value, and only the sums over the sample run over
-    its n scores.  With ``pb`` the kernel mean is reweighted by the
+    The bases share J, cv and sigma_T^2 and differ only in c, so one call
+    of the row core runs the caliper and the kernel's Hermite recurrence
+    once for every basis, on the sample's table of distinct |t| values
+    (``TScoreSample``) as one row; only the sums over the sample run over
+    its n scores.  The caliper runs with or without ``pb``: the count of
+    insignificant scores in its tail gives the status-quo power
+    (n - count) / n.  With ``pb`` the kernel mean is reweighted by the
     caliper estimate theta_hat and the standard error comes from the
     influence function; without it every weight is 1 and the standard
     error is the cluster sandwich of the kernel values.  The row status
@@ -322,22 +317,21 @@ def _reports(
     just below the cutoff, and (at c > 1) a sample whose scores all share
     one cluster.
     """
-    table, cv, n = sample._table, bases[0].cv, sample.n
-    caliper = _pubbias.caliper_tail(table[None], epsilon, cv, sample._table_counts)
-    sq_power = float((n - caliper[1].count_insignificant[0]) / n)
-    with np.errstate(over="ignore", invalid="ignore"):
-        # A kernel that overflows gives an estimate that is not finite, which
-        # is raised below as an EstimationError.
-        kernels = _spectrum.kernel_S_grid(table, bases)[:, None]
+    cv, n = bases[0].cv, sample.n
+    tail, rows_per_basis = _estimate_rows(sample._table[None], bases, epsilon,
+                                          sample._table_counts, sample._table_index,
+                                          sample._cluster_codes, pb, alpha)
+    sq_power = float((n - tail.count_insignificant[0]) / n)
     reports = []
-    for b, rows in zip(bases, _estimate_rows(kernels, bases, sample._table_index,
-                                             sample._cluster_codes,
-                                             caliper if pb else None, alpha)):
+    for b, rows in zip(bases, rows_per_basis):
         status = rows.status[0]
         if status == ROW_EMPTY_UPPER_BIN:
-            raise _pubbias.CaliperError.empty_upper_bin(epsilon, cv)
+            raise _pubbias.CaliperError(
+                f"caliper denominator empty: no |t| in ({cv:g}, {cv + epsilon:g}]; "
+                "widen epsilon or check the sample")
         if status == ROW_ZERO_WEIGHTS:
-            raise EstimationError(_ZERO_WEIGHTS)
+            raise EstimationError("estimator undefined: selection weights sum to zero "
+                                  "(theta = 0 with every score significant)")
         if status == ROW_ZERO_KERNEL:
             raise EstimationError(
                 f"the spectral kernel is 0 at every score: it underflows at J = {b.J} "
@@ -399,19 +393,16 @@ def delta_hat_pb_rows(
 ) -> RowEstimates:
     """``delta_hat_pb`` of every row of t: R samples of n scores, singleton clusters.
 
-    One ``kernel_S`` over all R * n scores and one caliper over every row,
-    then the row core that ``delta_hat_pb`` runs on a single row, with
-    each row its own table.  Nothing is raised for a row that fails; its
-    ``status`` says why (see ``RowEstimates``).
+    The row core that ``delta_hat_pb`` runs on a single row, here on all
+    R rows at once, with each row its own table: one caliper over every
+    row and one kernel pass over all R * n scores.  Nothing is raised for
+    a row that fails; its ``status`` says why (see ``RowEstimates``).
     """
     t = np.asarray(t, dtype=float)
     if t.ndim != 2 or t.size == 0:
         raise ValueError(f"need a non-empty (R, n) array of scores, got shape {t.shape}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        # A kernel that overflows leaves its row's estimate and SE not finite.
-        kernel = _spectrum.kernel_S(t, b)
-    return _estimate_rows(kernel[None], [b], None, np.arange(t.shape[1]),
-                          _pubbias.caliper_tail(t, epsilon, b.cv), alpha)[0]
+    return _estimate_rows(t, [b], epsilon, None, None, np.arange(t.shape[1]),
+                          True, alpha)[1][0]
 
 
 def estimate(

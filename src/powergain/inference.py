@@ -193,7 +193,7 @@ def variance_hat(values, codes):
         offset = codes if R == 1 else codes + width * np.arange(R)[:, None]
         block_sums = np.bincount(offset.ravel(), weights=centered.ravel(),
                                  minlength=R * width).reshape(-1, width)
-        v = np.maximum(np.einsum("ij,ij->i", block_sums, block_sums) / (n * n), 0.0)
+        v = np.einsum("ij,ij->i", block_sums, block_sums) / (n * n)
     return v if vals.ndim > 1 else float(v[0])
 
 

@@ -14,11 +14,6 @@ import numpy as np
 class CaliperError(Exception):
     """Raised when the caliper ratio is undefined (empty upper bin)."""
 
-    @classmethod
-    def empty_upper_bin(cls, epsilon: float, cutoff: float) -> "CaliperError":
-        return cls(f"caliper denominator empty: no |t| in ({cutoff:g}, {cutoff + epsilon:g}]; "
-                   "widen epsilon or check the sample")
-
 
 @dataclass(frozen=True, eq=False)
 class EmpiricalTail:

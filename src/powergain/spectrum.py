@@ -129,45 +129,32 @@ def build_basis(cfg: TuningConfig, J: int) -> SpectralBasis:
                          c=cfg.c, cv=cfg.cv, sigmaT2=cfg.sigmaT2)
 
 
-def kernel_S(t, b: SpectralBasis):
-    """Evaluate S(t) = sum_{j<=J} a_j * psi_j(t) * gaussian_pdf(t, sigma_T^2).
+def kernel_S_grid(t, bases) -> np.ndarray:
+    """S(t) = sum_{j<=J} a_j psi_j(t) gaussian_pdf(t, sigma_T^2) of each basis, at each t.
 
-    Evaluated by ``kernel_S_grid``, a block at a time on four rows of
-    scratch, so memory stays O(len(t)) no matter how large J is.  S(-t)
-    == S(t) bit for bit, each value does not depend on the other scores,
-    and S is identically zero when the basis was built for c = 1.  Against
-    a 50-digit evaluation of the same a_j, the error is at most 8.6e-15 of
+    The ``bases`` share J and sigma_T^2; ``t`` of any shape gives an array
+    of shape ``(len(bases),) + t.shape``.  Odd a_j are exactly 0, so each
+    block of ``_CHUNK`` scores runs only the even-degree recurrence
+    (``basis.hermite_even_steps``) in z = t * t / sigma_T^2, on two rows of
+    Hermite values and one scratch row, whatever J is.  Each basis's row
+    accumulates a_n He_n by elementwise multiply-adds, degree by degree,
+    and is multiplied by gaussian_pdf(t, sigma_T^2) once at the end, so the
+    truncated sum at any even J' <= J is a prefix of these multiply-adds.
+    One pass serves every basis; S is identically 0 at c = 1.  Against a
+    50-digit evaluation of the same a_j, the error is at most 8.6e-15 of
     max |S| on 97 points of |t| <= 12, over c^2 in {1.5, 2, 4, 8},
-    sigma_T^2 in {0.5, 1, 2} and J in {12, 26, 40, 64}.
-    """
-    arr = np.atleast_1d(np.asarray(t, dtype=float))
-    out = kernel_S_grid(arr.ravel(), [b])[0].reshape(arr.shape)
-    return out if np.ndim(t) else float(out[0])
+    sigma_T^2 in {0.5, 1, 2} and J in {12, 26, 40, 64}.  Two facts hold
+    bit for bit, and let the estimators evaluate a sample's distinct |t|
+    only and gather the values back to the scores:
 
-
-def kernel_S_grid(t: np.ndarray, bases) -> np.ndarray:
-    """S(t) for every basis in ``bases`` (which share J and sigma_T^2), one row each.
-
-    Odd a_j are exactly 0, so each block of ``_CHUNK`` scores runs only
-    the even-degree recurrence (``basis.hermite_even_steps``) in
-    z = t * t / sigma_T^2, on two rows of Hermite values and one scratch
-    row.  Each basis's row accumulates a_n He_n by elementwise
-    multiply-adds, degree by degree, and is multiplied by
-    gaussian_pdf(t, sigma_T^2) once at the end, so the truncated sum at
-    any even J' <= J is a prefix of these multiply-adds.  One pass serves
-    every basis.  Two facts hold bit for bit:
-
-    - a score's value does not depend on the block width (a gemv's
-      rounding could): each row equals ``kernel_S(t, b)`` exactly, and
-      each entry equals ``kernel_S(t_i, b)`` exactly;
+    - a value depends on its score alone, not on the other scores, the
+      block width (a gemv's rounding could) or the shape of ``t``;
     - S depends on t only through t * t, so S(-t) == S(t).
-
-    Both let the estimators call this on a sample's distinct |t| only and
-    gather the values back to the scores.  ``t`` is flat.
     """
     J, sigmaT2 = bases[0].J, bases[0].sigmaT2
     if any(b.J != J or b.sigmaT2 != sigmaT2 for b in bases):
         raise ValueError("bases of one kernel grid must share J and sigmaT2")
+    shape, t = np.shape(t), np.asarray(t, dtype=float).ravel()
     steps = _basis.hermite_even_steps(J)
     coefs = [b.a.tolist() for b in bases]
     out = np.empty((len(bases), t.size))
@@ -193,7 +180,7 @@ def kernel_S_grid(t: np.ndarray, bases) -> np.ndarray:
                 np.multiply(cur, a[n + 2], out=scratch)
                 row += scratch
         out[:, start:start + chunk.size] *= _basis.gaussian_pdf(chunk, sigmaT2)
-    return out
+    return out.reshape((len(bases),) + shape)
 
 
 def select_tuning(cfg: TuningConfig) -> tuple[int, float]:

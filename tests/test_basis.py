@@ -294,3 +294,9 @@ class TestIntegrateBasis:
             np.testing.assert_allclose(
                 spectrum.build_basis(cfg, J).a[::2], a_by_quadrature(cfg, J),
                 rtol=1e-9, atol=1e-12, err_msg=f"{cfg}, J={J}")
+
+
+@pytest.mark.parametrize("cv", [0.0, -1.96, math.nan], ids=["zero", "negative", "nan"])
+def test_conditional_power_refuses_a_critical_value_not_above_zero(cv):
+    with pytest.raises(ValueError, match="critical value must be positive"):
+        basis.conditional_power(1.0, cv)

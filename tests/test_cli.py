@@ -538,6 +538,37 @@ class TestReaderParity:
                                       np.unique(ref["lab_id"], return_inverse=True)[1])
 
 
+class TestFileChangedWhileRead:
+    """A regular file is hashed from its bytes, then parsed again from its
+    path; a file that changes in between is refused, so no estimate comes
+    from rows that its digest does not describe."""
+
+    @pytest.mark.parametrize("reader, command, text, row", [
+        (read_tscore_file, "estimate", "t,study_id\n1.5,a\n2.5,b\n", "0.5,c\n"),
+        (read_grouped_file, "conditional",
+         "group_id,effect,std_error,weight\na,1,1,1\nb,2,1,1\n", "c,3,1,1\n"),
+    ], ids=["tscore", "grouped"])
+    def test_row_appended_before_the_parse(self, tmp_path, monkeypatch, capsys, reader,
+                                           command, text, row):
+        p = tmp_path / "d.csv"
+        p.write_text(text)
+        real_cell_widths = cli._cell_widths
+
+        def appending(*args):
+            with open(p, "a") as f:
+                f.write(row)
+            return real_cell_widths(*args)
+
+        monkeypatch.setattr(cli, "_cell_widths", appending)
+        with pytest.raises(DatasetError) as exc:
+            reader(str(p), digest=hashlib.sha256())
+        assert str(exc.value).startswith(f"{p} changed while it was read")
+        assert main([command, str(p)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {p} changed while it was read")
+
+
 class TestParseLifetime:
     """Each column is copied out of the bulk parse, which is freed before the
     sample or the groups are built: no array that the readers return is a
@@ -970,6 +1001,21 @@ class TestCurveCommand:
         rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
         assert rows[0] == ["c2", "delta", "se", "ci_low", "ci_high", "flags"]
         assert len(rows) == 3  # header + anchor + c2=4
+
+    def test_takes_no_c2(self, tmp_path, capsys):
+        # --grid sets every c^2, so curve has no --c2 of its own.
+        p = write_balanced(tmp_path / "d.csv")
+        with pytest.raises(SystemExit) as exc:
+            main(["curve", p, "--c2", "2"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "unrecognized arguments: --c2 2" in captured.err
+        assert main(["curve", p, "--out", "json"]) == 0
+        assert "c2" not in json.loads(capsys.readouterr().out)["manifest"]["config"]
+        for command, listed in (("curve", False), ("estimate", True), ("simulate", True)):
+            with pytest.raises(SystemExit):
+                main([command, "--help"])
+            assert ("--c2" in capsys.readouterr().out) == listed
 
 
 class TestCurveNotes:

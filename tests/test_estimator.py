@@ -141,7 +141,7 @@ class TestDeltaHat:
         t = rng.normal(0.0, 1.5, 250)
         rep = estimator.estimate(TScoreSample.from_scores(t), make_config(), pb=False)
         b = make_basis(J=rep.J)
-        np.testing.assert_allclose(rep.delta, float(np.mean(spectrum.kernel_S(t, b))),
+        np.testing.assert_allclose(rep.delta, float(np.mean(spectrum.kernel_S_grid(t, [b])[0])),
                                    rtol=1e-14)
 
 
@@ -177,7 +177,7 @@ class TestDeltaHatPb:
         assert rep.theta == 0.0
         # Weight zero on the significant score leaves the insignificant one.
         np.testing.assert_allclose(rep.delta,
-                                   float(spectrum.kernel_S(np.array([0.5]), b)[0]))
+                                   float(spectrum.kernel_S_grid(np.array([0.5]), [b])[0][0]))
         assert math.isnan(rep.se) and math.isnan(rep.ci_low)
         assert any("theta-zero" in f for f in rep.flags)
 
@@ -335,9 +335,8 @@ def _direct_rows(sample, bases, epsilon, pb=True, alpha=0.05):
     the row core with the identity index.
     """
     t, identity = sample.t, np.arange(sample.n)
-    caliper = pubbias.caliper_tail(t[None], epsilon, bases[0].cv) if pb else None
-    rows = estimator._estimate_rows(spectrum.kernel_S_grid(t, bases)[:, None], bases, identity,
-                                    sample._cluster_codes, caliper, alpha)
+    _, rows = estimator._estimate_rows(t[None], bases, epsilon, None, identity,
+                                       sample._cluster_codes, pb, alpha)
     return np.array([[r.delta[0], r.se[0], r.ci_low[0], r.ci_high[0],
                       r.theta[0] if pb else np.nan] for r in rows])
 
@@ -469,7 +468,7 @@ class TestSignificanceAtTheCutoff:
         omega = np.array([1.0, 1.0, 2.0, 1.0])
         rep = estimator.delta_hat_pb(s, b, epsilon=0.5)
         assert rep.theta == 2.0
-        S = spectrum.kernel_S(s.t, b)
+        S = spectrum.kernel_S_grid(s.t, [b])[0]
         np.testing.assert_allclose(rep.delta, S @ omega / omega.sum(), rtol=1e-14)
         coef = estimator.reconstruct_prior(s, b, theta_hat=rep.theta)
         psi_phi = basis.hermite_sequence(s.t / math.sqrt(b.sigmaT2), b.J) \
@@ -551,7 +550,7 @@ class TestEstimateOrchestrator:
         rep = estimator.estimate(s, make_config(), pb=False)
         assert rep.theta is None and rep.epsilon is None
         # The SE is the cluster sandwich of the kernel values.
-        S = spectrum.kernel_S(t, spectrum.build_basis(make_config(), rep.J))
+        S = spectrum.kernel_S_grid(t, [spectrum.build_basis(make_config(), rep.J)])[0]
         np.testing.assert_allclose(rep.delta, float(np.mean(S)), rtol=1e-14)
         assert math.isfinite(rep.se)
         np.testing.assert_allclose(rep.se, math.sqrt(inference.variance_hat(S, np.arange(300))),
@@ -836,3 +835,19 @@ class TestConditionalDelta:
             GroupedEffects(effects=[1.0, 2.0], std_errors=[1.0, 1.0], weights=[1.0, 1.0],
                            group_id=group_id)
         assert str(exc.value) == f"group_id length {len(group_id)} does not match 2 effects"
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: estimator.reconstruct_prior(TScoreSample.from_scores([2.5, -3.0]),
+                                         make_basis(J=4), theta_hat=0.0),
+     EstimationError, "prior reconstruction undefined: selection weights sum to zero"),
+    (lambda: GroupedEffects(effects=[0.1, 0.2], std_errors=[0.1], weights=[1.0, 1.0],
+                            group_id=["a", "a"]),
+     ValueError, "effects, std_errors and weights must share one length"),
+    (lambda: GroupedEffects(effects=[0.1, 0.2], std_errors=[0.1, 0.1], weights=[1.0, 1.0],
+                            group_id=["a", "a"], labels=["x"]),
+     ValueError, "labels must match the number of effects"),
+], ids=["prior with zero weights", "columns of two lengths", "labels of another length"])
+def test_refused_inputs(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

@@ -347,3 +347,15 @@ class TestConfidenceInterval:
         lo, hi = inference.confidence_interval(0.3, 0.0)
         assert lo == hi == 0.3
 
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: inference.variance_hat(np.array([]), np.array([], dtype=np.intp)),
+     "variance of an empty sample is undefined"),
+    (lambda: inference.confidence_interval(0.1, -1e-3), "variance must be non-negative"),
+    (lambda: inference.confidence_interval(0.1, 1e-3, alpha=1.0),
+     r"alpha must lie in \(0, 1\)"),
+], ids=["empty sample", "negative variance", "alpha of one"])
+def test_refused_inputs(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

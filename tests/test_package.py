@@ -20,7 +20,7 @@ API = {
 #: Names that are not the package's but their module's.
 MODULE_ONLY = {
     "basis": ["J_MAX", "conditional_power", "gaussian_pdf", "normal_quantile"],
-    "spectrum": ["kernel_S", "kernel_S_grid", "select_tuning"],
+    "spectrum": ["kernel_S_grid", "select_tuning"],
     "pubbias": ["EmpiricalTail", "caliper_tail", "significant"],
     "estimator": ["RowEstimates", "delta_hat_pb", "delta_hat_pb_rows"],
     "inference": ["confidence_interval", "influence", "q_hat", "variance_hat"],

@@ -128,7 +128,7 @@ class TestKernelS:
     def test_frozen_value_at_zero(self):
         cfg = default_config()
         b = spectrum.build_basis(cfg, 0)
-        np.testing.assert_allclose(spectrum.kernel_S(np.array([0.0]), b)[0],
+        np.testing.assert_allclose(spectrum.kernel_S_grid(np.array([0.0]), [b])[0][0],
                                    0.45804215542001378, rtol=1e-12)
 
     def test_matches_direct_summation(self):
@@ -141,7 +141,7 @@ class TestKernelS:
         for j in range(b.J + 1):
             direct += b.a[j] * H[j]
         direct *= basis.gaussian_pdf(t, b.sigmaT2)
-        np.testing.assert_allclose(spectrum.kernel_S(t, b), direct, rtol=1e-10,
+        np.testing.assert_allclose(spectrum.kernel_S_grid(t, [b])[0], direct, rtol=1e-10,
                                    atol=1e-14)
 
     def test_value_does_not_depend_on_block_width(self):
@@ -149,27 +149,27 @@ class TestKernelS:
         rng = np.random.default_rng(8)
         for width in rng.integers(1, 400, size=12):
             t = rng.normal(0.0, 2.0, size=width)
-            whole = spectrum.kernel_S(t, b)
-            assert [spectrum.kernel_S(x, b) for x in t] == whole.tolist()
+            whole = spectrum.kernel_S_grid(t, [b])[0]
+            assert [spectrum.kernel_S_grid(x, [b])[0] for x in t] == whole.tolist()
 
     def test_even_function_of_t(self):
         cfg = default_config()
         b = spectrum.build_basis(cfg, 12)
         rng = np.random.default_rng(42)
         t = rng.normal(0.0, 2.0, size=100)
-        np.testing.assert_allclose(spectrum.kernel_S(t, b),
-                                   spectrum.kernel_S(-t, b), rtol=1e-12)
+        np.testing.assert_allclose(spectrum.kernel_S_grid(t, [b])[0],
+                                   spectrum.kernel_S_grid(-t, [b])[0], rtol=1e-12)
 
     @pytest.mark.parametrize("J", [12, 40, 64])
     def test_even_and_block_free_bit_for_bit(self, monkeypatch, J):
         b = spectrum.build_basis(default_config(c=2.0), J)
         t = np.random.default_rng(J).normal(0.0, 3.0, size=1000)
-        whole = spectrum.kernel_S(t, b)
-        assert spectrum.kernel_S(-t, b).tolist() == whole.tolist()
-        assert [spectrum.kernel_S(x, b) for x in t[:50]] == whole[:50].tolist()
+        whole = spectrum.kernel_S_grid(t, [b])[0]
+        assert spectrum.kernel_S_grid(-t, [b])[0].tolist() == whole.tolist()
+        assert [spectrum.kernel_S_grid(x, [b])[0] for x in t[:50]] == whole[:50].tolist()
         for chunk in (1, 7, 333):
             monkeypatch.setattr(spectrum, "_CHUNK", chunk)
-            assert spectrum.kernel_S(t, b).tolist() == whole.tolist()
+            assert spectrum.kernel_S_grid(t, [b])[0].tolist() == whole.tolist()
 
     def test_within_5e14_of_a_50_digit_reference(self):
         # The basis's own a_j are the coefficients, so this is the error of
@@ -188,13 +188,13 @@ class TestKernelS:
                         total += mpmath.mpf(b.a[j + 1]) * upper
                     ref.append(float(total * mpmath.npdf(x) / mpmath.sqrt(s2)))
             ref = np.array(ref)
-            err = np.max(np.abs(spectrum.kernel_S(t, b) - ref)) / np.max(np.abs(ref))
+            err = np.max(np.abs(spectrum.kernel_S_grid(t, [b])[0] - ref)) / np.max(np.abs(ref))
             assert err <= 5e-14, f"c2={c2}, s2={s2}, J={J}: {err:.2e}"
 
     def test_scalar_input_returns_scalar(self):
         cfg = default_config()
         b = spectrum.build_basis(cfg, 5)
-        out = spectrum.kernel_S(0.7, b)
+        out = spectrum.kernel_S_grid(0.7, [b])[0]
         assert np.ndim(out) == 0
 
 
@@ -240,3 +240,12 @@ class TestSelectTuning:
                for n in sizes]
         assert Js == sorted(Js)
         assert eps == sorted(eps, reverse=True)
+
+
+@pytest.mark.parametrize("other", [{"J": 12}, {"sigmaT2": 2.0}], ids=["J", "sigmaT2"])
+def test_kernel_grid_refuses_bases_that_differ_in(other):
+    first = spectrum.build_basis(default_config(), 14)
+    second = spectrum.build_basis(default_config(sigmaT2=other.get("sigmaT2", 1.0)),
+                                  other.get("J", 14))
+    with pytest.raises(ValueError, match="bases of one kernel grid must share J and sigmaT2"):
+        spectrum.kernel_S_grid(np.array([0.5, 2.5]), [first, second])
